@@ -53,7 +53,6 @@ from .functionals import (
     kinf_functional,
     l0_linf_couple,
     load_trig_csv,
-    truncation_family,
     truncation_profile,
 )
 from .invgauss import DemoResult, InvGaussParams, demo_pipeline, invgauss_density

@@ -9,13 +9,14 @@ generators to hunt for the worst margin.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .jsonutil import dumps17
+from .jsonutil import dumps17, require_finite
 from .measures import (
     DiscreteMeasureSpace,
     SimpleFunction,
@@ -116,6 +117,7 @@ class AuditReport:
         return dumps17(self.to_json_dict()) + "\n"
 
     def to_csv_text(self) -> str:
+        require_finite(itertools.chain(self.lhs, self.rhs, self.margin))
         lines = ["t,lhs,rhs,margin"]
         for t, lo, hi, mg in zip(self.grid, self.lhs, self.rhs, self.margin):
             t_txt = "" if t is None else repr(float(t))

@@ -30,7 +30,7 @@ from .audit import (
 from .errors import DomainError, NumericError, UsageError
 from .functionals import e_functional_trig, load_trig_csv
 from .invgauss import InvGaussParams, demo_pipeline
-from .jsonutil import dumps17
+from .jsonutil import dumps17, require_finite
 from .measures import load_instance_csv, lp_norm
 from .params import (
     ApproxParams,
@@ -113,12 +113,19 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+# Echoed parameters may be inf (q = tau = inf is the sup end of the scale);
+# every computed value must be finite.
+_PARAM_KEYS = ("theta", "q", "s", "tau")
+
+
 def _kv_csv(pairs) -> str:
     lines = ["key,value"]
     for k, v in pairs:
         if v is None:
             lines.append(f"{k},")
         elif isinstance(v, float):
+            if k not in _PARAM_KEYS:
+                require_finite((v,))
             lines.append(f"{k},{float(v)!r}")
         else:
             lines.append(f"{k},{v}")

@@ -17,17 +17,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from .errors import DomainError, QuadratureError, UsageError
 from .measures import DiscreteMeasureSpace, SimpleFunction, sorted_mass_profile
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, _quad_piece
 from .rearrange import decreasing_rearrangement, eval_step
 
 __all__ = [
     "CoupleInstance",
     "l0_linf_couple",
-    "truncation_family",
     "all_support_candidates",
     "e_functional_L0Linf",
     "e_functional_bruteforce",
@@ -87,12 +85,6 @@ def l0_linf_couple(
         norm1=norm1,
         label="(L0,Linf)",
     )
-
-
-def truncation_family(f: SimpleFunction, sp: DiscreteMeasureSpace) -> list[np.ndarray]:
-    """Hard truncations g_sigma for sigma in {0} union distinct magnitudes."""
-    sigmas = np.unique(np.concatenate([[0.0], f.magnitudes]))
-    return [np.where(f.magnitudes > s, f.magnitudes, 0.0) for s in sigmas]
 
 
 def all_support_candidates(
@@ -365,9 +357,7 @@ def interp_quasinorm(
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi - lo <= 1e-15 * hi:
             continue
-        val, e = _scipy_quad(
-            integrand, lo, hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.limit
-        )
+        val, e = _quad_piece(integrand, lo, hi, cfg)
         total += val
         err += e
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(total), 1e-300)

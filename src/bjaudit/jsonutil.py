@@ -3,18 +3,31 @@
 The stdlib encoder writes shortest-round-trip floats; report consumers want a
 fixed width instead, so every float is rendered with %.17g (which still
 round-trips exactly).
+
+Reports carry finite numbers only, in JSON and CSV alike: a NaN or infinity
+raises NumericError, which the CLI turns into exit code 3.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["dumps17"]
+from .errors import NumericError
+
+__all__ = ["dumps17", "require_finite"]
+
+_NON_FINITE = "reports must not contain NaN or infinity"
+
+
+def require_finite(values) -> None:
+    """Raise NumericError unless every value in the iterable is finite."""
+    if not all(map(math.isfinite, values)):
+        raise NumericError(_NON_FINITE)
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("JSON reports must not contain NaN or infinity")
+    if not math.isfinite(x):
+        raise NumericError(_NON_FINITE)
     return format(x, ".17g")
 
 

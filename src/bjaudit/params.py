@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .quadrature import QuadratureConfig, integrate_zero_to_inf
+from .errors import DomainError, NumericError
 
 __all__ = [
     "ApproxParams",
@@ -102,36 +101,29 @@ def n_factor_algebraic(theta: float, q: float) -> float:
     return (q * theta * (1.0 - theta)) ** (1.0 / q)
 
 
-def n_factor_integral(
-    theta: float, q: float, quad: QuadratureConfig | None = None
-) -> float:
+def n_factor_integral(theta: float, q: float) -> float:
     """Integral normalization factor (int_0^inf |t^-theta * t/sqrt(1+t^2)|^q dt/t)^(-1/q).
 
-    For q=2 this has the closed form (2 sin(pi*theta)/pi)^(1/2), used in tests
-    as a quadrature oracle.
+    The substitution u = t^2 turns the integral into the Beta integral
+    (1/2) B(a, b) with a = (1-theta) q/2 and b = theta q/2, so
+    N = [B(a, b)/2]^(-1/q), evaluated in log space through math.lgamma.
+    For q=2 this is the closed form (2 sin(pi*theta)/pi)^(1/2).
     """
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0,1), got {theta!r}")
     if q == math.inf:
         raise DomainError("integral normalization factor is undefined for q=inf")
     _check_finite_positive("q", q)
-
-    def integrand(t: float) -> float:
-        # (t^(1-theta))^q * (1+t^2)^(-q/2) / t, stable on both halves
-        return math.exp(
-            ((1.0 - theta) * q - 1.0) * math.log(t) - 0.5 * q * math.log1p(t * t)
-        )
-
-    val = integrate_zero_to_inf(integrand, quad or QuadratureConfig())
-    return val ** (-1.0 / q)
+    a = 0.5 * (1.0 - theta) * q
+    b = 0.5 * theta * q
+    try:
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    except OverflowError as exc:  # lgamma's range ends near 2.5e305
+        raise NumericError(f"log Beta overflows at q={q!r}") from exc
+    return math.exp(-(log_beta - math.log(2.0)) / q)
 
 
-def c_big(
-    theta: float,
-    q: float,
-    variant: str = "table",
-    quad: QuadratureConfig | None = None,
-) -> float:
+def c_big(theta: float, q: float, variant: str = "table") -> float:
     """Interpolation-couple constant C_{theta,q}.
 
     variant="table": the tabulated three-branch value, i.e.
@@ -154,7 +146,7 @@ def c_big(
     _check_finite_positive("q", q)
     if q == 2.0:
         return (math.sin(math.pi * theta) / (math.pi * theta)) ** (1.0 / (2.0 * theta))
-    n_int = n_factor_integral(theta, q, quad)
+    n_int = n_factor_integral(theta, q)
     return (
         2.0 ** (1.0 / (2.0 * theta))
         * (q * q * theta) ** (-1.0 / (q * theta))
@@ -162,16 +154,14 @@ def c_big(
     )
 
 
-def constant_consistency_report(
-    theta: float, q: float, quad: QuadratureConfig | None = None
-) -> dict:
+def constant_consistency_report(theta: float, q: float) -> dict:
     """Both C_{theta,q} candidates and their absolute difference.
 
     Never raises on disagreement; the difference is the point.
     """
     if q == math.inf:
         raise DomainError("consistency report requires q < inf")
-    table = c_big(theta, q, "table", quad)
+    table = c_big(theta, q, "table")
     consistency = c_big(theta, q, "consistency")
     return {
         "theta": float(theta),

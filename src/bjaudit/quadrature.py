@@ -1,9 +1,13 @@
-"""Adaptive quadrature over (0, inf) for quasinorm integrands.
+"""Adaptive quadrature for quasinorm integrands.
 
-All improper integrals in this package share one scheme: split at t = 1 and
-map the upper half to (0, 1) with u = 1/t, so the adaptive rule only ever
-sees finite intervals.  Known kink locations can be passed through so the
-subdivision does not waste effort hunting for them.
+integrate_zero_to_inf splits (0, inf) at t = 1 and maps the upper half to
+(0, 1) with u = 1/t, so the adaptive rule only ever sees finite intervals.
+Known kink locations can be passed through so the subdivision does not waste
+effort hunting for them.  The interpolation quasinorm calls the same
+finite-interval rule, _quad_piece, between its kinks.
+
+This is the only module that touches scipy, and it imports scipy on first
+use, so importing the package costs no scipy start-up.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureError
 
@@ -26,6 +29,9 @@ class QuadratureConfig:
 
 
 def _quad_piece(fn, lo: float, hi: float, cfg: QuadratureConfig, points=None):
+    """scipy's adaptive quad over the finite interval [lo, hi]: (value, error)."""
+    from scipy.integrate import quad
+
     val, err = quad(
         fn,
         lo,

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bjaudit
 from bjaudit import NumericError
 from bjaudit.cli import main, parse_grid
 
@@ -368,6 +373,65 @@ def test_numeric_error_exit_code(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, ["rearrange", "--input", str(path)])
     assert code == 3
     assert err.startswith("numeric error:")
+
+
+EXTREME_INSTANCE = "atom_id,weight,magnitude\na0,1.0,1e300\na1,1.0,1e-300\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "instance, argv",
+    [
+        # t^-s at t = 1e-200 overflows the Jackson right-hand side
+        (
+            REF_INSTANCE,
+            ["audit", "--name", "jackson", "--s", "2", "--tau", "2", "--grid", "1e-200"],
+        ),
+        # ||f||_2 of a 1e300 magnitude overflows
+        (EXTREME_INSTANCE, ["quasinorm", "--s", "3", "--tau", "4"]),
+    ],
+)
+def test_non_finite_output_exits_three(capsys, tmp_path, instance, argv, fmt):
+    path = tmp_path / "inst.csv"
+    path.write_text(instance)
+    code, out, err = run(capsys, argv + ["--input", str(path), "--format", fmt])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric error:") and "Traceback" not in err
+
+
+SCIPY_PROBE = (
+    "import sys; {stmt}; "
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+)
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    [
+        "import bjaudit",
+        "import bjaudit.cli, os; "
+        "assert bjaudit.cli.main("
+        "['constants', '--s', '1', '--tau', '2', '--out', os.devnull]) == 0",
+    ],
+)
+def test_scipy_stays_unloaded(stmt):
+    # scipy is imported on first quadrature only; the import and the
+    # constants table must not pay its start-up.
+    src = str(Path(bjaudit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE.format(stmt=stmt)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_missing_input_file(capsys):

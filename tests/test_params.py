@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bjaudit import (
     DomainError,
+    NumericError,
     c_big,
     c_exact,
     constant_consistency_report,
@@ -94,6 +95,27 @@ def test_two_normalizations_disagree_at_half_two():
 def test_integral_normalization_closed_form_q2(theta):
     expected = math.sqrt(2.0 * math.sin(math.pi * theta) / math.pi)
     assert n_factor_integral(theta, 2.0) == pytest.approx(expected, abs=1e-8)
+
+
+def test_integral_normalization_matches_mpmath_beta():
+    # N = [B((1-theta) q/2, theta q/2) / 2]^(-1/q), at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for k in range(1, 20):
+            theta = 0.05 * k
+            for q in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0):
+                th, qq = mpmath.mpf(theta), mpmath.mpf(q)
+                exact = (mpmath.beta((1 - th) * qq / 2, th * qq / 2) / 2) ** (-1 / qq)
+                got = n_factor_integral(theta, q)
+                worst = max(worst, float(abs(got - exact) / exact))
+    assert worst <= 1e-14
+
+
+def test_integral_normalization_overflow_is_numeric_error():
+    # a + b = q/2 beyond lgamma's range
+    with pytest.raises(NumericError):
+        n_factor_integral(0.5, 1e306)
 
 
 def test_integral_normalization_rejects_infinite_q():
