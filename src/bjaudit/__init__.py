@@ -40,12 +40,14 @@ from .errors import (
 )
 from .functionals import (
     CoupleInstance,
+    KEnvelope,
     all_support_candidates,
     e_functional_L0Linf,
     e_functional_bruteforce,
     e_functional_trig,
     e_profile_bruteforce,
     interp_quasinorm,
+    k_envelope,
     k2_exhaustive,
     k2_functional,
     k2_scalar,

@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, UsageError
+from .errors import DomainError, UsageError
 from .measures import DiscreteMeasureSpace, SimpleFunction, sorted_mass_profile
-from .quadrature import QuadratureConfig, _quad_piece
+from .quadrature import QuadratureConfig, _certify, _quad_piece
 from .rearrange import decreasing_rearrangement, eval_step
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
     "k2_exhaustive",
     "kinf_exhaustive",
     "truncation_profile",
+    "KEnvelope",
+    "k_envelope",
     "interp_quasinorm",
 ]
 
@@ -196,8 +198,8 @@ def truncation_profile(
     remainder f - g_sigma.  Contains (||f||_0, 0) and (0, ||f||_inf).
     """
     mags_desc, cumw = sorted_mass_profile(f, sp)
-    if mags_desc.size == 0:
-        return np.empty(0), np.empty(0)
+    if mags_desc.size == 0:  # f = 0: the single pair (0, 0)
+        return np.zeros(1), np.zeros(1)
     distinct = np.unique(mags_desc)  # ascending, positive
     total = cumw[-1]
     # mass strictly above each distinct magnitude: cumw at the last index of
@@ -214,8 +216,6 @@ def k2_functional(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> floa
     if not t > 0:
         raise DomainError(f"t must be positive, got {t!r}")
     m, v = truncation_profile(f, sp)
-    if m.size == 0:
-        return 0.0
     return float(np.sqrt(m * m + (t * v) ** 2).min())
 
 
@@ -224,8 +224,6 @@ def kinf_functional(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> fl
     if not t > 0:
         raise DomainError(f"t must be positive, got {t!r}")
     m, v = truncation_profile(f, sp)
-    if m.size == 0:
-        return 0.0
     return float(np.maximum(m, t * v).min())
 
 
@@ -270,22 +268,52 @@ def kinf_exhaustive(
     return float(np.maximum(m, t * v).min())
 
 
-def _scan_kinks(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Candidate switch points of the K-scan envelopes (superset is fine)."""
-    pts = []
-    for i in range(m.size):
-        for j in range(m.size):
-            if v[i] == v[j]:
-                continue
-            t_sq = (m[j] ** 2 - m[i] ** 2) / (v[i] ** 2 - v[j] ** 2)
-            if t_sq > 0:
-                pts.append(math.sqrt(t_sq))
-            if v[j] > 0 and m[i] > 0:
-                pts.append(m[i] / v[j])
-    for i in range(m.size):
-        if v[i] > 0 and m[i] > 0:
-            pts.append(m[i] / v[i])
-    return np.unique(np.array(pts)) if pts else np.empty(0)
+@dataclass(frozen=True)
+class KEnvelope:
+    """K2 (kfunc="k2") or K_inf ("kinf") as a lower envelope of the profile:
+    entry (m[j], v[j]) attains the min on [breaks[j-1], breaks[j]], reading
+    breaks[-1] as 0 and breaks[len(m)-1] as inf.
+    """
+
+    kfunc: str
+    m: np.ndarray  # ascending from 0
+    v: np.ndarray  # descending to 0
+    breaks: np.ndarray
+
+    def __call__(self, t):
+        """K(t, f) at every t > 0 of an array."""
+        j = np.searchsorted(self.breaks, t)
+        m, tv = self.m[j], t * self.v[j]
+        return np.sqrt(m * m + tv * tv) if self.kfunc == "k2" else np.maximum(m, tv)
+
+
+def k_envelope(
+    f: SimpleFunction, sp: DiscreteMeasureSpace, kfunc: str = "k2"
+) -> KEnvelope:
+    """The exact lower envelope of the K2 or K_inf truncation scan.
+
+    With t rising (m ascending, v descending), K_inf entry j gives way to
+    j+1 where t v_j reaches m_{j+1}.  The K2 entries are lines m^2 + x v^2
+    in x = t^2 with falling slopes: one hull pass keeps those on the min.
+    """
+    if kfunc not in ("k2", "kinf"):
+        raise DomainError(f"kfunc must be 'k2' or 'kinf', got {kfunc!r}")
+    m, v = (x[::-1] for x in truncation_profile(f, sp))
+    if kfunc == "kinf":
+        return KEnvelope(kfunc, m, v, m[1:] / v[:-1])
+    ml, vl = m.tolist(), v.tolist()
+
+    def crossing(i: int, j: int) -> float:  # t where lines i < j meet
+        dm, sm = ml[j] - ml[i], ml[j] + ml[i]
+        return math.sqrt(dm / (vl[i] - vl[j])) * math.sqrt(sm / (vl[i] + vl[j]))
+
+    hull = [0]
+    for j in range(1, len(ml)):
+        while len(hull) > 1 and crossing(hull[-1], j) <= crossing(hull[-2], hull[-1]):
+            hull.pop()  # line j undercuts the top line wherever it attained the min
+        hull.append(j)
+    ts = [crossing(i, j) for i, j in zip(hull, hull[1:])]
+    return KEnvelope(kfunc, m[hull], v[hull], np.array(ts))
 
 
 def interp_quasinorm(
@@ -293,77 +321,48 @@ def interp_quasinorm(
     sp: DiscreteMeasureSpace,
     theta: float,
     q: float,
-    quad: QuadratureConfig | None = None,
+    quad: QuadratureConfig = QuadratureConfig(rel_tol=1e-8),
     *,
     kfunc: str = "k2",
 ) -> float:
     """Interpolation quasinorm (int_0^inf (t^-theta K(t,f))^q dt/t)^(1/q).
 
-    K is the K2 scan by default; kfunc="kinf" switches to the max form, for
-    which the integral collapses to the exact identity
-    (1/theta) * Q_{s,tau}^{theta q} used as a test oracle.  q = inf takes the
-    sup over a refined logarithmic grid.
+    K is K2, or K_inf with kfunc="kinf", taken over the pieces of
+    k_envelope.  The first (K = t ||f||_inf), the last (K = ||f||_0) and
+    each K_inf piece (K = m, then t v) integrate in closed form, the
+    interior K2 pieces by adaptive quadrature under `quad`.  K_inf obeys
+    I^q = (1/theta) Q_{s,tau}^{theta q} at s = 1/theta - 1, tau = theta q,
+    an identity the tests use as an oracle.  q = inf is the exact max over
+    the breakpoints: on each piece t^-theta K(t) is monotone or has one
+    stationary point, a minimum at t^2 = theta m^2 / ((1-theta) v^2).
     """
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0,1), got {theta!r}")
     if q != math.inf and not q > 0:
         raise DomainError(f"q must be positive or inf, got {q!r}")
-    if kfunc not in ("k2", "kinf"):
-        raise DomainError(f"kfunc must be 'k2' or 'kinf', got {kfunc!r}")
-    cfg = quad or QuadratureConfig(rel_tol=1e-8)
-    m, v = truncation_profile(f, sp)
-    if m.size == 0:
+    env = k_envelope(f, sp, kfunc)
+    b = env.breaks
+    if b.size == 0:  # f = 0
         return 0.0
-
-    if kfunc == "k2":
-        def kval(t: float) -> float:
-            return math.sqrt(np.min(m * m + (t * v) ** 2))
-    else:
-        def kval(t: float) -> float:
-            return float(np.min(np.maximum(m, t * v)))
-
-    kinks = _scan_kinks(m, v)
-    v_head = float(v.max())  # the unique m=0 candidate's remainder sup
-    m_tail = float(m.max())  # the sigma=0 candidate: constant ||f||_0
-
     if q == math.inf:
-        lo, hi = kinks.min() / 64.0, kinks.max() * 64.0
-        grid = np.geomspace(lo, hi, 4001)
-        grid = np.unique(np.concatenate([grid, kinks]))
-        best = 0.0
-        for _ in range(60):
-            vals = np.array([t ** (-theta) * kval(t) for t in grid])
-            i = int(vals.argmax())
-            new_best = float(vals[i])
-            left = grid[max(i - 1, 0)]
-            right = grid[min(i + 1, grid.size - 1)]
-            if new_best <= best * (1.0 + 1e-13):
-                best = max(best, new_best)
-                break
-            best = new_best
-            grid = np.geomspace(left, right, 65)
-        return best
+        return float((b**-theta * env(b)).max())
 
-    def integrand(t: float) -> float:
-        return (t ** (-theta) * kval(t)) ** q / t
+    p0, p1 = theta * q, (1.0 - theta) * q
+    total = (env.v[0] * b[0] ** (1.0 - theta)) ** q / p1
+    total += (env.m[-1] * b[-1] ** -theta) ** q / p0
+    lo, hi, m, v = b[:-1], b[1:], env.m[1:-1], env.v[1:-1]  # interior: m, v > 0
+    if kfunc == "kinf":
+        c = np.clip(m / v, lo, hi)  # K = m on [lo, c], K = t v on [c, hi]
+        const = (m * lo**-theta) ** q - (m * c**-theta) ** q
+        linear = (v * hi ** (1.0 - theta)) ** q - (v * c ** (1.0 - theta)) ** q
+        return float((total + (const / p0 + linear / p1).sum()) ** (1.0 / q))
 
-    a = float(kinks.min())
-    b = float(kinks.max())
-    head = v_head**q * a ** ((1.0 - theta) * q) / ((1.0 - theta) * q)
-    tail = m_tail**q * b ** (-theta * q) / (theta * q)
-    total = head + tail
     err = 0.0
-    edges = kinks
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 1e-15 * hi:
-            continue
-        val, e = _quad_piece(integrand, lo, hi, cfg)
+    for mj, vj, a, z in zip(m.tolist(), v.tolist(), lo.tolist(), hi.tolist()):
+        val, e = _quad_piece(
+            lambda t: (t**-theta * math.hypot(mj, t * vj)) ** q / t, a, z, quad
+        )
         total += val
         err += e
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(total), 1e-300)
-    if err > 100.0 * tol and err > 1e-12:
-        raise QuadratureError(
-            f"interp quadrature error {err:.3e} exceeds tolerance {tol:.3e}",
-            achieved=err,
-        )
+    _certify(total, err, quad)
     return float(total ** (1.0 / q))

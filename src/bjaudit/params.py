@@ -85,10 +85,19 @@ def params_from_theta_q(theta: float, q: float) -> ApproxParams:
 
 
 def c_exact(p: ApproxParams) -> float:
-    """The exact constant c_{s,tau} = [s/(tau*(s+1)^2)]^(1/tau), 1 for tau=inf."""
+    """The exact constant c_{s,tau} = [s/(tau*(s+1)^2)]^(1/tau), 1 for tau=inf.
+
+    Raises NumericError where it overflows, as for small tau.
+    """
     if p.tau == math.inf:
         return 1.0
-    return (p.s / (p.tau * (p.s + 1.0) ** 2)) ** (1.0 / p.tau)
+    try:
+        c = (p.s / (p.tau * (p.s + 1.0) ** 2)) ** (1.0 / p.tau)
+    except OverflowError:
+        c = math.inf
+    if c == math.inf:
+        raise NumericError(f"c_exact overflows at s={p.s!r}, tau={p.tau!r}")
+    return c
 
 
 def n_factor_algebraic(theta: float, q: float) -> float:

@@ -4,7 +4,8 @@ integrate_zero_to_inf splits (0, inf) at t = 1 and maps the upper half to
 (0, 1) with u = 1/t, so the adaptive rule only ever sees finite intervals.
 Known kink locations can be passed through so the subdivision does not waste
 effort hunting for them.  The interpolation quasinorm calls the same
-finite-interval rule, _quad_piece, between its kinks.
+finite-interval rule, _quad_piece, on each interior piece of the K2 lower
+envelope, and both certify the summed error estimate through _certify.
 
 This is the only module that touches scipy, and it imports scipy on first
 use, so importing the package costs no scipy start-up.
@@ -44,6 +45,17 @@ def _quad_piece(fn, lo: float, hi: float, cfg: QuadratureConfig, points=None):
     return val, err
 
 
+def _certify(val: float, err: float, cfg: QuadratureConfig) -> None:
+    """Raise QuadratureError when err misses max(abs_tol, rel_tol * |val|)."""
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(val), 1e-300)
+    # quad's reported estimates are conservative; allow modest slack
+    if err > 100.0 * tol and err > 1e-12:
+        raise QuadratureError(
+            f"quadrature error estimate {err:.3e} exceeds tolerance {tol:.3e}",
+            achieved=err,
+        )
+
+
 def integrate_zero_to_inf(fn, cfg: QuadratureConfig | None = None, breakpoints=()):
     """Integrate fn over (0, inf).
 
@@ -61,12 +73,5 @@ def integrate_zero_to_inf(fn, cfg: QuadratureConfig | None = None, breakpoints=(
         lambda u: fn(1.0 / u) / (u * u), 0.0, 1.0, cfg, points=upper_pts
     )
     val = val_lo + val_hi
-    err = err_lo + err_hi
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(val), 1e-300)
-    # quad's reported estimates are conservative; allow modest slack
-    if err > 100.0 * tol and err > 1e-12:
-        raise QuadratureError(
-            f"integral error estimate {err:.3e} exceeds tolerance {tol:.3e}",
-            achieved=err,
-        )
+    _certify(val, err_lo + err_hi, cfg)
     return val

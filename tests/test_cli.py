@@ -400,6 +400,22 @@ def test_non_finite_output_exits_three(capsys, tmp_path, instance, argv, fmt):
     assert err.startswith("numeric error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--theta", "0.5", "--q", "1e-5"],
+        ["constants", "--s", "1", "--tau", "1e-300"],
+    ],
+)
+def test_c_exact_overflow_exits_three(capsys, argv, fmt):
+    # [s/(tau (s+1)^2)]^(1/tau) overflows a float for small tau
+    code, out, err = run(capsys, argv + ["--format", fmt])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric error:") and "Traceback" not in err
+
+
 SCIPY_PROBE = (
     "import sys; {stmt}; "
     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -18,6 +18,7 @@ from bjaudit import (
     e_profile_bruteforce,
     eval_step,
     interp_quasinorm,
+    k_envelope,
     k2_exhaustive,
     k2_functional,
     k2_scalar,
@@ -239,3 +240,82 @@ def test_interp_zero_function():
     sp = DiscreteMeasureSpace(weights=np.array([1.0]))
     f = SimpleFunction(np.array([0.0]))
     assert interp_quasinorm(f, sp, 0.5, 2.0) == 0.0
+    assert interp_quasinorm(f, sp, 0.5, math.inf, kfunc="kinf") == 0.0
+    m, v = truncation_profile(f, sp)
+    assert m.tolist() == [0.0] and v.tolist() == [0.0]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    ts=st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=1, max_size=16),
+    theta=st.floats(min_value=0.05, max_value=0.95),
+)
+@settings(max_examples=150, deadline=None)
+def test_envelope_is_the_truncation_scan(seed, ts, theta):
+    rng = np.random.default_rng(seed)
+    sp, f = rand_instance(rng, n_max=10)
+    m, v = truncation_profile(f, sp)
+    for kfunc, scan, oracle in (
+        ("k2", k2_functional, k2_exhaustive),
+        ("kinf", kinf_functional, kinf_exhaustive),
+    ):
+        env = k_envelope(f, sp, kfunc)
+        assert env.m.size <= m.size
+        for t, k in zip(ts, env(np.array(ts))):
+            assert k == pytest.approx(scan(f, sp, t), rel=1e-14, abs=0.0)
+            assert k == pytest.approx(oracle(f, sp, t), rel=1e-14, abs=0.0)
+        # q = inf: the sup of t^-theta K(t), bounding a dense grid from above
+        # and met by it to within the grid's log step
+        sup = interp_quasinorm(f, sp, theta, math.inf, kfunc=kfunc)
+        if env.breaks.size == 0:
+            assert sup == 0.0
+            continue
+        grid = np.geomspace(env.breaks[0] / 100.0, env.breaks[-1] * 100.0, 4001)
+        if kfunc == "k2":
+            kg = np.sqrt(m[:, None] ** 2 + (grid * v[:, None]) ** 2).min(axis=0)
+        else:
+            kg = np.maximum(m[:, None], grid * v[:, None]).min(axis=0)
+        vals = grid**-theta * kg
+        assert np.all(vals <= sup * (1.0 + 1e-12))
+        assert sup <= vals.max() * (grid[1] / grid[0])
+
+
+def test_interp_k2_matches_mpmath():
+    # 30-digit quadrature of the K2 scan (min over the whole profile) on each
+    # envelope piece, head and tail included
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(29)
+    for n in (3, 5, 8):
+        sp = DiscreteMeasureSpace(weights=rng.uniform(0.1, 3.0, n))
+        f = SimpleFunction(rng.uniform(0.05, 5.0, n))
+        m, v = (list(map(mpmath.mpf, x.tolist())) for x in truncation_profile(f, sp))
+        points = [0] + [mpmath.mpf(b) for b in k_envelope(f, sp).breaks] + [mpmath.inf]
+        for theta, q in ((0.5, 2.0), (1.0 / 3.0, 6.0)):
+            th = mpmath.mpf(theta)
+
+            def integrand(t):
+                k = min(mpmath.sqrt(mi**2 + (t * vi) ** 2) for mi, vi in zip(m, v))
+                return (t**-th * k) ** q / t
+
+            with mpmath.workdps(30):
+                want = mpmath.quad(integrand, points) ** (1 / mpmath.mpf(q))
+            got = interp_quasinorm(f, sp, theta, q)
+            assert got == pytest.approx(float(want), rel=1e-10)
+
+
+def test_interp_large_profile():
+    # 300 distinct magnitudes: a 301-entry profile
+    rng = np.random.default_rng(31)
+    n = 300
+    sp = DiscreteMeasureSpace(weights=rng.uniform(0.1, 3.0, n))
+    f = SimpleFunction(rng.permutation(np.linspace(0.05, 5.0, n)))
+    m, _ = truncation_profile(f, sp)
+    assert m.size == n + 1
+    assert k_envelope(f, sp).m.size <= m.size
+    sf = decreasing_rearrangement(f, sp)
+    for theta, q in ((0.5, 2.0), (1.0 / 3.0, 6.0)):
+        i_inf = interp_quasinorm(f, sp, theta, q, kfunc="kinf")
+        want = approx_quasinorm(sf, 1.0 / theta - 1.0, theta * q) ** (theta * q) / theta
+        assert i_inf**q == pytest.approx(want, rel=1e-12)
+        k2 = interp_quasinorm(f, sp, theta, q)
+        assert i_inf * (1.0 - 1e-12) <= k2 <= math.sqrt(2.0) * i_inf * (1.0 + 1e-12)
