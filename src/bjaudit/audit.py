@@ -1,9 +1,10 @@
 """The inequality audit engine.
 
 Each audit evaluates both sides of one claimed inequality on a t-grid and
-reports pointwise margins rhs - lhs.  A negative minimum margin below the
-tolerance marks the claim violated at that instance; violations are results,
-not errors.  counterexample_search drives the audits over instance
+reports pointwise margins rhs - lhs.  A grid of None means the
+straddling_grid of the instance's rearrangement.  A negative minimum margin
+below the tolerance marks the claim violated at that instance; violations are
+results, not errors.  counterexample_search drives the audits over instance
 generators to hunt for the worst margin.
 """
 
@@ -160,27 +161,34 @@ def _check_grid(grid) -> np.ndarray:
     return arr
 
 
+def _pointwise_audit(
+    name: str, params: dict, sf: StepFunction, grid, rhs_of, abs_tol: float
+) -> AuditReport:
+    """f*(t) <= rhs_of(ts) at each t of the grid (None: straddling_grid(sf))."""
+    ts = _check_grid(straddling_grid(sf) if grid is None else grid)
+    return _build_report(
+        name, params, [float(t) for t in ts], eval_step(sf, ts), rhs_of(ts), abs_tol
+    )
+
+
 def audit_jackson(
     f: SimpleFunction,
     sp: DiscreteMeasureSpace,
     p: ApproxParams,
     provider: ConstantProvider,
-    grid,
+    grid=None,
     abs_tol: float = 1e-12,
 ) -> AuditReport:
     """f*(t) <= t^-s * const * Q_{s,tau}(f) pointwise on the grid."""
-    ts = _check_grid(grid)
     sf = decreasing_rearrangement(f, sp)
     q_val = approx_quasinorm(sf, p.s, p.tau) if sf.n_steps else 0.0
     const = provider.value(p)
-    lhs = eval_step(sf, ts)
-    rhs = ts ** (-p.s) * const * q_val
-    return _build_report(
+    return _pointwise_audit(
         "jackson",
         {"s": p.s, "tau": p.tau, "provider": provider.kind, "constant": const},
-        [float(t) for t in ts],
-        lhs,
-        rhs,
+        sf,
+        grid,
+        lambda ts: ts ** (-p.s) * const * q_val,
         abs_tol,
     )
 
@@ -219,23 +227,18 @@ def audit_weak_l1(
     f: SimpleFunction,
     sp: DiscreteMeasureSpace,
     variant: str,
-    grid,
+    grid=None,
     abs_tol: float = 1e-12,
 ) -> AuditReport:
     """f*(t) <= const * ||f||_1 / t; const is 2/pi (claimed) or 1 (provable)."""
-    ts = _check_grid(grid)
     const = _weak_l1_constant(variant)
-    variant = variant.replace("_", "-")
-    sf = decreasing_rearrangement(f, sp)
     l1 = lp_norm(f, sp, 1.0)
-    lhs = eval_step(sf, ts)
-    rhs = const * l1 / ts
-    return _build_report(
+    return _pointwise_audit(
         "weak_l1",
-        {"variant": variant, "constant": const},
-        [float(t) for t in ts],
-        lhs,
-        rhs,
+        {"variant": variant.replace("_", "-"), "constant": const},
+        decreasing_rearrangement(f, sp),
+        grid,
+        lambda ts: const * l1 / ts,
         abs_tol,
     )
 
@@ -244,7 +247,7 @@ def audit_q2(
     f: SimpleFunction,
     sp: DiscreteMeasureSpace,
     theta: float,
-    grid,
+    grid=None,
     abs_tol: float = 1e-12,
 ) -> AuditReport:
     """q=2 family: f*(t) <= t^(1-1/theta) (sin(pi theta)/(pi theta))^(1/(2 theta)) Q_{s,tau}.
@@ -254,20 +257,17 @@ def audit_q2(
     """
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0,1), got {theta!r}")
-    ts = _check_grid(grid)
     s = (1.0 - theta) / theta
     tau = 2.0 * theta
     const = (math.sin(math.pi * theta) / (math.pi * theta)) ** (1.0 / (2.0 * theta))
     sf = decreasing_rearrangement(f, sp)
     q_val = approx_quasinorm(sf, s, tau) if sf.n_steps else 0.0
-    lhs = eval_step(sf, ts)
-    rhs = ts ** (1.0 - 1.0 / theta) * const * q_val
-    return _build_report(
+    return _pointwise_audit(
         "q2",
         {"theta": theta, "s": s, "tau": tau, "constant": const},
-        [float(t) for t in ts],
-        lhs,
-        rhs,
+        sf,
+        grid,
+        lambda ts: ts ** (1.0 - 1.0 / theta) * const * q_val,
         abs_tol,
     )
 
@@ -357,9 +357,7 @@ def counterexample_search(
         if budget is not None and count >= budget:
             break
         count += 1
-        sf = decreasing_rearrangement(f, sp)
-        grid = straddling_grid(sf)
-        report = audit_jackson(f, sp, p, provider, grid, abs_tol=abs_tol)
+        report = audit_jackson(f, sp, p, provider, abs_tol=abs_tol)
         if worst is None or report.min_margin < worst.min_margin:
             worst = report
             worst_instance = instance_csv_text(sp, f)

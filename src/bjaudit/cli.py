@@ -25,12 +25,11 @@ from .audit import (
     counterexample_search,
     indicator_sweep,
     random_atoms,
-    straddling_grid,
 )
 from .errors import DomainError, NumericError, UsageError
 from .functionals import e_functional_trig, load_trig_csv
 from .invgauss import InvGaussParams, demo_pipeline
-from .jsonutil import dumps17, require_finite
+from .jsonutil import dumps17, infinite_param, require_finite
 from .measures import load_instance_csv, lp_norm
 from .params import (
     ApproxParams,
@@ -48,7 +47,6 @@ from .spectral import (
     load_matrix_csv,
     load_state_csv,
     spectral_measure,
-    spectral_rearrangement,
 )
 
 AUDIT_NAMES = ("jackson", "bernstein-right", "weak-l1", "q2")
@@ -113,18 +111,13 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-# Echoed parameters may be inf (q = tau = inf is the sup end of the scale);
-# every computed value must be finite.
-_PARAM_KEYS = ("theta", "q", "s", "tau")
-
-
 def _kv_csv(pairs) -> str:
     lines = ["key,value"]
     for k, v in pairs:
         if v is None:
             lines.append(f"{k},")
         elif isinstance(v, float):
-            if k not in _PARAM_KEYS:
+            if not infinite_param(k, v):
                 require_finite((v,))
             lines.append(f"{k},{float(v)!r}")
         else:
@@ -198,33 +191,28 @@ def cmd_quasinorm(args) -> str:
     return _kv_csv(out.items())
 
 
-def _resolve_grid(args, sf) -> np.ndarray:
-    if args.grid is not None:
-        return parse_grid(args.grid)
-    return straddling_grid(sf)
+def _grid(args) -> np.ndarray | None:
+    return None if args.grid is None else parse_grid(args.grid)
 
 
 def cmd_audit(args) -> str:
     name = args.name.replace("_", "-")
     sp, f = load_instance_csv(args.input)
-    sf = decreasing_rearrangement(f, sp)
     if name == "jackson":
         p = resolve_params(args)
         provider = ConstantProvider(args.provider or "paper-c")
-        rep = audit_jackson(f, sp, p, provider, _resolve_grid(args, sf))
+        rep = audit_jackson(f, sp, p, provider, _grid(args))
     elif name == "bernstein-right":
         p = resolve_params(args)
         rep = audit_bernstein_right(f, sp, p)
     elif name == "weak-l1":
-        rep = audit_weak_l1(
-            f, sp, args.variant or "paper-2-over-pi", _resolve_grid(args, sf)
-        )
+        rep = audit_weak_l1(f, sp, args.variant or "paper-2-over-pi", _grid(args))
     elif name == "q2":
         if args.theta is None:
             raise UsageError("audit --name q2 requires --theta")
         if args.s is not None or args.tau is not None or args.q is not None:
             raise UsageError("audit --name q2 takes only --theta")
-        rep = audit_q2(f, sp, args.theta, _resolve_grid(args, sf))
+        rep = audit_q2(f, sp, args.theta, _grid(args))
     else:
         raise UsageError(f"unknown audit name {args.name!r}; choose from {AUDIT_NAMES}")
     if args.format == "json":
@@ -262,10 +250,7 @@ def cmd_spectral(args) -> str:
     matrix = load_matrix_csv(args.matrix)
     psi = load_state_csv(args.state)
     model = spectral_measure(matrix, psi)
-    g = _spectral_g(args.g)
-    sf = spectral_rearrangement(model, g)
-    grid = parse_grid(args.grid) if args.grid is not None else straddling_grid(sf)
-    rep = audit_spectral_bound(model, g, args.variant, grid)
+    rep = audit_spectral_bound(model, _spectral_g(args.g), args.variant, _grid(args))
     if args.format == "json":
         out = rep.to_json_dict()
         out["eigenvalues"] = [float(x) for x in model.eigenvalues]
@@ -319,6 +304,7 @@ def cmd_trig(args) -> str:
     es = [e_functional_trig(coeffs, n) for n in ns]
     if args.format == "json":
         return dumps17({"n": ns, "e_value": es}) + "\n"
+    require_finite(es)
     lines = ["n,e_value"]
     for n, e in zip(ns, es):
         lines.append(f"{n},{e!r}")

@@ -10,16 +10,20 @@ alongside the scans as an independent check at small atom counts.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, UsageError
-from .measures import DiscreteMeasureSpace, SimpleFunction, sorted_mass_profile
+from .errors import DomainError, NumericError, UsageError
+from .measures import (
+    DiscreteMeasureSpace,
+    SimpleFunction,
+    _parse_complex,
+    _read_csv_rows,
+    sorted_mass_profile,
+)
 from .quadrature import QuadratureConfig, _certify, _quad_piece
 from .rearrange import decreasing_rearrangement, eval_step
 
@@ -152,40 +156,28 @@ def e_functional_trig(coeffs: dict[int, complex], n: int) -> float:
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    tail = sum(abs(v) ** 2 for k, v in coeffs.items() if abs(int(k)) >= n)
+    try:
+        tail = sum(abs(v) ** 2 for k, v in coeffs.items() if abs(int(k)) >= n)
+    except OverflowError as exc:
+        raise NumericError(f"l2 tail of the coefficients overflows at n = {n}") from exc
     return math.sqrt(tail)
 
 
 def load_trig_csv(path_or_text: str) -> dict[int, complex]:
-    """Read Fourier coefficients from CSV rows `k,re,im` (header required)."""
-    if "\n" in path_or_text:
-        text = path_or_text
-    else:
-        try:
-            with open(path_or_text, "r", newline="") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read coefficient CSV: {exc}") from exc
-    rows = [(i + 1, r) for i, r in enumerate(csv.reader(io.StringIO(text))) if r]
-    if not rows:
-        raise UsageError("coefficient CSV is empty")
-    header = [c.strip() for c in rows[0][1]]
-    if header != ["k", "re", "im"]:
-        raise UsageError("row 1: expected header 'k,re,im', got " + ",".join(header))
+    """Read Fourier coefficients from CSV rows `k,re,im` (header required).
+
+    A header alone is the zero function: no coefficients.
+    """
+    rows = _read_csv_rows(path_or_text, "coefficient", ("k", "re", "im"), empty_ok=True)
     out: dict[int, complex] = {}
-    for rownum, row in rows[1:]:
-        if len(row) != 3:
-            raise UsageError(f"row {rownum}: expected 3 fields, got {len(row)}")
+    for rownum, (k_txt, re_txt, im_txt) in rows:
         try:
-            k = int(row[0])
-            c = complex(float(row[1]), float(row[2]))
+            k = int(k_txt)
         except ValueError as exc:
-            raise UsageError(f"row {rownum}: bad field ({exc})") from exc
+            raise UsageError(f"row {rownum}: non-integer k ({exc})") from exc
         if k in out:
             raise UsageError(f"row {rownum}: duplicate frequency k={k}")
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise UsageError(f"row {rownum}: coefficient must be finite")
-        out[k] = c
+        out[k] = _parse_complex(re_txt, im_txt, rownum)
     return out
 
 
@@ -345,17 +337,30 @@ def interp_quasinorm(
     if b.size == 0:  # f = 0
         return 0.0
     if q == math.inf:
-        return float((b**-theta * env(b)).max())
+        value = float((b**-theta * env(b)).max())
+    else:
+        value = float(_interp_integral(env, theta, q, quad) ** (1.0 / q))
+    if not math.isfinite(value):
+        raise NumericError(
+            f"interpolation quasinorm overflows at theta = {theta!r}, q = {q!r}"
+        )
+    return value
 
+
+def _interp_integral(
+    env: KEnvelope, theta: float, q: float, quad: QuadratureConfig
+) -> float:
+    """int_0^inf (t^-theta K(t))^q dt/t, summed over the pieces of env."""
+    b = env.breaks
     p0, p1 = theta * q, (1.0 - theta) * q
     total = (env.v[0] * b[0] ** (1.0 - theta)) ** q / p1
     total += (env.m[-1] * b[-1] ** -theta) ** q / p0
     lo, hi, m, v = b[:-1], b[1:], env.m[1:-1], env.v[1:-1]  # interior: m, v > 0
-    if kfunc == "kinf":
+    if env.kfunc == "kinf":
         c = np.clip(m / v, lo, hi)  # K = m on [lo, c], K = t v on [c, hi]
         const = (m * lo**-theta) ** q - (m * c**-theta) ** q
         linear = (v * hi ** (1.0 - theta)) ** q - (v * c ** (1.0 - theta)) ** q
-        return float((total + (const / p0 + linear / p1).sum()) ** (1.0 / q))
+        return total + (const / p0 + linear / p1).sum()
 
     err = 0.0
     for mj, vj, a, z in zip(m.tolist(), v.tolist(), lo.tolist(), hi.tolist()):
@@ -365,4 +370,4 @@ def interp_quasinorm(
         total += val
         err += e
     _certify(total, err, quad)
-    return float(total ** (1.0 / q))
+    return total

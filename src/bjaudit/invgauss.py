@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .jsonutil import dumps17
+from .jsonutil import dumps17, require_finite
 from .measures import gaussian_measure_space, lp_norm
 from .params import c_exact, params_from_s_tau
 from .rearrange import (
@@ -93,6 +93,7 @@ class DemoResult:
     rearrangement: StepFunction = field(repr=False)
 
     def to_csv_text(self) -> str:
+        require_finite(self.u_grid + self.f_star + self.e_value + self.jackson_bound)
         lines = ["u,f_star,e_value,jackson_bound"]
         for u, fs, ev, jb in zip(
             self.u_grid, self.f_star, self.e_value, self.jackson_bound

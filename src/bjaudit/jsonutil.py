@@ -5,7 +5,10 @@ fixed width instead, so every float is rendered with %.17g (which still
 round-trips exactly).
 
 Reports carry finite numbers only, in JSON and CSV alike: a NaN or infinity
-raises NumericError, which the CLI turns into exit code 3.
+raises NumericError, which the CLI turns into exit code 3.  The one exception
+is an echoed parameter (theta, q, s or tau): q = tau = inf is the sup end of
+the scale, so an infinite parameter is written as the string "inf" in JSON
+and as inf in CSV.
 """
 
 from __future__ import annotations
@@ -14,9 +17,16 @@ import math
 
 from .errors import NumericError
 
-__all__ = ["dumps17", "require_finite"]
+__all__ = ["dumps17", "infinite_param", "require_finite"]
 
 _NON_FINITE = "reports must not contain NaN or infinity"
+
+_PARAM_KEYS = frozenset(("theta", "q", "s", "tau"))
+
+
+def infinite_param(key: str, value) -> bool:
+    """True for an echoed parameter that is +inf, the one allowed non-finite."""
+    return key in _PARAM_KEYS and value == math.inf
 
 
 def require_finite(values) -> None:
@@ -58,7 +68,10 @@ def _encode(obj, out: list[str], indent: int) -> None:
             if not isinstance(k, str):
                 raise ValueError(f"JSON keys must be strings, got {k!r}")
             out.append(f'{pad}  "{k}": ')
-            _encode(v, out, indent + 1)
+            if infinite_param(k, v):
+                out.append('"inf"')
+            else:
+                _encode(v, out, indent + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):

@@ -201,12 +201,14 @@ def gaussian_measure_space(t_lo: float, t_hi: float, n_cells: int) -> SampledDen
     )
 
 
-# CSV format: header "atom_id,weight,magnitude", one atom per row.
+def _read_csv_rows(
+    path_or_text: str, what: str, header: tuple[str, ...], empty_ok: bool = False
+) -> list[tuple[int, list[str]]]:
+    """Data rows of a CSV file path (or of literal text containing a newline).
 
-def load_instance_csv(path_or_text: str) -> tuple[DiscreteMeasureSpace, SimpleFunction]:
-    """Read an instance from a CSV file path (or literal CSV text).
-
-    Errors carry 1-based file row numbers.
+    Checks the header and every row's field count, and returns the rows after
+    the header as (1-based file row number, fields); blank lines are skipped.
+    A header with no data rows is an error unless empty_ok.
     """
     if "\n" in path_or_text:
         text = path_or_text
@@ -215,39 +217,72 @@ def load_instance_csv(path_or_text: str) -> tuple[DiscreteMeasureSpace, SimpleFu
             with open(path_or_text, "r", newline="") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise UsageError(f"cannot read instance CSV: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+            raise UsageError(f"cannot read {what} CSV: {exc}") from exc
+    rows = [(i + 1, row) for i, row in enumerate(csv.reader(io.StringIO(text))) if row]
     if not rows:
-        raise UsageError("instance CSV is empty")
-    header = [c.strip() for c in rows[0][1]]
-    if header != ["atom_id", "weight", "magnitude"]:
+        raise UsageError(f"{what} CSV is empty")
+    got = [c.strip() for c in rows[0][1]]
+    if got != list(header):
         raise UsageError(
-            "row 1: expected header 'atom_id,weight,magnitude', got "
-            + ",".join(header)
+            f"row 1: expected header '{','.join(header)}', got " + ",".join(got)
         )
+    for rownum, row in rows[1:]:
+        if len(row) != len(header):
+            raise UsageError(
+                f"row {rownum}: expected {len(header)} fields, got {len(row)}"
+            )
+    if len(rows) == 1 and not empty_ok:
+        raise UsageError(f"{what} CSV has a header but no data rows")
+    return rows[1:]
+
+
+def _parse_float(field: str, rownum: int) -> float:
+    try:
+        val = float(field)
+    except ValueError as exc:
+        raise UsageError(f"row {rownum}: non-numeric field ({exc})") from exc
+    if not math.isfinite(val):
+        raise UsageError(f"row {rownum}: entries must be finite, got {field}")
+    return val
+
+
+def _parse_complex(re_txt: str, im_txt: str, rownum: int) -> complex:
+    return complex(_parse_float(re_txt, rownum), _parse_float(im_txt, rownum))
+
+
+def _parse_index(field: str, rownum: int, name: str) -> int:
+    try:
+        val = int(field)
+    except ValueError as exc:
+        raise UsageError(f"row {rownum}: non-integer {name} ({exc})") from exc
+    if val < 0:
+        raise UsageError(f"row {rownum}: {name} must be >= 0, got {val}")
+    return val
+
+
+# CSV format: header "atom_id,weight,magnitude", one atom per row.
+
+def load_instance_csv(path_or_text: str) -> tuple[DiscreteMeasureSpace, SimpleFunction]:
+    """Read an instance from a CSV file path (or literal CSV text).
+
+    Errors carry 1-based file row numbers.
+    """
+    rows = _read_csv_rows(path_or_text, "instance", ("atom_id", "weight", "magnitude"))
     ids: list[str] = []
     weights: list[float] = []
     mags: list[float] = []
-    for rownum, row in rows[1:]:
-        if len(row) != 3:
-            raise UsageError(f"row {rownum}: expected 3 fields, got {len(row)}")
-        ids.append(row[0].strip())
-        try:
-            w = float(row[1])
-            m = float(row[2])
-        except ValueError as exc:
-            raise UsageError(f"row {rownum}: non-numeric field ({exc})") from exc
-        if not (math.isfinite(w) and w > 0):
-            raise UsageError(f"row {rownum}: weight must be positive, got {row[1]}")
-        if not (math.isfinite(m) and m >= 0):
+    for rownum, (aid, w_txt, m_txt) in rows:
+        w = _parse_float(w_txt, rownum)
+        m = _parse_float(m_txt, rownum)
+        if w <= 0:
+            raise UsageError(f"row {rownum}: weight must be positive, got {w_txt}")
+        if m < 0:
             raise UsageError(
-                f"row {rownum}: magnitude must be nonnegative, got {row[2]}"
+                f"row {rownum}: magnitude must be nonnegative, got {m_txt}"
             )
+        ids.append(aid.strip())
         weights.append(w)
         mags.append(m)
-    if not weights:
-        raise UsageError("instance CSV has a header but no data rows")
     sp = DiscreteMeasureSpace(weights=np.array(weights), atom_ids=tuple(ids))
     return sp, SimpleFunction(np.array(mags))
 

@@ -14,6 +14,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .jsonutil import require_finite
 from .measures import DiscreteMeasureSpace, SimpleFunction, sorted_mass_profile, _freeze
 
 __all__ = [
@@ -168,6 +169,7 @@ def step_csv_text(sf: StepFunction) -> str:
 
     A final row marks where the function falls to zero.
     """
+    require_finite(np.concatenate((sf.breaks, sf.values)))
     lines = ["t_break,value"]
     for left, v in zip(sf.breaks[:-1], sf.values):
         lines.append(f"{float(left)!r},{float(v)!r}")

@@ -11,8 +11,6 @@ certify residuals, and the audits are about constants, not linear algebra.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -20,7 +18,13 @@ import numpy as np
 
 from .audit import AuditReport, audit_weak_l1
 from .errors import DomainError, NumericError, UsageError
-from .measures import DiscreteMeasureSpace, SimpleFunction
+from .measures import (
+    DiscreteMeasureSpace,
+    SimpleFunction,
+    _parse_complex,
+    _parse_index,
+    _read_csv_rows,
+)
 from .rearrange import StepFunction, decreasing_rearrangement
 
 __all__ = [
@@ -183,7 +187,7 @@ def audit_spectral_bound(
     model: SpectralModel,
     g,
     variant: str,
-    grid,
+    grid=None,
     abs_tol: float = 1e-12,
 ) -> AuditReport:
     """Weak-type audit of the spectral rearrangement of g.
@@ -200,63 +204,17 @@ def audit_spectral_bound(
 # CSV formats.  Matrix: header "row,col,re,im", all n^2 entries, 0-based.
 # State: header "index,re,im", all n entries, 0-based.
 
-def _read_csv_rows(path_or_text: str, what: str):
-    if "\n" in path_or_text:
-        text = path_or_text
-    else:
-        try:
-            with open(path_or_text, "r", newline="") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {what} CSV: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    rows = [(i + 1, row) for i, row in enumerate(reader) if row]
-    if not rows:
-        raise UsageError(f"{what} CSV is empty")
-    return rows
-
-
-def _parse_float(field: str, rownum: int) -> float:
-    try:
-        val = float(field)
-    except ValueError as exc:
-        raise UsageError(f"row {rownum}: non-numeric field ({exc})") from exc
-    if not math.isfinite(val):
-        raise UsageError(f"row {rownum}: entries must be finite, got {field}")
-    return val
-
-
-def _parse_index(field: str, rownum: int, name: str) -> int:
-    try:
-        val = int(field)
-    except ValueError as exc:
-        raise UsageError(f"row {rownum}: non-integer {name} ({exc})") from exc
-    if val < 0:
-        raise UsageError(f"row {rownum}: {name} must be >= 0, got {val}")
-    return val
-
-
 def load_matrix_csv(path_or_text: str) -> np.ndarray:
     """Read a dense complex matrix; every entry must be listed exactly once."""
-    rows = _read_csv_rows(path_or_text, "matrix")
-    header = [c.strip() for c in rows[0][1]]
-    if header != ["row", "col", "re", "im"]:
-        raise UsageError(
-            "row 1: expected header 'row,col,re,im', got " + ",".join(header)
-        )
     entries: dict[tuple[int, int], complex] = {}
-    for rownum, row in rows[1:]:
-        if len(row) != 4:
-            raise UsageError(f"row {rownum}: expected 4 fields, got {len(row)}")
-        i = _parse_index(row[0], rownum, "row index")
-        j = _parse_index(row[1], rownum, "col index")
+    for rownum, (i_txt, j_txt, re_txt, im_txt) in _read_csv_rows(
+        path_or_text, "matrix", ("row", "col", "re", "im")
+    ):
+        i = _parse_index(i_txt, rownum, "row index")
+        j = _parse_index(j_txt, rownum, "col index")
         if (i, j) in entries:
             raise UsageError(f"row {rownum}: duplicate entry for ({i},{j})")
-        entries[(i, j)] = complex(
-            _parse_float(row[2], rownum), _parse_float(row[3], rownum)
-        )
-    if not entries:
-        raise UsageError("matrix CSV has a header but no data rows")
+        entries[(i, j)] = _parse_complex(re_txt, im_txt, rownum)
     n = 1 + max(max(i, j) for i, j in entries)
     if n > MAX_MATRIX_DIM:
         raise UsageError(f"matrix dimension {n} exceeds the limit {MAX_MATRIX_DIM}")
@@ -273,24 +231,14 @@ def load_matrix_csv(path_or_text: str) -> np.ndarray:
 
 def load_state_csv(path_or_text: str) -> np.ndarray:
     """Read a complex state vector; indices must cover 0..n-1 exactly."""
-    rows = _read_csv_rows(path_or_text, "state")
-    header = [c.strip() for c in rows[0][1]]
-    if header != ["index", "re", "im"]:
-        raise UsageError(
-            "row 1: expected header 'index,re,im', got " + ",".join(header)
-        )
     entries: dict[int, complex] = {}
-    for rownum, row in rows[1:]:
-        if len(row) != 3:
-            raise UsageError(f"row {rownum}: expected 3 fields, got {len(row)}")
-        i = _parse_index(row[0], rownum, "index")
+    for rownum, (i_txt, re_txt, im_txt) in _read_csv_rows(
+        path_or_text, "state", ("index", "re", "im")
+    ):
+        i = _parse_index(i_txt, rownum, "index")
         if i in entries:
             raise UsageError(f"row {rownum}: duplicate entry for index {i}")
-        entries[i] = complex(
-            _parse_float(row[1], rownum), _parse_float(row[2], rownum)
-        )
-    if not entries:
-        raise UsageError("state CSV has a header but no data rows")
+        entries[i] = _parse_complex(re_txt, im_txt, rownum)
     n = 1 + max(entries)
     if len(entries) != n:
         raise UsageError(

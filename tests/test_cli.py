@@ -380,7 +380,7 @@ EXTREME_INSTANCE = "atom_id,weight,magnitude\na0,1.0,1e300\na1,1.0,1e-300\n"
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize(
-    "instance, argv",
+    "input_text, argv",
     [
         # t^-s at t = 1e-200 overflows the Jackson right-hand side
         (
@@ -389,15 +389,56 @@ EXTREME_INSTANCE = "atom_id,weight,magnitude\na0,1.0,1e300\na1,1.0,1e-300\n"
         ),
         # ||f||_2 of a 1e300 magnitude overflows
         (EXTREME_INSTANCE, ["quasinorm", "--s", "3", "--tau", "4"]),
+        # two weights of 1e308 put the last break of f* at inf
+        (
+            "atom_id,weight,magnitude\na0,1e308,2.0\na1,1e308,1.0\n",
+            ["rearrange"],
+        ),
+        # |1e200|^2 in the l2 tail overflows
+        ("k,re,im\n0,1,0\n1,1e200,0\n", ["trig"]),
+        # each |c_k|^2 is finite, their sum is not
+        ("k,re,im\n1,1.3e154,0\n2,1.3e154,0\n", ["trig"]),
+        # u^-s overflows to inf and the quasinorm underflows to 0: the bound is nan
+        (None, ["demo-invgauss", "--s", "2000", "--tau", "2", "--u-grid", "0.5:1:2"]),
     ],
 )
-def test_non_finite_output_exits_three(capsys, tmp_path, instance, argv, fmt):
-    path = tmp_path / "inst.csv"
-    path.write_text(instance)
-    code, out, err = run(capsys, argv + ["--input", str(path), "--format", fmt])
+def test_non_finite_output_exits_three(capsys, tmp_path, input_text, argv, fmt):
+    if input_text is not None:
+        path = tmp_path / "input.csv"
+        path.write_text(input_text)
+        argv = argv + ["--input", str(path)]
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, argv + ["--format", fmt])
     assert code == 3
     assert out == ""
     assert err.startswith("numeric error:") and "Traceback" not in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"JSON constant {name} is not allowed")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants"],
+        ["quasinorm", "--input", "INSTANCE"],
+        ["audit", "--name", "jackson", "--input", "INSTANCE"],
+        ["search", "--provider", "paper-c", "--draws", "5"],
+        ["demo-invgauss", "--n-cells", "200", "--u-grid", "0.5:1:2"],
+    ],
+)
+def test_infinite_tau_is_echoed_in_both_formats(capsys, tmp_path, argv, fmt):
+    # JSON has no infinity, so an infinite echoed parameter is the string "inf"
+    path = tmp_path / "inst.csv"
+    path.write_text(REF_INSTANCE)
+    argv = [str(path) if a == "INSTANCE" else a for a in argv]
+    code, out, err = run(capsys, argv + ["--s", "1", "--tau", "inf", "--format", fmt])
+    assert code == 0, err
+    if fmt == "json":
+        json.loads(out, parse_constant=_reject_constant)
+        assert '"tau": "inf"' in out
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bjaudit import (
     DiscreteMeasureSpace,
     DomainError,
+    NumericError,
     SimpleFunction,
     UsageError,
     all_support_candidates,
@@ -115,6 +116,7 @@ def test_trig_csv_loader():
     text = "k,re,im\n0,1.0,0.0\n2,0.0,-0.5\n"
     coeffs = load_trig_csv(text)
     assert coeffs == {0: 1.0 + 0j, 2: -0.5j}
+    assert load_trig_csv("k,re,im\n") == {}  # the zero function
     with pytest.raises(UsageError):
         load_trig_csv("k,re,im\n0,1.0,0.0\n0,2.0,0.0\n")
     with pytest.raises(UsageError):
@@ -234,6 +236,17 @@ def test_interp_domain_errors():
         interp_quasinorm(f, sp, 0.5, -1.0)
     with pytest.raises(DomainError):
         interp_quasinorm(f, sp, 0.5, 2.0, kfunc="k7")
+
+
+@pytest.mark.parametrize("kfunc", ["k2", "kinf"])
+def test_interp_overflow_is_numeric_error(kfunc):
+    # (t^-theta K)^q overflows at q = 6; q = 2 and q = inf stay near 1e100
+    sp = DiscreteMeasureSpace(weights=np.array([1.0, 2.0]))
+    f = SimpleFunction(np.array([1e300, 1e-300]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        interp_quasinorm(f, sp, 1.0 / 3.0, 6.0, kfunc=kfunc)
+    for q in (2.0, math.inf):
+        assert math.isfinite(interp_quasinorm(f, sp, 1.0 / 3.0, q, kfunc=kfunc))
 
 
 def test_interp_zero_function():

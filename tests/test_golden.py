@@ -1,0 +1,109 @@
+"""CLI stdout, byte for byte, against a committed corpus.
+
+tests/golden/ holds the inputs and, under out/, the exact stdout of each
+case below in JSON and CSV.  The corpus guards refactors that must not move
+a single output byte.  When an output change is intended, regenerate it and
+say which cases changed and why:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from bjaudit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INSTANCE = str(GOLDEN / "instance.csv")
+MATRIX = str(GOLDEN / "matrix.csv")
+STATE = str(GOLDEN / "state.csv")
+COEFFS = str(GOLDEN / "coeffs.csv")
+
+PROVIDERS = ("paper-c", "paper-with-factor", "paper-bigc-table", "sharp-oracle", "unit")
+GRIDS = {"default": [], "log": ["--grid", "log:0.1:10:7"]}
+S_TAU = ["--s", "0.5", "--tau", "0.5"]
+
+
+def _cases() -> list[tuple[str, list[str]]]:
+    base: list[tuple[str, list[str]]] = []
+    audit = ["audit", "--input", INSTANCE]
+    for grid, grid_args in GRIDS.items():
+        for prov in PROVIDERS:
+            base.append(
+                (
+                    f"audit-jackson-{prov}-{grid}",
+                    audit + ["--name", "jackson", "--provider", prov] + S_TAU + grid_args,
+                )
+            )
+        for variant in ("paper-2-over-pi", "safe-unit"):
+            base.append(
+                (
+                    f"audit-weak-l1-{variant}-{grid}",
+                    audit + ["--name", "weak-l1", "--variant", variant] + grid_args,
+                )
+            )
+        base.append(
+            (f"audit-q2-{grid}", audit + ["--name", "q2", "--theta", "0.3"] + grid_args)
+        )
+    base.append(("audit-bernstein-right", audit + ["--name", "bernstein-right"] + S_TAU))
+    for prov in PROVIDERS:
+        base.append(
+            (
+                f"search-random-atoms-{prov}",
+                ["search", "--provider", prov, "--n-max", "5", "--draws", "25"]
+                + ["--seed", "3"]
+                + S_TAU,
+            )
+        )
+    base.append(
+        (
+            "search-indicator-sweep",
+            ["search", "--provider", "paper-c", "--generator", "indicator-sweep"] + S_TAU,
+        )
+    )
+    spectral = ["spectral", "--matrix", MATRIX, "--state", STATE]
+    base += [
+        ("spectral-identity-default", spectral + ["--g", "identity"]),
+        ("spectral-square-default", spectral + ["--g", "square"]),
+        ("spectral-identity-log", spectral + ["--g", "identity"] + GRIDS["log"]),
+        ("rearrange", ["rearrange", "--input", INSTANCE]),
+        ("quasinorm", ["quasinorm", "--input", INSTANCE] + S_TAU),
+        ("constants", ["constants"] + S_TAU),
+        ("trig", ["trig", "--input", COEFFS]),
+        ("demo-invgauss", ["demo-invgauss", "--n-cells", "200", "--u-grid", "0.5:3:6"]),
+    ]
+    return [
+        (f"{name}.{fmt}", argv + ["--format", fmt])
+        for name, argv in base
+        for fmt in ("json", "csv")
+    ]
+
+
+CASES = _cases()
+
+
+def cli_stdout(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_stdout_matches_golden(name, argv):
+    assert cli_stdout(argv).encode() == (GOLDEN / "out" / name).read_bytes()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: python tests/test_golden.py --write")
+    for name, argv in CASES:
+        (GOLDEN / "out" / name).write_bytes(cli_stdout(argv).encode())
+    print(f"wrote {len(CASES)} cases to {GOLDEN / 'out'}")
