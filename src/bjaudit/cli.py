@@ -203,6 +203,8 @@ def cmd_audit(args) -> str:
         provider = ConstantProvider(args.provider or "paper-c")
         rep = audit_jackson(f, sp, p, provider, _grid(args))
     elif name == "bernstein-right":
+        if args.grid is not None:
+            raise UsageError("audit --name bernstein-right is t-less and takes no --grid")
         p = resolve_params(args)
         rep = audit_bernstein_right(f, sp, p)
     elif name == "weak-l1":

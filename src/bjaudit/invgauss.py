@@ -188,7 +188,7 @@ def demo_pipeline(
     # is exactly the rearrangement at u, so the column is recomputed the same
     # way rather than via the 2^n brute force.
     e_value = f_star.copy()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         bound = us ** (-params.s) * c_val * q_val
 
     metadata = {

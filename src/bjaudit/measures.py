@@ -46,7 +46,7 @@ class DiscreteMeasureSpace:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if w.ndim != 1:
             raise UsageError("weights must be a 1-d sequence")
-        if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0.0)):
+        if w.size and (not np.isfinite(w).all() or (w <= 0.0).any()):
             raise DomainError("every weight must be a positive finite real")
         object.__setattr__(self, "weights", _freeze(w))
         ids = tuple(self.atom_ids) if self.atom_ids else tuple(
@@ -83,7 +83,7 @@ class SimpleFunction:
         m = np.atleast_1d(np.asarray(self.magnitudes, dtype=float))
         if m.ndim != 1:
             raise UsageError("magnitudes must be a 1-d sequence")
-        if m.size and (not np.all(np.isfinite(m)) or np.any(m < 0.0)):
+        if m.size and (not np.isfinite(m).all() or (m < 0.0).any()):
             raise DomainError("magnitudes must be nonnegative finite reals")
         if not (math.isfinite(self.support_threshold) and self.support_threshold >= 0):
             raise DomainError("support_threshold must be >= 0")

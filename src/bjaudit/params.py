@@ -15,6 +15,7 @@ consistency reporter that quantifies the disagreement instead of hiding it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericError
@@ -87,17 +88,29 @@ def params_from_theta_q(theta: float, q: float) -> ApproxParams:
 def c_exact(p: ApproxParams) -> float:
     """The exact constant c_{s,tau} = [s/(tau*(s+1)^2)]^(1/tau), 1 for tau=inf.
 
-    Raises NumericError where it overflows, as for small tau.
+    Where tau*(s+1)^2 overflows (s past 1.3e154), the base is taken as
+    s/(s+1)/(s+1)/tau, and in log space where that underflows.  Raises
+    NumericError where the constant itself overflows, as for small tau.
     """
     if p.tau == math.inf:
         return 1.0
     try:
-        c = (p.s / (p.tau * (p.s + 1.0) ** 2)) ** (1.0 / p.tau)
+        denom = p.tau * (p.s + 1.0) ** 2
     except OverflowError:
-        c = math.inf
-    if c == math.inf:
-        raise NumericError(f"c_exact overflows at s={p.s!r}, tau={p.tau!r}")
-    return c
+        denom = math.inf
+    if denom < math.inf:
+        try:
+            return (p.s / denom) ** (1.0 / p.tau)
+        except OverflowError:
+            raise NumericError(
+                f"c_exact overflows at s={p.s!r}, tau={p.tau!r}"
+            ) from None
+    # Here the base is below 1, so neither form can overflow.
+    base = p.s / (p.s + 1.0) / (p.s + 1.0) / p.tau
+    if base >= sys.float_info.min:
+        return base ** (1.0 / p.tau)
+    log_base = math.log(p.s / (p.s + 1.0)) - math.log1p(p.s) - math.log(p.tau)
+    return math.exp(log_base / p.tau)
 
 
 def n_factor_algebraic(theta: float, q: float) -> float:
@@ -132,6 +145,14 @@ def n_factor_integral(theta: float, q: float) -> float:
     return math.exp(-(log_beta - math.log(2.0)) / q)
 
 
+def _two_pow_half_over(theta: float) -> float:
+    """2^(1/(2 theta)); NumericError where it overflows (theta below about 4.9e-4)."""
+    try:
+        return 2.0 ** (1.0 / (2.0 * theta))
+    except OverflowError:
+        raise NumericError(f"C_theta,q overflows at theta={theta!r}") from None
+
+
 def c_big(theta: float, q: float, variant: str = "table") -> float:
     """Interpolation-couple constant C_{theta,q}.
 
@@ -147,17 +168,17 @@ def c_big(theta: float, q: float, variant: str = "table") -> float:
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0,1), got {theta!r}")
     if variant == "consistency":
-        return 2.0 ** (1.0 / (2.0 * theta)) * c_exact(params_from_theta_q(theta, q))
+        return _two_pow_half_over(theta) * c_exact(params_from_theta_q(theta, q))
     if variant != "table":
         raise DomainError(f"unknown c_big variant {variant!r}")
     if q == math.inf:
-        return 2.0 ** (1.0 / (2.0 * theta))
+        return _two_pow_half_over(theta)
     _check_finite_positive("q", q)
     if q == 2.0:
         return (math.sin(math.pi * theta) / (math.pi * theta)) ** (1.0 / (2.0 * theta))
     n_int = n_factor_integral(theta, q)
     return (
-        2.0 ** (1.0 / (2.0 * theta))
+        _two_pow_half_over(theta)
         * (q * q * theta) ** (-1.0 / (q * theta))
         * n_int ** (1.0 / theta)
     )

@@ -13,7 +13,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .jsonutil import require_finite
 from .measures import DiscreteMeasureSpace, SimpleFunction, sorted_mass_profile, _freeze
 
@@ -41,9 +41,9 @@ class StepFunction:
         ) else np.empty(0)
         if b.size != v.size + 1 or b[0] != 0.0:
             raise DomainError("breaks must start at 0 and have one more entry than values")
-        if np.any(np.diff(b) <= 0):
+        if (np.diff(b) <= 0).any():
             raise DomainError("breaks must be strictly increasing")
-        if v.size and (np.any(v <= 0) or np.any(np.diff(v) >= 0)):
+        if v.size and ((v <= 0).any() or (np.diff(v) >= 0).any()):
             raise DomainError("values must be strictly decreasing and positive")
         object.__setattr__(self, "breaks", _freeze(b))
         object.__setattr__(self, "values", _freeze(v))
@@ -67,12 +67,18 @@ EMPTY_STEP = StepFunction(breaks=np.array([0.0]), values=np.empty(0))
 def decreasing_rearrangement(
     f: SimpleFunction, sp: DiscreteMeasureSpace
 ) -> StepFunction:
-    """Sort magnitudes descending, merge ties, accumulate weights into breaks."""
-    mags, cumw = sorted_mass_profile(f, sp)
+    """Sort magnitudes descending, merge ties, accumulate weights into breaks.
+
+    Raises NumericError when the kept weights sum past the float range.
+    """
+    with np.errstate(over="ignore"):
+        mags, cumw = sorted_mass_profile(f, sp)
     keep = mags > f.support_threshold
     mags, cumw = mags[keep], cumw[keep]
     if mags.size == 0:
         return EMPTY_STEP
+    if not math.isfinite(cumw[-1]):
+        raise NumericError("the kept weights sum past the float range")
     # last index of each tie group
     last = np.nonzero(np.diff(mags) != 0.0)[0]
     group_end = np.concatenate([last, [mags.size - 1]])
@@ -96,7 +102,7 @@ def decreasing_rearrangement(
 def eval_step(sf: StepFunction, t):
     """Right-continuous evaluation; accepts a scalar or an array, t >= 0."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    if (arr < 0.0).any() or not np.isfinite(arr).all():
         raise DomainError("eval_step requires finite t >= 0")
     if sf.n_steps == 0:
         out = np.zeros_like(arr)

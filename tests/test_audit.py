@@ -1,13 +1,20 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bjaudit import (
+    PROVIDER_KINDS,
+    BJAuditError,
     ConstantProvider,
     DiscreteMeasureSpace,
     DomainError,
+    NumericError,
+    SearchResult,
     SimpleFunction,
     UsageError,
     audit_bernstein_right,
@@ -18,9 +25,11 @@ from bjaudit import (
     decreasing_rearrangement,
     indicator_sweep,
     params_from_s_tau,
+    instance_csv_text,
     random_atoms,
     straddling_grid,
 )
+from bjaudit.audit import _screen
 
 REF_SPACE = DiscreteMeasureSpace(weights=np.array([0.5, 1.0, 2.0]))
 REF_F = SimpleFunction(np.array([5.0, 3.0, 1.0]))
@@ -228,3 +237,223 @@ def test_report_serialization():
     brep = audit_bernstein_right(f, sp, p)
     brows = brep.to_csv_text().strip().split("\n")
     assert brows[1].startswith(",")
+
+
+# -- the screened counterexample search ---------------------------------------
+
+
+def _reference_search(p, provider, draws, budget=None):
+    """The draw-by-draw search: the first report strictly below all before it."""
+    worst = worst_instance = None
+    count = 0
+    for sp, f in itertools.islice(draws, budget):
+        count += 1
+        report = audit_jackson(f, sp, p, provider)
+        if worst is None or report.min_margin < worst.min_margin:
+            worst, worst_instance = report, instance_csv_text(sp, f)
+    return SearchResult(worst, worst_instance, count)
+
+
+def _outcome(fn, *args, **kwargs):
+    # repr compares nan fields too; an exception is compared by type and text
+    try:
+        return repr(fn(*args, **kwargs).to_json_dict())
+    except (ArithmeticError, BJAuditError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+SEARCH_FEATURES = (
+    "ties", "zeros", "close", "absorbed", "threshold", "empty", "huge", "large", "repeat"
+)
+SEARCH_PARAMS = ((1.0, 2.0), (0.5, 0.5), (3.0, 1.0), (1.0, math.inf), (2.0, 0.3))
+
+
+def _draw_instance(rng, features, earlier):
+    if "repeat" in features and earlier and rng.random() < 0.3:
+        sp, f = earlier[rng.integers(len(earlier))]
+        perm = rng.permutation(sp.n_atoms)
+        return (
+            DiscreteMeasureSpace(weights=sp.weights[perm]),
+            SimpleFunction(f.magnitudes[perm], f.support_threshold),
+        )
+    n_max = 300 if "large" in features and rng.random() < 0.2 else 10
+    n = int(rng.integers(1, n_max + 1))
+    w = rng.uniform(0.1, 3.0, n)
+    m = rng.uniform(0.05, 5.0, n)
+    if "ties" in features:
+        m = np.where(rng.random(n) < 0.6, np.round(m), m)
+    if "zeros" in features:
+        m[rng.random(n) < 0.2] = 0.0
+    if "close" in features:  # breaks closer together than rel = 1e-3
+        w = np.where(rng.random(n) < 0.3, w * 10.0 ** rng.uniform(-7, -3, n), w)
+    if "absorbed" in features:  # absorbed by the running sum beside weights near 1
+        w[rng.random(n) < 0.2] = 1e-17
+    if "huge" in features and rng.random() < 0.3:
+        m = np.where(rng.random(n) < 0.5, 1e300, m)
+    if "empty" in features and rng.random() < 0.2:
+        m[:] = 0.0
+    thr = float(rng.choice([0.0, 1.0, 2.5])) if "threshold" in features else 0.0
+    return DiscreteMeasureSpace(weights=w), SimpleFunction(m, support_threshold=thr)
+
+
+@st.composite
+def search_cases(draw):
+    features = draw(st.sets(st.sampled_from(SEARCH_FEATURES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    draws = []
+    for _ in range(draw(st.integers(0, 40))):
+        draws.append(_draw_instance(rng, features, draws))
+    budget = draw(st.one_of(st.none(), st.integers(0, len(draws) + 2)))
+    s, tau = draw(st.sampled_from(SEARCH_PARAMS))
+    kind = draw(st.sampled_from(PROVIDER_KINDS))
+    return params_from_s_tau(s, tau), ConstantProvider(kind), draws, budget
+
+
+@given(case=search_cases())
+@settings(max_examples=150, deadline=None)
+def test_search_equals_reference_loop(case):
+    p, provider, draws, budget = case
+    with np.errstate(all="ignore"):
+        got = _outcome(counterexample_search, p, provider, iter(draws), budget=budget)
+        want = _outcome(_reference_search, p, provider, iter(draws), budget=budget)
+    assert got == want
+
+
+def test_search_matches_reference_on_random_atoms():
+    for s, tau in SEARCH_PARAMS[:4]:
+        p = params_from_s_tau(s, tau)
+        for kind in PROVIDER_KINDS:
+            provider = ConstantProvider(kind)
+            got = counterexample_search(p, provider, random_atoms(8, 41, 250))
+            want = _reference_search(p, provider, random_atoms(8, 41, 250))
+            assert got.to_json_dict() == want.to_json_dict()
+
+
+# Tie groups whose last atom is light: a point inside the group (an atom's
+# cumulative weight times 1 + rel, or the midpoint of the group's last two
+# atoms) would sit right of the group end's b (1 - rel), where the margin is
+# lower than anywhere on straddling_grid.
+CLOSE_TIES = [
+    (np.array([1.0, 1e-4, 1.0]), np.array([2.0, 2.0, 1.0])),
+    (np.array([0.9985, 0.0015, 1.0]), np.array([2.0, 2.0, 1.0])),
+    (np.array([0.5, 0.7, 2e-4, 1.0, 3e-4]), np.array([3.0, 2.0, 2.0, 1.0, 1.0])),
+]
+
+
+def test_screen_brackets_the_audited_margin():
+    rng = np.random.default_rng(5)
+    rows = [(DiscreteMeasureSpace(weights=w), SimpleFunction(m)) for w, m in CLOSE_TIES]
+    for _ in range(60):
+        rows.append(_draw_instance(rng, {"ties", "zeros", "close"}, rows))
+    for s, tau in SEARCH_PARAMS:
+        p = params_from_s_tau(s, tau)
+        for kind in PROVIDER_KINDS:
+            provider = ConstantProvider(kind)
+            lo, hi, ok = _screen(rows, p, provider.value(p))
+            assert ok[: len(CLOSE_TIES)].all()
+            # ordinary draws are all certified, so none needs the scalar audit
+            _, _, ok_plain = _screen(list(random_atoms(8, 41, 256)), p, provider.value(p))
+            assert ok_plain.all()
+            for (sp, f), lo_r, hi_r, ok_r in zip(rows, lo, hi, ok):
+                if ok_r:
+                    margin = audit_jackson(f, sp, p, provider).min_margin
+                    assert lo_r <= margin <= hi_r
+
+
+def _single(weight, magnitude):
+    return (
+        DiscreteMeasureSpace(weights=np.array([weight])),
+        SimpleFunction(np.array([magnitude])),
+    )
+
+
+def test_search_keeps_the_first_of_equal_margins():
+    sp, f = REF_SPACE, REF_F
+    copies = [
+        (DiscreteMeasureSpace(weights=sp.weights[perm]), SimpleFunction(f.magnitudes[perm]))
+        for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0])
+    ]
+    p = params_from_s_tau(1.0, 2.0)
+    res = counterexample_search(p, ConstantProvider("paper-c"), iter(copies))
+    assert res.instance_csv == instance_csv_text(*copies[0])
+    # the all-zero instances all have margin exactly 0; the first one is kept
+    zeros = [
+        (DiscreteMeasureSpace(weights=np.ones(k)), SimpleFunction(np.zeros(k)))
+        for k in (1, 2, 3)
+    ]
+    draws = [_single(1.0, 1.0)] + zeros
+    res = counterexample_search(p, ConstantProvider("sharp-oracle"), iter(draws))
+    assert res.report.min_margin == 0.0
+    assert res.instance_csv == instance_csv_text(*zeros[0])
+
+
+def test_search_uncertified_rows_do_not_set_the_cut():
+    # The 1e300 instance goes to the log-space quasinorm, which the screen does
+    # not certify; its margin is huge, and the second draw is the worst.
+    huge = (
+        DiscreteMeasureSpace(weights=np.array([1.0, 2.0])),
+        SimpleFunction(np.array([1e300, 3.0])),
+    )
+    draws = [_single(1.0, 1.0), _single(1.0, 0.5), huge]
+    p = params_from_s_tau(1.0, 2.0)
+    res = counterexample_search(p, ConstantProvider("sharp-oracle"), iter(draws))
+    assert res.instance_csv == instance_csv_text(*draws[1])
+
+
+def test_search_pulls_exactly_budget_draws():
+    pulled = []
+
+    def draws():
+        for i, pair in enumerate(random_atoms(5, seed=3, n_draws=50)):
+            pulled.append(i)
+            yield pair
+
+    p = params_from_s_tau(1.0, 1.0)
+    for budget in (0, 1, 7, 50, 60):
+        pulled.clear()
+        res = counterexample_search(p, ConstantProvider("paper-c"), draws(), budget=budget)
+        assert res.n_instances == len(pulled) == min(budget, 50)
+
+
+def test_search_overflowing_support_mass_is_numeric_error():
+    big = (
+        DiscreteMeasureSpace(weights=np.array([1e308, 1e308])),
+        SimpleFunction(np.array([2.0, 1.0])),
+    )
+    draws = [*random_atoms(5, seed=1, n_draws=6), big, *random_atoms(5, seed=2, n_draws=3)]
+    p = params_from_s_tau(1.0, 2.0)
+    with pytest.raises(NumericError, match="sum past the float range"):
+        counterexample_search(p, ConstantProvider("paper-c"), iter(draws))
+    with pytest.raises(NumericError, match="sum past the float range"):
+        decreasing_rearrangement(big[1], big[0])
+
+
+def test_search_raises_the_first_error_in_draw_order():
+    # A misaligned draw fails its audit before a later draw fails the generator.
+    misaligned = (DiscreteMeasureSpace(weights=np.ones(2)), SimpleFunction(np.ones(3)))
+
+    def draws():
+        yield _single(1.0, 1.0)
+        yield misaligned
+        yield _single(2.0, 1.0)
+        raise RuntimeError("generator failed")
+
+    p = params_from_s_tau(1.0, 2.0)
+    with pytest.raises(UsageError, match="3 magnitudes"):
+        counterexample_search(p, ConstantProvider("paper-c"), draws())
+    with pytest.raises(UsageError, match="3 magnitudes"):
+        _reference_search(p, ConstantProvider("paper-c"), draws())
+
+
+def test_search_nan_margin_never_replaces_the_worst():
+    # At s = 300 a 0.05-weight atom gives t^-s = inf and a quasinorm that
+    # underflows to 0, so its margin is nan.  It comes after the first draw,
+    # which the screen would prune (the third draw is lower), and before the
+    # winner; as in the draw-by-draw loop it must never become the worst.
+    draws = [_single(1.0, 1.0), _single(0.05, 1.0), _single(1.0, 0.5)]
+    p = params_from_s_tau(300.0, 2.0)
+    provider = ConstantProvider("sharp-oracle")
+    with np.errstate(all="ignore"):
+        assert math.isnan(audit_jackson(draws[1][1], draws[1][0], p, provider).min_margin)
+        res = counterexample_search(p, provider, iter(draws))
+    assert res.instance_csv == instance_csv_text(*draws[2])

@@ -376,6 +376,7 @@ def test_numeric_error_exit_code(capsys, monkeypatch, tmp_path):
 
 
 EXTREME_INSTANCE = "atom_id,weight,magnitude\na0,1.0,1e300\na1,1.0,1e-300\n"
+OVERFLOWING_MASS = "atom_id,weight,magnitude\na0,1e308,2.0\na1,1e308,1.0\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -390,10 +391,8 @@ EXTREME_INSTANCE = "atom_id,weight,magnitude\na0,1.0,1e300\na1,1.0,1e-300\n"
         # ||f||_2 of a 1e300 magnitude overflows
         (EXTREME_INSTANCE, ["quasinorm", "--s", "3", "--tau", "4"]),
         # two weights of 1e308 put the last break of f* at inf
-        (
-            "atom_id,weight,magnitude\na0,1e308,2.0\na1,1e308,1.0\n",
-            ["rearrange"],
-        ),
+        (OVERFLOWING_MASS, ["rearrange"]),
+        (OVERFLOWING_MASS, ["audit", "--name", "jackson", "--s", "1", "--tau", "2"]),
         # |1e200|^2 in the l2 tail overflows
         ("k,re,im\n0,1,0\n1,1e200,0\n", ["trig"]),
         # each |c_k|^2 is finite, their sum is not
@@ -412,6 +411,54 @@ def test_non_finite_output_exits_three(capsys, tmp_path, input_text, argv, fmt):
     assert code == 3
     assert out == ""
     assert err.startswith("numeric error:") and "Traceback" not in err
+
+
+def _subprocess_cli(argv):
+    src = str(Path(bjaudit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "bjaudit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "input_text, argv",
+    [
+        (None, ["demo-invgauss", "--s", "2000", "--tau", "2", "--u-grid", "0.5:1:2"]),
+        (OVERFLOWING_MASS, ["audit", "--name", "jackson", "--s", "1", "--tau", "2"]),
+        (OVERFLOWING_MASS, ["rearrange"]),
+    ],
+)
+def test_numeric_error_stderr_is_one_line(tmp_path, input_text, argv):
+    # numpy RuntimeWarnings must not reach stderr ahead of the error line
+    if input_text is not None:
+        path = tmp_path / "input.csv"
+        path.write_text(input_text)
+        argv = argv + ["--input", str(path)]
+    proc = _subprocess_cli(argv)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric error:"), proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("grid", ["abc", "0.5:2:4"])
+def test_bernstein_right_rejects_grid(capsys, tmp_path, fmt, grid):
+    path = tmp_path / "inst.csv"
+    path.write_text(REF_INSTANCE)
+    argv = ["audit", "--name", "bernstein-right", "--input", str(path), "--grid", grid]
+    code, out, err = run(capsys, argv + ["--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--grid" in err
 
 
 def _reject_constant(name):

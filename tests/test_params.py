@@ -171,3 +171,32 @@ def test_consistency_report_half_two():
 def test_consistency_report_rejects_infinite_q():
     with pytest.raises(DomainError):
         constant_consistency_report(0.5, math.inf)
+
+
+@pytest.mark.parametrize(
+    "s, tau",
+    [(s, tau) for s in (1.5e154, 1e200, 1e300) for tau in (1.0, 2.0, 4.0)]
+    + [(1e200, 1e10), (1e200, 1e108), (2e154, 5e153)],
+)
+def test_c_exact_past_the_square_overflow_matches_mpmath(s, tau):
+    # (s+1)^2 overflows for s past 1.3e154, while c (about 1/(s tau)^(1/tau))
+    # is representable; the last two cases take the log-space branch
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ss, tt = mpmath.mpf(s), mpmath.mpf(tau)
+        exact = (ss / (tt * (ss + 1) ** 2)) ** (1 / tt)
+        got = c_exact(params_from_s_tau(s, tau))
+        assert abs(got - exact) <= 1e-14 * exact
+
+
+def test_c_exact_direct_form_denominator_overflow():
+    # tau (s+1)^2 = 1e420 overflows although (s+1)^2 does not: c is about 1
+    c = c_exact(params_from_s_tau(1e150, 1e120))
+    assert c == pytest.approx(1.0, abs=1e-100)
+
+
+def test_c_big_overflow_is_numeric_error():
+    # 2^(1/(2 theta)) at theta = 1e-200 overflows a float
+    for variant, q in (("table", 1e200), ("table", math.inf), ("consistency", 1e200)):
+        with pytest.raises(NumericError, match="overflows"):
+            c_big(1e-200, q, variant)
