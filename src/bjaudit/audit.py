@@ -129,9 +129,9 @@ class AuditReport:
 def _build_report(
     name: str, params: dict, grid, lhs, rhs, abs_tol: float
 ) -> AuditReport:
-    lhs = [float(x) for x in lhs]
-    rhs = [float(x) for x in rhs]
-    margin = [r - l for l, r in zip(lhs, rhs)]
+    lhs = np.asarray(lhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    margin = (rhs - lhs).tolist()
     min_margin = min(margin)
     violated = min_margin < -abs_tol
     witness = None
@@ -142,8 +142,8 @@ def _build_report(
         inequality_name=name,
         params=params,
         grid=tuple(grid),
-        lhs=tuple(lhs),
-        rhs=tuple(rhs),
+        lhs=tuple(lhs.tolist()),
+        rhs=tuple(rhs.tolist()),
         margin=tuple(margin),
         min_margin=min_margin,
         violated=violated,
@@ -166,9 +166,7 @@ def _pointwise_audit(
 ) -> AuditReport:
     """f*(t) <= rhs_of(ts) at each t of the grid (None: straddling_grid(sf))."""
     ts = _check_grid(straddling_grid(sf) if grid is None else grid)
-    return _build_report(
-        name, params, [float(t) for t in ts], eval_step(sf, ts), rhs_of(ts), abs_tol
-    )
+    return _build_report(name, params, ts.tolist(), eval_step(sf, ts), rhs_of(ts), abs_tol)
 
 
 def audit_jackson(
@@ -286,13 +284,11 @@ def straddling_grid(
     """
     if sf.n_steps == 0:
         return np.array([1.0])
-    pts = []
-    for b in sf.breaks[1:]:
-        pts.extend([b * (1.0 - rel), b * (1.0 + rel)])
-    mids = (sf.breaks[:-1] + sf.breaks[1:]) / 2.0
-    pts.extend(m for m in mids if m > 0)
-    pts.append(sf.breaks[-1] * extend)
-    return np.unique(np.array([p for p in pts if p > 0]))
+    b = sf.breaks
+    pts = np.concatenate(
+        [b[1:] * (1.0 - rel), b[1:] * (1.0 + rel), (b[:-1] + b[1:]) / 2.0, b[-1:] * extend]
+    )
+    return np.unique(pts[pts > 0])
 
 
 def random_atoms(n_max: int, seed: int, n_draws: int = 200):

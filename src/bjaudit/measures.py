@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, NumericError, UsageError
 
 __all__ = [
     "DiscreteMeasureSpace",
@@ -143,7 +143,10 @@ def lp_norm(f: SimpleFunction, sp: DiscreteMeasureSpace, p: float) -> float:
         raise DomainError(f"p must be in (0,inf), inf, or 0; got {p!r}")
     if f.magnitudes.size == 0:
         return 0.0
-    total = float(np.sum(sp.weights * f.magnitudes**p))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(sp.weights * f.magnitudes**p))
+    if not math.isfinite(total):
+        raise NumericError(f"the L^{p:g} sum overflows a float")
     return total ** (1.0 / p)
 
 

@@ -9,6 +9,7 @@ integral below a short closed form.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from dataclasses import dataclass
@@ -25,6 +26,9 @@ __all__ = [
     "approx_quasinorm",
     "step_csv_text",
 ]
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_Q_OVERFLOW = "Q_{s,tau} overflows a float"
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +142,8 @@ def _log_space_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
     m = logs.max()
     keep = logs - m > -740.0
     total = np.exp(logs[keep] - m).sum()
+    if (m + math.log(total)) / tau > _LOG_FLOAT_MAX:
+        raise NumericError(_Q_OVERFLOW)
     return float(math.exp(m / tau) * total ** (1.0 / tau))
 
 
@@ -145,7 +151,8 @@ def approx_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
     """Q_{s,tau}(f*) = (int_0^inf [t^s f*(t)]^tau dt/t)^(1/tau).
 
     Closed form on steps: (sum v_i^tau (t_i^{s tau} - t_{i-1}^{s tau})/(s tau))^(1/tau);
-    tau = inf gives sup t^s f*(t) = max v_i t_i^s.
+    tau = inf gives sup t^s f*(t) = max v_i t_i^s.  Raises NumericError when Q
+    lies past the float range.
     """
     if not (isinstance(s, (int, float)) and math.isfinite(s) and s > 0):
         raise DomainError(f"s must be positive and finite, got {s!r}")
@@ -159,14 +166,17 @@ def approx_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
         if np.all(np.isfinite(vals)):
             return float(vals.max())
         logs = np.log(sf.values) + s * np.log(sf.breaks[1:])
+        if logs.max() > _LOG_FLOAT_MAX:
+            raise NumericError(_Q_OVERFLOW)
         return float(math.exp(logs.max()))
     st = s * tau
     with np.errstate(over="ignore", invalid="ignore"):
         powers = sf.breaks**st
         terms = sf.values**tau * np.diff(powers) / st
         total = terms.sum()
-    if np.all(np.isfinite(terms)) and math.isfinite(total) and total > 0.0:
-        return float(total ** (1.0 / tau))
+        q = total ** (1.0 / tau)
+    if np.all(np.isfinite(terms)) and math.isfinite(q) and total > 0.0:
+        return float(q)
     return _log_space_quasinorm(sf, s, tau)
 
 

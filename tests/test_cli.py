@@ -377,6 +377,7 @@ def test_numeric_error_exit_code(capsys, monkeypatch, tmp_path):
 
 EXTREME_INSTANCE = "atom_id,weight,magnitude\na0,1.0,1e300\na1,1.0,1e-300\n"
 OVERFLOWING_MASS = "atom_id,weight,magnitude\na0,1e308,2.0\na1,1e308,1.0\n"
+HUGE_Q = "atom_id,weight,magnitude\na0,1e10,1e300\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -435,6 +436,18 @@ def _subprocess_cli(argv):
         (None, ["demo-invgauss", "--s", "2000", "--tau", "2", "--u-grid", "0.5:1:2"]),
         (OVERFLOWING_MASS, ["audit", "--name", "jackson", "--s", "1", "--tau", "2"]),
         (OVERFLOWING_MASS, ["rearrange"]),
+        # the L^1 sum of the two 1e308 weights overflows
+        (OVERFLOWING_MASS, ["audit", "--name", "weak-l1"]),
+        # the direct form's total^(1/tau) overflows
+        (HUGE_Q, ["quasinorm", "--s", "1", "--tau", "0.001"]),
+        # Q_{1,tau} is about 7e309 (tau = 2) or 1e310 (tau = inf): the log-space
+        # branches pass the float range
+        *(
+            (HUGE_Q, [*command, "--s", "1", "--tau", tau, "--format", fmt])
+            for command in (["quasinorm"], ["audit", "--name", "jackson"])
+            for tau in ("2", "inf")
+            for fmt in ("json", "csv")
+        ),
     ],
 )
 def test_numeric_error_stderr_is_one_line(tmp_path, input_text, argv):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from bjaudit import (
     DiscreteMeasureSpace,
     DomainError,
+    NumericError,
     SimpleFunction,
     UsageError,
     decreasing_rearrangement,
@@ -139,6 +141,15 @@ def test_lp_norm_rejects_bad_p():
     f = SimpleFunction(np.array([1.0]))
     with pytest.raises(DomainError):
         lp_norm(f, sp, -1.0)
+
+
+def test_lp_norm_overflow_is_numeric_error():
+    sp = DiscreteMeasureSpace(weights=np.array([1e308, 1e308]))
+    f = SimpleFunction(np.array([2.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            lp_norm(f, sp, 1.0)
 
 
 def test_gaussian_measure_space_mass():

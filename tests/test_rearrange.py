@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from bjaudit import (
     DiscreteMeasureSpace,
     DomainError,
+    NumericError,
     SimpleFunction,
     StepFunction,
     approx_quasinorm,
@@ -150,6 +152,21 @@ def test_quasinorm_log_space_fallback():
     want = approx_quasinorm(scaled, 1.0, 2.0) * 1e300
     assert math.isfinite(got)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("tau", [2.0, math.inf, 1e-3])
+def test_quasinorm_past_the_float_range_is_numeric_error(tau):
+    # v t^s = 1e310, so Q_{1,tau} = 1e310 / tau^(1/tau) overflows; at tau = 1e-3
+    # the direct form's total^(1/tau) overflows before the log-space branch
+    sf = StepFunction(breaks=np.array([0.0, 1e10]), values=np.array([1e300]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            approx_quasinorm(sf, 1.0, tau)
+    # just inside the range the log-space branch still returns the value
+    sf = StepFunction(breaks=np.array([0.0, 1e10]), values=np.array([1e298]))
+    want = 1e308 / math.sqrt(2.0)
+    assert approx_quasinorm(sf, 1.0, 2.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_quasinorm_rejects_bad_params():

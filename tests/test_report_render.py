@@ -1,0 +1,284 @@
+"""Bulk report rendering against per-item reference implementations.
+
+dumps17 renders a column of plain floats in one format pass, audit reports are
+built from arrays, and straddling_grid is vectorized.  Each must produce the
+same bytes as the per-item code kept here as the reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bjaudit.audit as audit_mod
+from bjaudit import (
+    ConstantProvider,
+    DiscreteMeasureSpace,
+    NumericError,
+    SimpleFunction,
+    audit_jackson,
+    audit_weak_l1,
+    params_from_s_tau,
+    straddling_grid,
+)
+from bjaudit.audit import AuditReport
+from bjaudit.jsonutil import dumps17, infinite_param
+from bjaudit.rearrange import EMPTY_STEP, StepFunction
+
+NON_FINITE = "reports must not contain NaN or infinity"
+
+
+# -- reference implementations: one Python call per item ------------------------
+
+
+def _ref_fmt_float(x):
+    if not math.isfinite(x):
+        raise NumericError(NON_FINITE)
+    return format(x, ".17g")
+
+
+def _ref_encode(obj, out, indent):
+    pad = "  " * indent
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_ref_fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append(
+            '"'
+            + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+            + '"'
+        )
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (k, v) in enumerate(obj.items()):
+            if not isinstance(k, str):
+                raise ValueError(f"JSON keys must be strings, got {k!r}")
+            out.append(f'{pad}  "{k}": ')
+            if infinite_param(k, v):
+                out.append('"inf"')
+            else:
+                _ref_encode(v, out, indent + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not len(obj):
+            out.append("[]")
+            return
+        out.append("[")
+        for i, v in enumerate(obj):
+            _ref_encode(v, out, indent)
+            if i < len(obj) - 1:
+                out.append(", ")
+        out.append("]")
+    else:
+        raise ValueError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def ref_dumps17(obj):
+    out = []
+    _ref_encode(obj, out, 0)
+    return "".join(out)
+
+
+def ref_build_report(name, params, grid, lhs, rhs, abs_tol):
+    lhs = [float(x) for x in lhs]
+    rhs = [float(x) for x in rhs]
+    margin = [r - l for l, r in zip(lhs, rhs)]
+    min_margin = min(margin)
+    violated = min_margin < -abs_tol
+    witness = None
+    if violated:
+        w = grid[margin.index(min_margin)]
+        witness = None if w is None else float(w)
+    return AuditReport(
+        inequality_name=name,
+        params=params,
+        grid=tuple(grid),
+        lhs=tuple(lhs),
+        rhs=tuple(rhs),
+        margin=tuple(margin),
+        min_margin=min_margin,
+        violated=violated,
+        witness_t=witness,
+        abs_tol=abs_tol,
+    )
+
+
+def ref_straddling_grid(sf, rel=1e-3, extend=1.5):
+    if sf.n_steps == 0:
+        return np.array([1.0])
+    pts = []
+    for b in sf.breaks[1:]:
+        pts.extend([b * (1.0 - rel), b * (1.0 + rel)])
+    mids = (sf.breaks[:-1] + sf.breaks[1:]) / 2.0
+    pts.extend(m for m in mids if m > 0)
+    pts.append(sf.breaks[-1] * extend)
+    return np.unique(np.array([p for p in pts if p > 0]))
+
+
+# -- dumps17 ---------------------------------------------------------------------
+
+EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072009e-308,  # largest subnormal
+    2.2250738585072014e-308,  # smallest normal
+    1e-310,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    0.1,
+    1.0 / 3.0,
+    1e16,
+    123456789012345678.0,
+]
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+scalars = st.one_of(
+    finite,
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+    finite.map(np.float64),
+)
+params = st.dictionaries(
+    st.sampled_from(["theta", "q", "s", "tau", "constant", "provider"]),
+    finite | st.just(math.inf) | st.text(max_size=4),
+)
+documents = st.recursive(
+    st.lists(finite, max_size=40) | st.lists(scalars, max_size=12) | scalars | params,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_dumps17_matches_per_item_reference(doc):
+    try:
+        expected = ref_dumps17(doc)
+    except NumericError as exc:
+        with pytest.raises(NumericError) as got:
+            dumps17(doc)
+        assert str(got.value) == str(exc)
+    else:
+        assert dumps17(doc) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(finite, min_size=1, max_size=30),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.data(),
+)
+def test_dumps17_rejects_non_finite_anywhere_in_a_float_column(col, bad, data):
+    col.insert(data.draw(st.integers(0, len(col))), bad)
+    for doc in (col, tuple(col), {"margin": col}, {"tau": col}, [col]):
+        with pytest.raises(NumericError, match=NON_FINITE):
+            dumps17(doc)
+
+
+def test_dumps17_float_column_forms():
+    assert dumps17([1.0]) == "[1]"
+    assert dumps17((0.1, -0.0, 5e-324)) == (
+        "[0.10000000000000001, -0, 4.9406564584124654e-324]"
+    )
+    assert dumps17([1.7976931348623157e308]) == "[1.7976931348623157e+308]"
+    # an infinite echoed parameter stays the one allowed non-finite
+    assert dumps17({"tau": math.inf, "s": 1.0}) == '{\n  "tau": "inf",\n  "s": 1\n}'
+    # mixed columns keep the per-item path
+    assert dumps17([1.0, 2, True, None, np.float64(0.5)]) == "[1, 2, true, null, 0.5]"
+
+
+# -- large reports -----------------------------------------------------------------
+
+
+def _large_instance(n=2000, seed=20240517):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 3.0, n)
+    mags = rng.uniform(0.05, 5.0, n)
+    ties = rng.random(n) < 0.25
+    mags[ties] = np.round(mags[ties], 1)
+    mags[rng.random(n) < 0.1] = 0.0
+    return DiscreteMeasureSpace(weights=weights), SimpleFunction(mags)
+
+
+def _large_reports():
+    sp, f = _large_instance()
+    return [
+        audit_jackson(f, sp, params_from_s_tau(1.0, 2.0), ConstantProvider("paper-c")),
+        audit_jackson(f, sp, params_from_s_tau(0.5, math.inf), ConstantProvider("unit")),
+        audit_weak_l1(f, sp, "paper-2-over-pi"),
+        audit_weak_l1(f, sp, "safe-unit", grid=np.geomspace(1e-3, 1e4, 500)),
+    ]
+
+
+def _texts(reports):
+    return [(rep.to_json_text(), rep.to_csv_text()) for rep in reports]
+
+
+def test_large_reports_match_per_item_reference(monkeypatch):
+    reports = _large_reports()
+    texts = _texts(reports)
+    assert len(reports[0].grid) > 2000 and any(rep.violated for rep in reports)
+    for rep in reports:
+        assert all(type(x) is float for x in rep.grid + rep.lhs + rep.rhs + rep.margin)
+    monkeypatch.setattr(audit_mod, "_build_report", ref_build_report)
+    monkeypatch.setattr(audit_mod, "straddling_grid", ref_straddling_grid)
+    monkeypatch.setattr(audit_mod, "dumps17", ref_dumps17)
+    refs = _large_reports()
+    assert reports == refs
+    assert texts == _texts(refs)
+
+
+# -- straddling_grid ---------------------------------------------------------------
+
+
+@st.composite
+def step_functions(draw):
+    n = draw(st.integers(0, 25))
+    if n == 0:
+        return EMPTY_STEP
+    # near the subnormal range b (1 -+ rel) can round onto b or to zero
+    scale = draw(st.sampled_from([5e-324, 1e-320, 1e-310, 1e-300, 1.0, 1e300]))
+    raw = draw(st.lists(st.floats(1.0, 1e6), min_size=n, max_size=n, unique=True))
+    breaks = np.unique(np.array(raw) * scale)
+    values = np.arange(breaks.size, 0, -1, dtype=float)
+    return StepFunction(breaks=np.concatenate([[0.0], breaks]), values=values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    step_functions(),
+    st.sampled_from([1e-3, 0.25, 1.0, 2.0]),
+    st.sampled_from([1.5, 1.0, 3.0]),
+)
+def test_straddling_grid_matches_loop(sf, rel, extend):
+    got = straddling_grid(sf, rel, extend)
+    ref = ref_straddling_grid(sf, rel, extend)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_straddling_grid_edge_cases():
+    assert straddling_grid(EMPTY_STEP).tolist() == [1.0]
+    tiny = StepFunction(
+        breaks=np.array([0.0, 5e-324, 1e-323]), values=np.array([2.0, 1.0])
+    )
+    got = straddling_grid(tiny)
+    assert got.tobytes() == ref_straddling_grid(tiny).tobytes()
+    assert (got > 0).all()
