@@ -79,7 +79,6 @@ from .params import (
     params_from_s_tau,
     params_from_theta_q,
 )
-from .quadrature import QuadratureConfig, integrate_zero_to_inf
 from .rearrange import (
     StepFunction,
     approx_quasinorm,

@@ -24,7 +24,7 @@ from .measures import (
     instance_csv_text,
     lp_norm,
 )
-from .params import ApproxParams, c_big, c_exact
+from .params import ApproxParams, _float_pow, c_big, c_exact
 from .rearrange import StepFunction, approx_quasinorm, decreasing_rearrangement, eval_step
 
 __all__ = [
@@ -77,11 +77,13 @@ class ConstantProvider:
         if self.kind == "paper-c":
             return c_exact(p)
         if self.kind == "paper-with-factor":
-            return 2.0 ** ((p.s + 1.0) / 2.0) * c_exact(p)
+            factor = _float_pow(2.0, (p.s + 1.0) / 2.0, f"2^((s+1)/2) overflows at s={p.s!r}")
+            return factor * c_exact(p)
         if self.kind == "paper-bigc-table":
             return c_big(p.theta, p.q, "table")
         if self.kind == "sharp-oracle":
-            return (p.s * p.tau) ** (1.0 / p.tau) if p.tau != math.inf else 1.0
+            overflow = f"(s tau)^(1/tau) overflows at tau={p.tau!r}"
+            return _float_pow(p.s * p.tau, 1.0 / p.tau, overflow) if p.tau != math.inf else 1.0
         return 1.0
 
 
@@ -201,7 +203,8 @@ def audit_bernstein_right(
     sf = decreasing_rearrangement(f, sp)
     q_val = approx_quasinorm(sf, p.s, p.tau) if sf.n_steps else 0.0
     lhs = c_exact(p) * q_val
-    rhs = sf.support_mass**p.s * sf.sup_value if sf.n_steps else 0.0
+    mass_pow = _float_pow(sf.support_mass, p.s, f"||f||_0^s overflows at s={p.s!r}")
+    rhs = mass_pow * sf.sup_value if sf.n_steps else 0.0
     return _build_report(
         "bernstein_right",
         {"s": p.s, "tau": p.tau},

@@ -25,8 +25,4 @@ class NumericError(BJAuditError, ArithmeticError):
 
 
 class QuadratureError(NumericError):
-    """Adaptive integration failed to reach the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float | None = None):
-        super().__init__(message)
-        self.achieved = achieved
+    """A quadrature's error estimate missed its tolerance."""

@@ -10,13 +10,14 @@ alongside the scans as an independent check at small atom counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericError, UsageError
+from .errors import DomainError, NumericError, QuadratureError, UsageError
 from .measures import (
     DiscreteMeasureSpace,
     SimpleFunction,
@@ -24,8 +25,7 @@ from .measures import (
     _read_csv_rows,
     sorted_mass_profile,
 )
-from .quadrature import QuadratureConfig, _certify, _quad_piece
-from .rearrange import decreasing_rearrangement, eval_step
+from .rearrange import _LOG_FLOAT_MAX, decreasing_rearrangement, eval_step
 
 __all__ = [
     "CoupleInstance",
@@ -188,10 +188,13 @@ def truncation_profile(
 
     m(sigma) is the measure where |f| > sigma and sigma_bar the sup of the
     remainder f - g_sigma.  Contains (||f||_0, 0) and (0, ||f||_inf).
+    Raises NumericError where the weights on the support pass the float range.
     """
     mags_desc, cumw = sorted_mass_profile(f, sp)
     if mags_desc.size == 0:  # f = 0: the single pair (0, 0)
         return np.zeros(1), np.zeros(1)
+    if not math.isfinite(cumw[-1]):
+        raise NumericError("the weights on the support sum past the float range")
     distinct = np.unique(mags_desc)  # ascending, positive
     total = cumw[-1]
     # mass strictly above each distinct magnitude: cumw at the last index of
@@ -264,13 +267,19 @@ def kinf_exhaustive(
 class KEnvelope:
     """K2 (kfunc="k2") or K_inf ("kinf") as a lower envelope of the profile:
     entry (m[j], v[j]) attains the min on [breaks[j-1], breaks[j]], reading
-    breaks[-1] as 0 and breaks[len(m)-1] as inf.
+    breaks[-1] as 0 and breaks[len(m)-1] as inf.  The breakpoints are kept
+    as logs, which neither overflow nor underflow.
     """
 
     kfunc: str
     m: np.ndarray  # ascending from 0
     v: np.ndarray  # descending to 0
-    breaks: np.ndarray
+    log_breaks: np.ndarray
+
+    @property
+    def breaks(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_breaks)
 
     def __call__(self, t):
         """K(t, f) at every t > 0 of an array."""
@@ -291,21 +300,29 @@ def k_envelope(
     if kfunc not in ("k2", "kinf"):
         raise DomainError(f"kfunc must be 'k2' or 'kinf', got {kfunc!r}")
     m, v = (x[::-1] for x in truncation_profile(f, sp))
+    lm, lv = np.log(m[1:]), np.log(v[:-1])  # all but m[0] = 0 and v[-1] = 0
     if kfunc == "kinf":
-        return KEnvelope(kfunc, m, v, m[1:] / v[:-1])
-    ml, vl = m.tolist(), v.tolist()
+        return KEnvelope(kfunc, m, v, lm - lv)
+    ml, vl, lml, lvl = m.tolist(), v.tolist(), lm.tolist(), lv.tolist()
 
-    def crossing(i: int, j: int) -> float:  # t where lines i < j meet
-        dm, sm = ml[j] - ml[i], ml[j] + ml[i]
-        return math.sqrt(dm / (vl[i] - vl[j])) * math.sqrt(sm / (vl[i] + vl[j]))
+    def log_crossing(i: int, j: int) -> float:
+        # lines i < j meet at t^2 = (m_j^2 - m_i^2) / (v_i^2 - v_j^2), taken
+        # as factors within 2^-54..2^54 that cannot overflow.  Ratio 0 is
+        # m_i = m_j (a weight absorbed in the float sum): j is below i everywhere.
+        mi, mj, vi, vj = ml[i], ml[j], vl[i], vl[j]
+        ratio = (mj - mi) / mj * (1.0 + mi / mj) * vi / (vi - vj) / (1.0 + vj / vi)
+        return lml[j - 1] - lvl[i] + 0.5 * math.log(ratio) if ratio else -math.inf
 
-    hull = [0]
+    hull, log_ts = [0], []  # log_ts[k]: where hull[k] gives way to hull[k+1]
     for j in range(1, len(ml)):
-        while len(hull) > 1 and crossing(hull[-1], j) <= crossing(hull[-2], hull[-1]):
+        x = log_crossing(hull[-1], j)
+        while log_ts and x <= log_ts[-1]:
             hull.pop()  # line j undercuts the top line wherever it attained the min
+            log_ts.pop()
+            x = log_crossing(hull[-1], j)
         hull.append(j)
-    ts = [crossing(i, j) for i, j in zip(hull, hull[1:])]
-    return KEnvelope(kfunc, m[hull], v[hull], np.array(ts))
+        log_ts.append(x)
+    return KEnvelope(kfunc, m[hull], v[hull], np.array(log_ts))
 
 
 def interp_quasinorm(
@@ -313,61 +330,119 @@ def interp_quasinorm(
     sp: DiscreteMeasureSpace,
     theta: float,
     q: float,
-    quad: QuadratureConfig = QuadratureConfig(rel_tol=1e-8),
     *,
     kfunc: str = "k2",
 ) -> float:
     """Interpolation quasinorm (int_0^inf (t^-theta K(t,f))^q dt/t)^(1/q).
 
     K is K2, or K_inf with kfunc="kinf", taken over the pieces of
-    k_envelope.  The first (K = t ||f||_inf), the last (K = ||f||_0) and
-    each K_inf piece (K = m, then t v) integrate in closed form, the
-    interior K2 pieces by adaptive quadrature under `quad`.  K_inf obeys
-    I^q = (1/theta) Q_{s,tau}^{theta q} at s = 1/theta - 1, tau = theta q,
-    an identity the tests use as an oracle.  q = inf is the exact max over
-    the breakpoints: on each piece t^-theta K(t) is monotone or has one
-    stationary point, a minimum at t^2 = theta m^2 / ((1-theta) v^2).
+    k_envelope and summed in log space: the first (K = t ||f||_inf), the
+    last (K = ||f||_0) and each K_inf piece integrate in closed form, the
+    interior K2 pieces by one fixed Gauss-Legendre pass (_log_integral).
+    K_inf obeys I^q = (1/theta) Q_{s,tau}^{theta q} at s = 1/theta - 1,
+    tau = theta q, an identity the tests use as an oracle.  q = inf is the
+    exact max over the breakpoints: on each piece t^-theta K(t) is monotone
+    or has one stationary point, a minimum at t^2 = theta m^2 / ((1-theta) v^2).
+    Raises NumericError where the quasinorm itself leaves the float range,
+    QuadratureError where the K2 pass cannot certify it.
     """
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0,1), got {theta!r}")
     if q != math.inf and not q > 0:
         raise DomainError(f"q must be positive or inf, got {q!r}")
     env = k_envelope(f, sp, kfunc)
-    b = env.breaks
-    if b.size == 0:  # f = 0
+    if env.log_breaks.size == 0:  # f = 0
         return 0.0
-    if q == math.inf:
-        value = float((b**-theta * env(b)).max())
-    else:
-        value = float(_interp_integral(env, theta, q, quad) ** (1.0 / q))
-    if not math.isfinite(value):
-        raise NumericError(
-            f"interpolation quasinorm overflows at theta = {theta!r}, q = {q!r}"
-        )
+    log_value = _log_sup(env, theta) if q == math.inf else _log_integral(env, theta, q) / q
+    value = math.exp(min(log_value, _LOG_FLOAT_MAX))
+    if log_value > _LOG_FLOAT_MAX or value == 0.0:
+        raise NumericError(f"interpolation quasinorm leaves the float range at q = {q!r}")
     return value
 
 
-def _interp_integral(
-    env: KEnvelope, theta: float, q: float, quad: QuadratureConfig
-) -> float:
-    """int_0^inf (t^-theta K(t))^q dt/t, summed over the pieces of env."""
-    b = env.breaks
-    p0, p1 = theta * q, (1.0 - theta) * q
-    total = (env.v[0] * b[0] ** (1.0 - theta)) ** q / p1
-    total += (env.m[-1] * b[-1] ** -theta) ** q / p0
-    lo, hi, m, v = b[:-1], b[1:], env.m[1:-1], env.v[1:-1]  # interior: m, v > 0
-    if env.kfunc == "kinf":
-        c = np.clip(m / v, lo, hi)  # K = m on [lo, c], K = t v on [c, hi]
-        const = (m * lo**-theta) ** q - (m * c**-theta) ** q
-        linear = (v * hi ** (1.0 - theta)) ** q - (v * c ** (1.0 - theta)) ** q
-        return total + (const / p0 + linear / p1).sum()
+def _log_sup(env: KEnvelope, theta: float) -> float:
+    """log max over the breakpoints b of b^-theta K(b), K from the entry left of b."""
+    lb = env.log_breaks
+    log_k = np.log(env.v[:-1]) + lb  # log t v; K = t v at the first break, where m = 0
+    lm = np.log(env.m[1:-1])
+    if env.kfunc == "k2":
+        log_k[1:] = 0.5 * np.logaddexp(2.0 * lm, 2.0 * log_k[1:])
+    else:
+        log_k[1:] = np.maximum(lm, log_k[1:])
+    return float((log_k - theta * lb).max())
 
-    err = 0.0
-    for mj, vj, a, z in zip(m.tolist(), v.tolist(), lo.tolist(), hi.tolist()):
-        val, e = _quad_piece(
-            lambda t: (t**-theta * math.hypot(mj, t * vj)) ** q / t, a, z, quad
-        )
-        total += val
-        err += e
-    _certify(total, err, quad)
-    return total
+
+# The interior K2 pieces: |d log g/du| <= slope = q max(theta, 1-theta) in
+# u = log t, so sub-intervals of width min(1, _GL_SPLIT / slope) bound the
+# change of log g on each.  A 10-node rule checks the 20-node one to _GL_TOL.
+# Pieces wider than _GL_TRIM_ROWS sub-intervals first lose the parts that add
+# under e^-_TRIM_LOG of the integral; past _GL_MAX_ROWS the pass gives up.
+_GL_SPLIT, _GL_TOL, _TRIM_LOG = 4.0, 1e-10, 40.0
+_GL_TRIM_ROWS, _GL_MAX_ROWS = 256, 2**16
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes of the 20- and 10-node rules on [0, 1], side by side, and their weights."""
+    from numpy.polynomial.legendre import leggauss
+
+    (x20, w20), (x10, w10) = leggauss(20), leggauss(10)
+    return 0.5 * (np.concatenate([x20, x10]) + 1.0), 0.5 * w20, 0.5 * w10
+
+
+def _log_integral(env: KEnvelope, theta: float, q: float) -> float:
+    """log int_0^inf (t^-theta K(t))^q dt/t = log int e^g(u) du, u = log t."""
+    p0, p1 = theta * q, (1.0 - theta) * q
+    if env.kfunc == "kinf":
+        # g is piecewise linear: it rises with slope p1 to a peak at each
+        # break (t v_j = m_{j+1}), then falls with slope -p0 until t v_{j+1}
+        # = m_{j+1}.  Each slope integrates to e^peak (1 - e^-drop) / |slope|,
+        # the first rise (from m = 0) and the last fall (to v = 0) to e^peak.
+        lm, lv = np.log(env.m[1:]), np.log(env.v[:-1])
+        peak = p1 * lm + p0 * lv
+        top = peak.max()
+        e = np.exp(peak - top)
+        total = e[0] / p1 + e[-1] / p0
+        total -= e[1:] @ np.expm1(p1 * (lm[:-1] - lm[1:])) / p1
+        total -= e[:-1] @ np.expm1(p0 * (lv[1:] - lv[:-1])) / p0
+        return float(top + math.log(total))
+    lb = env.log_breaks
+    head = q * math.log(env.v[0]) + p1 * lb[0] - math.log(p1)  # K = t v on (0, b_0]
+    tail = q * math.log(env.m[-1]) - p0 * lb[-1] - math.log(p0)  # K = m past b_last
+    lo, hi, lm, lv = lb[:-1], lb[1:], np.log(env.m[1:-1]), np.log(env.v[1:-1])
+    slope = q * max(theta, 1.0 - theta)
+    h = min(1.0, _GL_SPLIT / slope)
+    if lb[-1] - lb[0] > _GL_TRIM_ROWS * h:
+        # The integral is at least e^(g(b) - 1) / slope at a break b, and
+        # K <= sqrt(2) max(m, t v) bounds g by max(q lm - p0 u, q lv + p1 u)
+        # + (q/2) log 2, which stays below `cut` for u in (a, b).
+        cut = q * _log_sup(env, theta) - 1.0 - math.log(slope * (lb[-1] - lb[0]))
+        cut -= _TRIM_LOG + 0.5 * q * math.log(2.0)
+        a = np.minimum(np.maximum((q * lm - cut) / p0, lo), hi)
+        b = np.minimum(np.maximum((cut - q * lv) / p1, a), hi)
+        lo, hi = np.concatenate([lo, b]), np.concatenate([a, hi])
+        lm, lv = np.concatenate([lm, lm]), np.concatenate([lv, lv])
+    n_sub = np.ceil((hi - lo) / h).astype(np.intp)
+    rows = int(n_sub.sum())
+    if rows > _GL_MAX_ROWS:
+        raise QuadratureError(f"the K2 integral at q = {q!r} needs {rows} sub-intervals")
+    piece = np.repeat(np.arange(n_sub.size), n_sub)
+    step = ((hi - lo) / np.maximum(n_sub, 1))[piece]
+    left = lo[piece] + step * (np.arange(rows) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub))
+    # K(u)^2 / K(left)^2 = alpha + beta e^(2 (u - left)), alpha + beta = 1
+    lm, lv = 2.0 * lm[piece], 2.0 * (lv[piece] + left)
+    log_k2 = np.logaddexp(lm, lv)
+    alpha, beta = np.exp(lm - log_k2)[:, None], np.exp(lv - log_k2)[:, None]
+    x, w20, w10 = _gauss_legendre()
+    su = step[:, None] * x
+    # e^(g(u) - g(left)), within e^+-_GL_SPLIT
+    e = np.exp(0.5 * q * np.log(alpha + beta * np.exp(2.0 * su)) - p0 * su)
+    fine, coarse = e[:, :20] @ w20, e[:, 20:] @ w10
+    scale = 0.5 * q * log_k2 - p0 * left + np.log(step)  # g(left) + log step
+    top = max(head, tail, scale.max(initial=-math.inf))
+    weight = np.exp(scale - top)
+    total = math.exp(head - top) + math.exp(tail - top) + weight @ fine
+    error = weight @ np.abs(fine - coarse) / total
+    if error > _GL_TOL:
+        raise QuadratureError(f"K2 quadrature error estimate {error:.2e} exceeds {_GL_TOL}")
+    return float(top + math.log(total))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError, UsageError
+from .params import _float_pow
 
 __all__ = [
     "DiscreteMeasureSpace",
@@ -147,7 +148,7 @@ def lp_norm(f: SimpleFunction, sp: DiscreteMeasureSpace, p: float) -> float:
         total = float(np.sum(sp.weights * f.magnitudes**p))
     if not math.isfinite(total):
         raise NumericError(f"the L^{p:g} sum overflows a float")
-    return total ** (1.0 / p)
+    return _float_pow(total, 1.0 / p, f"the L^{p:g} norm overflows a float")
 
 
 @dataclass(frozen=True, eq=False)

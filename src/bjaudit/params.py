@@ -145,12 +145,12 @@ def n_factor_integral(theta: float, q: float) -> float:
     return math.exp(-(log_beta - math.log(2.0)) / q)
 
 
-def _two_pow_half_over(theta: float) -> float:
-    """2^(1/(2 theta)); NumericError where it overflows (theta below about 4.9e-4)."""
+def _float_pow(base: float, exponent: float, message: str) -> float:
+    """base ** exponent on Python floats; NumericError(message) where it overflows."""
     try:
-        return 2.0 ** (1.0 / (2.0 * theta))
+        return base**exponent
     except OverflowError:
-        raise NumericError(f"C_theta,q overflows at theta={theta!r}") from None
+        raise NumericError(message) from None
 
 
 def c_big(theta: float, q: float, variant: str = "table") -> float:
@@ -167,20 +167,22 @@ def c_big(theta: float, q: float, variant: str = "table") -> float:
     """
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0,1), got {theta!r}")
+    overflow = f"C_theta,q overflows at theta={theta!r}, q={q!r}"
     if variant == "consistency":
-        return _two_pow_half_over(theta) * c_exact(params_from_theta_q(theta, q))
+        c = c_exact(params_from_theta_q(theta, q))
+        return _float_pow(2.0, 1.0 / (2.0 * theta), overflow) * c
     if variant != "table":
         raise DomainError(f"unknown c_big variant {variant!r}")
     if q == math.inf:
-        return _two_pow_half_over(theta)
+        return _float_pow(2.0, 1.0 / (2.0 * theta), overflow)
     _check_finite_positive("q", q)
     if q == 2.0:
         return (math.sin(math.pi * theta) / (math.pi * theta)) ** (1.0 / (2.0 * theta))
     n_int = n_factor_integral(theta, q)
     return (
-        _two_pow_half_over(theta)
-        * (q * q * theta) ** (-1.0 / (q * theta))
-        * n_int ** (1.0 / theta)
+        _float_pow(2.0, 1.0 / (2.0 * theta), overflow)
+        * _float_pow(q * q * theta, -1.0 / (q * theta), overflow)
+        * _float_pow(n_int, 1.0 / theta, overflow)
     )
 
 

@@ -378,6 +378,10 @@ def test_numeric_error_exit_code(capsys, monkeypatch, tmp_path):
 EXTREME_INSTANCE = "atom_id,weight,magnitude\na0,1.0,1e300\na1,1.0,1e-300\n"
 OVERFLOWING_MASS = "atom_id,weight,magnitude\na0,1e308,2.0\na1,1e308,1.0\n"
 HUGE_Q = "atom_id,weight,magnitude\na0,1e10,1e300\n"
+# ||f||_0^2 = 1e320 overflows, though Q_{2,1} and c_{2,1} Q_{2,1} do not
+HUGE_SUPPORT = "atom_id,weight,magnitude\na0,1e160,1e-100\n"
+# total mass 0.75: at s = 1e6 the t^s factors vanish and Q stays finite
+SMALL_MASS = "atom_id,weight,magnitude\na0,0.5,2.0\na1,0.25,1.0\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -447,6 +451,17 @@ def _subprocess_cli(argv):
             for command in (["quasinorm"], ["audit", "--name", "jackson"])
             for tau in ("2", "inf")
             for fmt in ("json", "csv")
+        ),
+        (HUGE_SUPPORT, ["audit", "--name", "bernstein-right", "--s", "2", "--tau", "1"]),
+        # constant powers past the float range: (q^2 theta)^(-1/(q theta)) in
+        # C_theta,q, and 2^((s+1)/2) in the paper-with-factor constant
+        (None, ["constants", "--s", "1e3", "--tau", "0.001"]),
+        *(
+            (text, [*command, "--s", "1e6", "--tau", "3", "--provider", "paper-with-factor"])
+            for text, command in (
+                (SMALL_MASS, ["audit", "--name", "jackson"]),
+                (None, ["search", "--draws", "5"]),
+            )
         ),
     ],
 )
@@ -531,11 +546,14 @@ SCIPY_PROBE = (
         "import bjaudit.cli, os; "
         "assert bjaudit.cli.main("
         "['constants', '--s', '1', '--tau', '2', '--out', os.devnull]) == 0",
+        "from bjaudit import DiscreteMeasureSpace, SimpleFunction, interp_quasinorm; "
+        "interp_quasinorm(SimpleFunction([5.0, 3.0, 1.0]), "
+        "DiscreteMeasureSpace(weights=[0.5, 1.0, 2.0]), 1 / 3, 6.0)",
     ],
 )
 def test_scipy_stays_unloaded(stmt):
-    # scipy is imported on first quadrature only; the import and the
-    # constants table must not pay its start-up.
+    # No path of the package imports scipy, the K2 interpolation quasinorm
+    # included.
     src = str(Path(bjaudit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

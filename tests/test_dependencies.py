@@ -1,0 +1,35 @@
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import bjaudit
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imported_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, node.lineno
+
+
+def test_runtime_needs_no_scipy():
+    # numpy is the only runtime dependency: no module imports scipy, at the
+    # top or inside a function, and the package metadata does not ask for it
+    package = Path(bjaudit.__file__).resolve().parent
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.glob("*.py"))
+        for module, lineno in _imported_modules(path)
+        if module.split(".")[0] == "scipy"
+    ]
+    assert found == []
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in project["dependencies"]]
+    assert "scipy" not in [name.lower() for name in names]

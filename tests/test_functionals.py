@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -238,15 +240,127 @@ def test_interp_domain_errors():
         interp_quasinorm(f, sp, 0.5, 2.0, kfunc="k7")
 
 
+def _mp_log_interp(f, sp, theta, q, kfunc):
+    """30-digit log int_0^inf (t^-theta K(t))^q dt/t, K the min over the whole
+    profile, integrated in u = log t between all points where K may kink."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        m, v = ([mpmath.mpf(x) for x in a.tolist()] for a in truncation_profile(f, sp))
+        kinks = set()
+        for mi, vi in zip(m, v):
+            if mi > 0 and vi > 0:
+                kinks.add(mpmath.log(mi / vi))
+            for mj, vj in zip(m, v):
+                if mj > mi and vi > vj:
+                    kinks.add(mpmath.log((mj**2 - mi**2) / (vi**2 - vj**2)) / 2)
+                    kinks.add(mpmath.log(mj / vi))
+        th = mpmath.mpf(theta)
+
+        def integrand(u):
+            t = mpmath.exp(u)
+            if kfunc == "k2":
+                k = min(mpmath.sqrt(mi**2 + (t * vi) ** 2) for mi, vi in zip(m, v))
+            else:
+                k = min(max(mi, t * vi) for mi, vi in zip(m, v))
+            return mpmath.exp(q * (mpmath.log(k) - th * u))
+
+        points = [-mpmath.inf, *sorted(kinks), mpmath.inf]
+        return float(mpmath.log(mpmath.quad(integrand, points)))
+
+
 @pytest.mark.parametrize("kfunc", ["k2", "kinf"])
 def test_interp_overflow_is_numeric_error(kfunc):
-    # (t^-theta K)^q overflows at q = 6; q = 2 and q = inf stay near 1e100
+    # (t^-theta K)^q reaches 1e600 here, but the sum runs in log space, so
+    # only a quasinorm past the float range is a NumericError
     sp = DiscreteMeasureSpace(weights=np.array([1.0, 2.0]))
     f = SimpleFunction(np.array([1e300, 1e-300]))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-        interp_quasinorm(f, sp, 1.0 / 3.0, 6.0, kfunc=kfunc)
-    for q in (2.0, math.inf):
-        assert math.isfinite(interp_quasinorm(f, sp, 1.0 / 3.0, q, kfunc=kfunc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = interp_quasinorm(f, sp, 1.0 / 3.0, 6.0, kfunc=kfunc)
+        for q in (2.0, math.inf):
+            assert math.isfinite(interp_quasinorm(f, sp, 1.0 / 3.0, q, kfunc=kfunc))
+        want = math.exp(_mp_log_interp(f, sp, 1.0 / 3.0, 6.0, kfunc) / 6.0)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(9.53e99, rel=1e-3)
+        # one atom: I = w^(1-theta) v^theta (q theta (1-theta))^(-1/q), and
+        # the last factor is about 1e39 at q = 0.05
+        sp = DiscreteMeasureSpace(weights=np.array([1e300]))
+        f = SimpleFunction(np.array([1e300]))
+        assert interp_quasinorm(f, sp, 1.0 / 3.0, 6.0, kfunc=kfunc) == pytest.approx(
+            1e300 * (6.0 * 2.0 / 9.0) ** (-1.0 / 6.0), rel=1e-12
+        )
+        with pytest.raises(NumericError):
+            interp_quasinorm(f, sp, 1.0 / 3.0, 0.05, kfunc=kfunc)
+        # ||f||_0 itself is past the float range (numpy warns of the overflow
+        # in the running sum of the weights)
+        sp = DiscreteMeasureSpace(weights=np.array([1e308, 1e308]))
+        f = SimpleFunction(np.array([2.0, 1.0]))
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            interp_quasinorm(f, sp, 1.0 / 3.0, 6.0, kfunc=kfunc)
+
+
+def test_envelope_with_absorbed_weights():
+    # 1 + 1e200 == 1e200: the profile has three entries of equal m, which
+    # once gave a nan K2 break (0 * inf) and an infinite K_inf break
+    sp = DiscreteMeasureSpace(weights=np.array([1e-200, 1.0, 1e200]))
+    f = SimpleFunction(np.array([1e-300, 1.0, 1e300]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k2, kinf = k_envelope(f, sp), k_envelope(f, sp, "kinf")
+        assert np.all(np.isfinite(k2.log_breaks)) and np.all(np.isfinite(kinf.log_breaks))
+        assert k2.breaks.tolist() == pytest.approx([1e-100], rel=1e-13)
+        assert kinf.log_breaks.max() > math.log(sys.float_info.max)
+        for kfunc in ("k2", "kinf"):
+            got = interp_quasinorm(f, sp, 1.0 / 3.0, 2.0, kfunc=kfunc)
+            want = math.exp(_mp_log_interp(f, sp, 1.0 / 3.0, 2.0, kfunc) / 2.0)
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+@given(
+    logs=st.lists(
+        st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)), min_size=1, max_size=6
+    ),
+    theta=st.floats(0.02, 0.98),
+    q=st.floats(0.3, 100.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_interp_wide_instances(logs, theta, q):
+    # weights and magnitudes from 1e-300 to 1e300: every value either comes
+    # out of the log-space sum or is a NumericError, never a numpy warning
+    mpmath = pytest.importorskip("mpmath")
+    sp = DiscreteMeasureSpace(weights=np.array([10.0**a for a, _ in logs]))
+    f = SimpleFunction(np.array([10.0**b for _, b in logs]))
+    # log I_Kinf from I_Kinf^q = (1/theta) Q_{s,tau}^tau, tau = theta q,
+    # s tau = (1 - theta) q, summed over the steps of f* at 30 digits
+    sf = decreasing_rearrangement(f, sp)
+    with mpmath.workdps(30):
+        th, qq = mpmath.mpf(theta), mpmath.mpf(q)
+        st_ = (1 - th) * qq
+        ts = [mpmath.mpf(x) for x in sf.breaks.tolist()]
+        q_tau = sum(
+            mpmath.mpf(v) ** (th * qq) * (t1**st_ - t0**st_)
+            for v, t0, t1 in zip(sf.values.tolist(), ts, ts[1:])
+        ) / st_
+        want = float((mpmath.log(q_tau) - mpmath.log(th)) / qq)
+    # the size of the inputs' logs sets the rounding of log I
+    tol = 1e-13 * (1.0 + 2.31 * max(max(abs(a), abs(b)) for a, b in logs))
+    log_max, log_min = math.log(sys.float_info.max), math.log(sys.float_info.min)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = interp_quasinorm(f, sp, theta, q, kfunc="kinf")
+        except NumericError:
+            assert not log_min + tol < want < log_max - tol
+        else:
+            if got >= sys.float_info.min:
+                assert abs(math.log(got) - want) <= tol
+        try:
+            got = interp_quasinorm(f, sp, theta, q)
+        except NumericError:
+            assert not log_min + tol < want < log_max - 0.5 * math.log(2.0) - tol
+        else:
+            if got >= sys.float_info.min:
+                assert want - tol <= math.log(got) <= want + 0.5 * math.log(2.0) + tol
 
 
 def test_interp_zero_function():

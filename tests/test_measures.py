@@ -152,6 +152,15 @@ def test_lp_norm_overflow_is_numeric_error():
             lp_norm(f, sp, 1.0)
 
 
+def test_lp_norm_root_overflow_is_numeric_error():
+    # the sum 1e125 is finite, but its fourth power is not
+    sp = DiscreteMeasureSpace(weights=np.array([1e100]))
+    f = SimpleFunction(np.array([1e100]))
+    with pytest.raises(NumericError):
+        lp_norm(f, sp, 0.25)
+    assert lp_norm(f, sp, 0.5) == pytest.approx(1e300, rel=1e-12)
+
+
 def test_gaussian_measure_space_mass():
     space = gaussian_measure_space(0.0, 4.0, 2000)
     sp = space.compile()
