@@ -196,14 +196,11 @@ def truncation_profile(
     if not math.isfinite(cumw[-1]):
         raise NumericError("the weights on the support sum past the float range")
     distinct = np.unique(mags_desc)  # ascending, positive
-    total = cumw[-1]
     # mass strictly above each distinct magnitude: cumw at the last index of
     # the tie group sitting above it
     counts = np.searchsorted(-mags_desc, -distinct, side="left")
     mass_above = np.where(counts > 0, cumw[np.maximum(counts - 1, 0)], 0.0)
-    m_vals = np.concatenate([[total], mass_above])
-    v_vals = np.concatenate([[0.0], distinct])
-    return m_vals, v_vals
+    return np.concatenate([[cumw[-1]], mass_above]), np.concatenate([[0.0], distinct])
 
 
 def k2_functional(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> float:
@@ -375,10 +372,11 @@ def _log_sup(env: KEnvelope, theta: float) -> float:
 # The interior K2 pieces: |d log g/du| <= slope = q max(theta, 1-theta) in
 # u = log t, so sub-intervals of width min(1, _GL_SPLIT / slope) bound the
 # change of log g on each.  A 10-node rule checks the 20-node one to _GL_TOL.
-# Pieces wider than _GL_TRIM_ROWS sub-intervals first lose the parts that add
-# under e^-_TRIM_LOG of the integral; past _GL_MAX_ROWS the pass gives up.
+# Pieces over _GL_TRIM_ROWS sub-intervals (the trim costs about 100 rows) lose
+# the parts under e^-_TRIM_LOG of the integral.  The block is taken _GL_CHUNK
+# rows at a time; past _GL_MAX_EXTRA rows over one per piece it gives up.
 _GL_SPLIT, _GL_TOL, _TRIM_LOG = 4.0, 1e-10, 40.0
-_GL_TRIM_ROWS, _GL_MAX_ROWS = 256, 2**16
+_GL_TRIM_ROWS, _GL_CHUNK, _GL_MAX_EXTRA = 128, 4096, 2**20
 
 
 @functools.cache
@@ -422,10 +420,11 @@ def _log_integral(env: KEnvelope, theta: float, q: float) -> float:
         b = np.minimum(np.maximum((cut - q * lv) / p1, a), hi)
         lo, hi = np.concatenate([lo, b]), np.concatenate([a, hi])
         lm, lv = np.concatenate([lm, lm]), np.concatenate([lv, lv])
-    n_sub = np.ceil((hi - lo) / h).astype(np.intp)
-    rows = int(n_sub.sum())
-    if rows > _GL_MAX_ROWS:
-        raise QuadratureError(f"the K2 integral at q = {q!r} needs {rows} sub-intervals")
+    n_sub = np.ceil((hi - lo) / h)
+    rows = n_sub.sum()
+    if rows > _GL_MAX_EXTRA + n_sub.size:  # q near 1e7 on a narrow instance
+        raise QuadratureError(f"the K2 integral at q = {q!r} needs {rows:.3g} sub-intervals")
+    rows, n_sub = int(rows), n_sub.astype(np.intp)
     piece = np.repeat(np.arange(n_sub.size), n_sub)
     step = ((hi - lo) / np.maximum(n_sub, 1))[piece]
     left = lo[piece] + step * (np.arange(rows) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub))
@@ -433,16 +432,17 @@ def _log_integral(env: KEnvelope, theta: float, q: float) -> float:
     lm, lv = 2.0 * lm[piece], 2.0 * (lv[piece] + left)
     log_k2 = np.logaddexp(lm, lv)
     alpha, beta = np.exp(lm - log_k2)[:, None], np.exp(lv - log_k2)[:, None]
-    x, w20, w10 = _gauss_legendre()
-    su = step[:, None] * x
-    # e^(g(u) - g(left)), within e^+-_GL_SPLIT
-    e = np.exp(0.5 * q * np.log(alpha + beta * np.exp(2.0 * su)) - p0 * su)
-    fine, coarse = e[:, :20] @ w20, e[:, 20:] @ w10
     scale = 0.5 * q * log_k2 - p0 * left + np.log(step)  # g(left) + log step
     top = max(head, tail, scale.max(initial=-math.inf))
     weight = np.exp(scale - top)
-    total = math.exp(head - top) + math.exp(tail - top) + weight @ fine
-    error = weight @ np.abs(fine - coarse) / total
-    if error > _GL_TOL:
-        raise QuadratureError(f"K2 quadrature error estimate {error:.2e} exceeds {_GL_TOL}")
+    x, w20, w10 = _gauss_legendre()
+    total, error = math.exp(head - top) + math.exp(tail - top), 0.0
+    for c in (slice(r, r + _GL_CHUNK) for r in range(0, rows, _GL_CHUNK)):
+        su = step[c, None] * x
+        # e^(g(u) - g(left)), within e^+-_GL_SPLIT
+        e = np.exp(0.5 * q * np.log(alpha[c] + beta[c] * np.exp(2.0 * su)) - p0 * su)
+        fine, coarse = e[:, :20] @ w20, e[:, 20:] @ w10
+        total, error = total + weight[c] @ fine, error + weight[c] @ abs(fine - coarse)
+    if error > _GL_TOL * total:
+        raise QuadratureError(f"K2 quadrature error estimate {error / total:.2e} exceeds {_GL_TOL}")
     return float(top + math.log(total))

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bjaudit import functionals
 from bjaudit import (
     DiscreteMeasureSpace,
     DomainError,
     NumericError,
+    QuadratureError,
     SimpleFunction,
     UsageError,
     all_support_candidates,
@@ -446,3 +448,52 @@ def test_interp_large_profile():
         assert i_inf**q == pytest.approx(want, rel=1e-12)
         k2 = interp_quasinorm(f, sp, theta, q)
         assert i_inf * (1.0 - 1e-12) <= k2 <= math.sqrt(2.0) * i_inf * (1.0 + 1e-12)
+
+
+def test_interp_k2_many_pieces():
+    # equal weights and evenly spaced magnitudes keep every other profile
+    # entry on the K2 hull: more than 2^16 interior pieces, one sub-interval
+    # each at q = 2
+    n = 140_000
+    sp = DiscreteMeasureSpace(weights=np.ones(n))
+    f = SimpleFunction(np.linspace(1.0, 2.0, n))
+    assert k_envelope(f, sp).log_breaks.size > 2**16
+    i_inf = interp_quasinorm(f, sp, 0.5, 2.0, kfunc="kinf")
+    k2 = interp_quasinorm(f, sp, 0.5, 2.0)
+    assert i_inf * (1.0 - 1e-12) <= k2 <= math.sqrt(2.0) * i_inf * (1.0 + 1e-12)
+
+
+def test_interp_k2_chunks_and_trim(monkeypatch):
+    # the block taken 7 rows at a time, and the trim on every call or on
+    # none, give the value of the default pass (the wide instance is trimmed)
+    rng = np.random.default_rng(37)
+    cases = [(DiscreteMeasureSpace(weights=rng.uniform(0.1, 3.0, 24)),
+              SimpleFunction(rng.uniform(0.05, 5.0, 24)))]
+    cases.append((DiscreteMeasureSpace(weights=10.0 ** rng.uniform(-100, 100, 12)),
+                  SimpleFunction(10.0 ** rng.uniform(-100, 100, 12))))
+    params = ((0.5, 2.0), (1.0 / 3.0, 6.0), (0.2, 40.0))
+    want = [interp_quasinorm(f, sp, th, q) for sp, f in cases for th, q in params]
+    monkeypatch.setattr(functionals, "_GL_CHUNK", 7)
+    got = [interp_quasinorm(f, sp, th, q) for sp, f in cases for th, q in params]
+    assert got == pytest.approx(want, rel=1e-14)
+    for trim_rows in (0, 10**9):
+        monkeypatch.setattr(functionals, "_GL_TRIM_ROWS", trim_rows)
+        got = [interp_quasinorm(f, sp, th, q) for sp, f in cases for th, q in params]
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_interp_k2_quadrature_errors(monkeypatch):
+    sp = DiscreteMeasureSpace(weights=np.array([1.0, 2.0]))
+    f = SimpleFunction(np.array([3.0, 1.0]))
+    assert k_envelope(f, sp).log_breaks.size == 2  # one interior piece
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(interp_quasinorm(f, sp, 0.5, 1e6))
+        # about 0.1 q sub-intervals near the peak: past the row limit
+        for q in (1e8, 1e300):
+            with pytest.raises(QuadratureError, match="sub-intervals"):
+                interp_quasinorm(f, sp, 0.5, q)
+        # the 10-node rule never matches the 20-node one exactly
+        monkeypatch.setattr(functionals, "_GL_TOL", 0.0)
+        with pytest.raises(QuadratureError, match="error estimate"):
+            interp_quasinorm(f, sp, 0.5, 2.0)
