@@ -21,6 +21,7 @@ from .jsonutil import dumps17, require_finite
 from .measures import (
     DiscreteMeasureSpace,
     SimpleFunction,
+    _instances_from_block,
     instance_csv_text,
     lp_norm,
 )
@@ -168,7 +169,11 @@ def _pointwise_audit(
 ) -> AuditReport:
     """f*(t) <= rhs_of(ts) at each t of the grid (None: straddling_grid(sf))."""
     ts = _check_grid(straddling_grid(sf) if grid is None else grid)
-    return _build_report(name, params, ts.tolist(), eval_step(sf, ts), rhs_of(ts), abs_tol)
+    # A right-hand side past the float range is reported by the writers
+    # (require_finite), so its overflow is no warning here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = rhs_of(ts)
+    return _build_report(name, params, ts.tolist(), eval_step(sf, ts), rhs, abs_tol)
 
 
 def audit_jackson(
@@ -284,33 +289,48 @@ def straddling_grid(
     Exact break points are excluded on purpose: there the strict-inequality
     E-functional takes the left limit of f* while eval_step is
     right-continuous, so equality claims only make sense off the breaks.
+    Raises NumericError where a point passes the float range.
     """
     if sf.n_steps == 0:
         return np.array([1.0])
     b = sf.breaks
-    pts = np.concatenate(
-        [b[1:] * (1.0 - rel), b[1:] * (1.0 + rel), (b[:-1] + b[1:]) / 2.0, b[-1:] * extend]
-    )
+    with np.errstate(over="ignore"):
+        pts = np.concatenate(
+            [b[1:] * (1.0 - rel), b[1:] * (1.0 + rel), (b[:-1] + b[1:]) / 2.0, b[-1:] * extend]
+        )
+    if not np.isfinite(pts).all():
+        raise NumericError("the t-grid around the breaks of f* passes the float range")
     return np.unique(pts[pts > 0])
 
 
+# Draws are made in blocks of this many, each checked and frozen as a whole.
+_DRAW_BLOCK = 128
+
+
 def random_atoms(n_max: int, seed: int, n_draws: int = 200):
-    """Seeded finite generator of random instances (ties and zeros included)."""
+    """Seeded finite generator of random instances (ties and zeros included).
+
+    Each draw takes n = integers(1, n_max + 1), then n uniform weights, n
+    uniform magnitudes and n uniforms each for the tie and the zero masks, in
+    this order; the stream is the same however the draws are blocked.
+    """
     if n_max < 1 or n_draws < 0:
         raise DomainError("need n_max >= 1 and n_draws >= 0")
     rng = np.random.default_rng(seed)
-    for _ in range(n_draws):
-        n = int(rng.integers(1, n_max + 1))
-        weights = rng.uniform(0.1, 3.0, n)
-        mags = rng.uniform(0.05, 5.0, n)
-        tie_mask = rng.random(n) < 0.25
-        mags[tie_mask] = np.round(mags[tie_mask], 1)
-        zero_mask = rng.random(n) < 0.1
-        mags[zero_mask] = 0.0
-        yield (
-            DiscreteMeasureSpace(weights=weights),
-            SimpleFunction(mags),
-        )
+    for first in range(0, n_draws, _DRAW_BLOCK):
+        sizes, weights, mags, tie_u, zero_u = [], [], [], [], []
+        for _ in range(min(_DRAW_BLOCK, n_draws - first)):
+            n = int(rng.integers(1, n_max + 1))
+            sizes.append(n)
+            weights.append(rng.uniform(0.1, 3.0, n))
+            mags.append(rng.uniform(0.05, 5.0, n))
+            tie_u.append(rng.random(n))
+            zero_u.append(rng.random(n))
+        block = np.concatenate(mags)
+        tie_mask = np.concatenate(tie_u) < 0.25
+        block[tie_mask] = np.round(block[tie_mask], 1)
+        block[np.concatenate(zero_u) < 0.1] = 0.0
+        yield from _instances_from_block(np.concatenate(weights), block, sizes)
 
 
 def indicator_sweep(masses=None):

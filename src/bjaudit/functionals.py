@@ -208,7 +208,17 @@ def k2_functional(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> floa
     if not t > 0:
         raise DomainError(f"t must be positive, got {t!r}")
     m, v = truncation_profile(f, sp)
-    return float(np.sqrt(m * m + (t * v) ** 2).min())
+    return _k2_min(m, v, t)
+
+
+def _k2_min(m: np.ndarray, v: np.ndarray, t: float) -> float:
+    """min over the pairs of hypot(m, t v), K2's value of each split.
+
+    A product t v past the float range is inf, which hypot keeps and the
+    min passes over, so its overflow is no warning.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.hypot(m, t * v).min())
 
 
 def kinf_functional(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> float:
@@ -248,7 +258,7 @@ def k2_exhaustive(
     if not t > 0:
         raise DomainError(f"t must be positive, got {t!r}")
     m, v = _exhaustive_split_pairs(f, sp, n_limit)
-    return float(np.sqrt(m * m + (t * v) ** 2).min())
+    return _k2_min(m, v, t)
 
 
 def kinf_exhaustive(
@@ -282,7 +292,7 @@ class KEnvelope:
         """K(t, f) at every t > 0 of an array."""
         j = np.searchsorted(self.breaks, t)
         m, tv = self.m[j], t * self.v[j]
-        return np.sqrt(m * m + tv * tv) if self.kfunc == "k2" else np.maximum(m, tv)
+        return np.hypot(m, tv) if self.kfunc == "k2" else np.maximum(m, tv)
 
 
 def k_envelope(
@@ -352,7 +362,7 @@ def interp_quasinorm(
         return 0.0
     log_value = _log_sup(env, theta) if q == math.inf else _log_integral(env, theta, q) / q
     value = math.exp(min(log_value, _LOG_FLOAT_MAX))
-    if log_value > _LOG_FLOAT_MAX or value == 0.0:
+    if not log_value <= _LOG_FLOAT_MAX or value == 0.0:  # nan included
         raise NumericError(f"interpolation quasinorm leaves the float range at q = {q!r}")
     return value
 
@@ -405,16 +415,19 @@ def _log_integral(env: KEnvelope, theta: float, q: float) -> float:
         total -= e[:-1] @ np.expm1(p0 * (lv[1:] - lv[:-1])) / p0
         return float(top + math.log(total))
     lb = env.log_breaks
-    head = q * math.log(env.v[0]) + p1 * lb[0] - math.log(p1)  # K = t v on (0, b_0]
-    tail = q * math.log(env.m[-1]) - p0 * lb[-1] - math.log(p0)  # K = m past b_last
+    b_0, b_last = float(lb[0]), float(lb[-1])  # Python floats overflow to inf silently
+    head = q * math.log(env.v[0]) + p1 * b_0 - math.log(p1)  # K = t v on (0, b_0]
+    tail = q * math.log(env.m[-1]) - p0 * b_last - math.log(p0)  # K = m past b_last
+    if not (math.isfinite(head) and math.isfinite(tail)):
+        raise NumericError(f"the log of the K2 integral passes the float range at q = {q!r}")
     lo, hi, lm, lv = lb[:-1], lb[1:], np.log(env.m[1:-1]), np.log(env.v[1:-1])
     slope = q * max(theta, 1.0 - theta)
     h = min(1.0, _GL_SPLIT / slope)
-    if lb[-1] - lb[0] > _GL_TRIM_ROWS * h:
+    if b_last - b_0 > _GL_TRIM_ROWS * h:
         # The integral is at least e^(g(b) - 1) / slope at a break b, and
         # K <= sqrt(2) max(m, t v) bounds g by max(q lm - p0 u, q lv + p1 u)
         # + (q/2) log 2, which stays below `cut` for u in (a, b).
-        cut = q * _log_sup(env, theta) - 1.0 - math.log(slope * (lb[-1] - lb[0]))
+        cut = q * _log_sup(env, theta) - 1.0 - math.log(slope * (b_last - b_0))
         cut -= _TRIM_LOG + 0.5 * q * math.log(2.0)
         a = np.minimum(np.maximum((q * lm - cut) / p0, lo), hi)
         b = np.minimum(np.maximum((cut - q * lv) / p1, a), hi)

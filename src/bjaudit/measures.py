@@ -36,6 +36,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_ID_PREFIX = tuple(f"a{i}" for i in range(256))
+
+
+def _default_ids(n: int) -> tuple[str, ...]:
+    """The atom ids a0, ..., a{n-1}; those of up to 256 atoms are built once."""
+    return _ID_PREFIX[:n] if n <= len(_ID_PREFIX) else tuple(f"a{i}" for i in range(n))
+
+
+def _check_weights(w: np.ndarray) -> None:
+    if w.size and (not np.isfinite(w).all() or (w <= 0.0).any()):
+        raise DomainError("every weight must be a positive finite real")
+
+
+def _check_magnitudes(m: np.ndarray) -> None:
+    if m.size and (not np.isfinite(m).all() or (m < 0.0).any()):
+        raise DomainError("magnitudes must be nonnegative finite reals")
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasureSpace:
     """Ordered atoms with strictly positive weights."""
@@ -47,12 +65,9 @@ class DiscreteMeasureSpace:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if w.ndim != 1:
             raise UsageError("weights must be a 1-d sequence")
-        if w.size and (not np.isfinite(w).all() or (w <= 0.0).any()):
-            raise DomainError("every weight must be a positive finite real")
+        _check_weights(w)
         object.__setattr__(self, "weights", _freeze(w))
-        ids = tuple(self.atom_ids) if self.atom_ids else tuple(
-            f"a{i}" for i in range(w.size)
-        )
+        ids = tuple(self.atom_ids) if self.atom_ids else _default_ids(w.size)
         if len(ids) != w.size:
             raise UsageError(
                 f"atom_ids length {len(ids)} does not match weight count {w.size}"
@@ -84,11 +99,39 @@ class SimpleFunction:
         m = np.atleast_1d(np.asarray(self.magnitudes, dtype=float))
         if m.ndim != 1:
             raise UsageError("magnitudes must be a 1-d sequence")
-        if m.size and (not np.isfinite(m).all() or (m < 0.0).any()):
-            raise DomainError("magnitudes must be nonnegative finite reals")
+        _check_magnitudes(m)
         if not (math.isfinite(self.support_threshold) and self.support_threshold >= 0):
             raise DomainError("support_threshold must be >= 0")
         object.__setattr__(self, "magnitudes", _freeze(m))
+
+
+def _instances_from_block(
+    weights: np.ndarray, mags: np.ndarray, sizes: list[int]
+) -> list[tuple[DiscreteMeasureSpace, SimpleFunction]]:
+    """(space, function) pairs over consecutive runs of `sizes` atoms.
+
+    The flat weight and magnitude arrays are checked once, with the
+    constructors' own predicates, and frozen; each pair holds read-only
+    slices of them, default atom ids and a zero support threshold.  This is
+    the only code that builds the two classes without __post_init__.
+    """
+    weights, mags = _freeze(weights), _freeze(mags)
+    if not weights.shape == mags.shape == (sum(sizes),):
+        raise UsageError("a block needs 1-d weights and magnitudes covering its sizes")
+    _check_weights(weights)
+    _check_magnitudes(mags)
+    pairs = []
+    stop = 0
+    for n in sizes:
+        start, stop = stop, stop + n
+        sp = object.__new__(DiscreteMeasureSpace)
+        object.__setattr__(sp, "weights", weights[start:stop])
+        object.__setattr__(sp, "atom_ids", _default_ids(n))
+        f = object.__new__(SimpleFunction)
+        object.__setattr__(f, "magnitudes", mags[start:stop])
+        object.__setattr__(f, "support_threshold", 0.0)
+        pairs.append((sp, f))
+    return pairs
 
 
 def _check_aligned(f: SimpleFunction, sp: DiscreteMeasureSpace) -> None:
@@ -144,8 +187,13 @@ def lp_norm(f: SimpleFunction, sp: DiscreteMeasureSpace, p: float) -> float:
         raise DomainError(f"p must be in (0,inf), inf, or 0; got {p!r}")
     if f.magnitudes.size == 0:
         return 0.0
+    return _lp_root(sp.weights, f.magnitudes, p)
+
+
+def _lp_root(weights: np.ndarray, mags: np.ndarray, p: float) -> float:
+    """(sum weights * mags^p)^(1/p); NumericError where it passes the float range."""
     with np.errstate(over="ignore"):
-        total = float(np.sum(sp.weights * f.magnitudes**p))
+        total = float(np.sum(weights * mags**p))
     if not math.isfinite(total):
         raise NumericError(f"the L^{p:g} sum overflows a float")
     return _float_pow(total, 1.0 / p, f"the L^{p:g} norm overflows a float")

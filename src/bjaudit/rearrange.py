@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NumericError
 from .jsonutil import require_finite
-from .measures import DiscreteMeasureSpace, SimpleFunction, sorted_mass_profile, _freeze
+from .measures import (
+    DiscreteMeasureSpace,
+    SimpleFunction,
+    _freeze,
+    _lp_root,
+    sorted_mass_profile,
+)
 
 __all__ = [
     "StepFunction",
@@ -118,15 +124,17 @@ def eval_step(sf: StepFunction, t):
 
 
 def lp_from_rearrangement(sf: StepFunction, p: float) -> float:
-    """(sum v_i^p (t_i - t_{i-1}))^(1/p); sup value for p = inf."""
+    """(sum v_i^p (t_i - t_{i-1}))^(1/p); sup value for p = inf.
+
+    Raises NumericError where the sum or its root passes the float range.
+    """
     if p == math.inf:
         return sf.sup_value
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
         raise DomainError(f"p must be in (0,inf) or inf, got {p!r}")
     if sf.n_steps == 0:
         return 0.0
-    widths = np.diff(sf.breaks)
-    return float(np.sum(sf.values**p * widths) ** (1.0 / p))
+    return _lp_root(np.diff(sf.breaks), sf.values, p)
 
 
 def _log_space_quasinorm(sf: StepFunction, s: float, tau: float) -> float:

@@ -185,6 +185,60 @@ def test_straddling_grid_avoids_breaks():
     assert straddling_grid(empty_sf).tolist() == [1.0]
 
 
+def _draw_by_draw_random_atoms(n_max, seed, n_draws):
+    """The unblocked generator: one draw, two constructors at a time."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_draws):
+        n = int(rng.integers(1, n_max + 1))
+        weights = rng.uniform(0.1, 3.0, n)
+        mags = rng.uniform(0.05, 5.0, n)
+        tie_mask = rng.random(n) < 0.25
+        mags[tie_mask] = np.round(mags[tie_mask], 1)
+        zero_mask = rng.random(n) < 0.1
+        mags[zero_mask] = 0.0
+        yield (
+            DiscreteMeasureSpace(weights=weights),
+            SimpleFunction(mags),
+        )
+
+
+@pytest.mark.parametrize(
+    "n_max, seed, n_draws", [(1, 0, 5), (5, 3, 50), (8, 41, 2000), (13, 7, 300), (8, 9, 0)]
+)
+def test_random_atoms_blocks_keep_the_draw_by_draw_stream(n_max, seed, n_draws):
+    got = list(random_atoms(n_max, seed, n_draws))
+    want = list(_draw_by_draw_random_atoms(n_max, seed, n_draws))
+    assert len(got) == len(want) == n_draws
+    for (sp, f), (sp_want, f_want) in zip(got, want):
+        assert type(sp) is DiscreteMeasureSpace and type(f) is SimpleFunction
+        assert sp.weights.tobytes() == sp_want.weights.tobytes()
+        assert f.magnitudes.tobytes() == f_want.magnitudes.tobytes()
+        assert sp.atom_ids == sp_want.atom_ids
+        assert f.support_threshold == f_want.support_threshold
+        for arr in (sp.weights, f.magnitudes):
+            assert arr.dtype == float and arr.ndim == 1 and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+def test_random_atoms_argument_errors():
+    for n_max, n_draws in ((0, 5), (3, -1)):
+        with pytest.raises(DomainError):
+            next(random_atoms(n_max, 0, n_draws))
+
+
+@pytest.mark.parametrize("budget", [1, 127, 128, 129, 299])
+def test_search_budget_inside_a_draw_block(budget):
+    p = params_from_s_tau(1.0, 2.0)
+    provider = ConstantProvider("paper-c")
+    got = counterexample_search(p, provider, random_atoms(8, 41, 300), budget=budget)
+    want = counterexample_search(
+        p, provider, _draw_by_draw_random_atoms(8, 41, 300), budget=budget
+    )
+    assert got.n_instances == budget
+    assert got.to_json_dict() == want.to_json_dict()
+
+
 def test_search_zero_budget():
     p = params_from_s_tau(1.0, 1.0)
     res = counterexample_search(

@@ -1,0 +1,138 @@
+"""The exit-code contract under warnings as errors.
+
+Every run exits 0 (result), 2 (usage or domain error) or 3 (numeric error)
+with no traceback, and no numpy RuntimeWarning may reach the user: here a
+warning would surface as an exception out of cli.main.  Library functions
+that the CLI does not reach are held to the same rule: a typed
+NumericError or a finite value, never a warning.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from bjaudit import (
+    DiscreteMeasureSpace,
+    NumericError,
+    SimpleFunction,
+    decreasing_rearrangement,
+    interp_quasinorm,
+    k2_exhaustive,
+    k2_functional,
+    k_envelope,
+    lp_from_rearrangement,
+)
+from bjaudit.cli import main
+
+INPUTS = {
+    "ref": "atom_id,weight,magnitude\na0,0.5,5.0\na1,1.0,3.0\na2,2.0,1.0\n",
+    "extreme": "atom_id,weight,magnitude\na0,1.0,1e300\na1,1.0,1e-300\n",
+    "overflowing_mass": "atom_id,weight,magnitude\na0,1e308,2.0\na1,1e308,1.0\n",
+    "huge_q": "atom_id,weight,magnitude\na0,1e10,1e300\n",
+    "huge_support": "atom_id,weight,magnitude\na0,1e160,1e-100\n",
+    "small_mass": "atom_id,weight,magnitude\na0,0.5,2.0\na1,0.25,1.0\n",
+    # one atom whose grid point b (1 + 1e-3) passes the float range
+    "max_weight": "atom_id,weight,magnitude\na0,1.7e308,1.0\n",
+    # ||f||_1 = 3e150 over t near 5e-324: the weak-L1 right-hand side overflows
+    "weak_l1_overflow": (
+        "atom_id,weight,magnitude\na0,1e-150,1e-300\na1,5e-324,1.7e308\na2,1e150,3\n"
+    ),
+    "trig_square_overflow": "k,re,im\n0,1,0\n1,1e200,0\n",
+    "trig_sum_overflow": "k,re,im\n1,1.3e154,0\n2,1.3e154,0\n",
+}
+EXTREMES = (
+    "extreme", "overflowing_mass", "huge_q", "huge_support", "max_weight", "weak_l1_overflow"
+)
+JACKSON_HUGE_S = ["--s", "1e6", "--tau", "3", "--provider", "paper-with-factor"]
+
+CASES = [
+    ("max_weight", ["audit", "--name", "q2", "--theta", "0.5"], 3),
+    ("weak_l1_overflow", ["audit", "--name", "weak-l1"], 3),
+    ("ref", ["audit", "--name", "jackson", "--s", "2", "--tau", "2", "--grid", "1e-200"], 3),
+    ("extreme", ["quasinorm", "--s", "3", "--tau", "4"], 3),
+    ("overflowing_mass", ["rearrange"], 3),
+    ("overflowing_mass", ["audit", "--name", "jackson", "--s", "1", "--tau", "2"], 3),
+    ("overflowing_mass", ["audit", "--name", "weak-l1"], 3),
+    ("huge_q", ["quasinorm", "--s", "1", "--tau", "0.001"], 3),
+    ("huge_q", ["quasinorm", "--s", "1", "--tau", "inf"], 3),
+    ("huge_q", ["audit", "--name", "jackson", "--s", "1", "--tau", "2"], 3),
+    ("huge_support", ["audit", "--name", "bernstein-right", "--s", "2", "--tau", "1"], 3),
+    ("small_mass", ["audit", "--name", "jackson", *JACKSON_HUGE_S], 3),
+    ("trig_square_overflow", ["trig"], 3),
+    ("trig_sum_overflow", ["trig"], 3),
+    (None, ["search", "--draws", "5", *JACKSON_HUGE_S], 3),
+    (None, ["constants", "--s", "1e3", "--tau", "0.001"], 3),
+    (None, ["demo-invgauss", "--s", "2000", "--tau", "2", "--u-grid", "0.5:1:2"], 3),
+    # every command on every extreme instance keeps the contract, whatever its code
+    *(
+        (name, argv, None)
+        for name in EXTREMES
+        for argv in (
+            ["rearrange"],
+            ["quasinorm", "--s", "1", "--tau", "2"],
+            ["audit", "--name", "jackson", "--s", "1", "--tau", "2"],
+            ["audit", "--name", "bernstein-right", "--s", "1", "--tau", "2"],
+            ["audit", "--name", "weak-l1"],
+            ["audit", "--name", "q2", "--theta", "0.5"],
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name, argv, want", CASES)
+def test_exit_contract_without_warnings(capsys, tmp_path, name, argv, want, fmt):
+    if name is not None:
+        path = tmp_path / "input.csv"
+        path.write_text(INPUTS[name])
+        argv = argv + ["--input", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--format", fmt])
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3) if want is None else code == want
+    assert "Traceback" not in err and "Warning" not in err
+    if code:
+        assert out == "" and err.count("\n") == 1
+
+
+def _instance(weights, mags):
+    return DiscreteMeasureSpace(weights=np.array(weights)), SimpleFunction(np.array(mags))
+
+
+def test_lp_from_rearrangement_root_overflow_is_numeric_error():
+    # the sum 1e125 is finite, but its fourth power is not; lp_norm agrees
+    sp, f = _instance([1e100], [1e100])
+    sf = decreasing_rearrangement(f, sp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="norm overflows"):
+            lp_from_rearrangement(sf, 0.25)
+        assert lp_from_rearrangement(sf, 0.5) == pytest.approx(1e300, rel=1e-12)
+
+
+def test_k2_is_finite_where_its_squares_overflow():
+    # K2(1e100) = ||f||_0 = 1e200, while m^2 and (t v)^2 pass the float range
+    sp, f = _instance([1e-200, 1.0, 1e200], [1e-300, 1.0, 1e300])
+    t = 1e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [
+            float(k_envelope(f, sp, "k2")(np.array([t]))[0]),
+            k2_functional(f, sp, t),
+            k2_exhaustive(f, sp, t),
+        ]
+    assert got == [1e200, 1e200, 1e200]
+
+
+@pytest.mark.parametrize("theta, q", [(0.5, 1e308), (0.5, 1.7e308), (0.9, 1e308)])
+def test_interp_k2_at_huge_q_is_numeric_error(theta, q):
+    rng = np.random.default_rng(41)
+    wide = _instance(rng.uniform(0.1, 3.0, 24), rng.uniform(0.05, 5.0, 24))
+    narrow = _instance([1.0, 2.0], [3.0, 1.0])
+    for sp, f in (wide, narrow):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                interp_quasinorm(f, sp, theta, q)
