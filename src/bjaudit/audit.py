@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, UsageError
-from .jsonutil import dumps17, require_finite
+from .jsonutil import csv_text, dumps17
 from .measures import (
     DiscreteMeasureSpace,
     SimpleFunction,
@@ -40,6 +40,7 @@ __all__ = [
     "SearchResult",
     "random_atoms",
     "indicator_sweep",
+    "report_csv",
     "straddling_grid",
     "WEAK_L1_VARIANTS",
 ]
@@ -121,12 +122,14 @@ class AuditReport:
         return dumps17(self.to_json_dict()) + "\n"
 
     def to_csv_text(self) -> str:
-        require_finite(itertools.chain(self.lhs, self.rhs, self.margin))
-        lines = ["t,lhs,rhs,margin"]
-        for t, lo, hi, mg in zip(self.grid, self.lhs, self.rhs, self.margin):
-            t_txt = "" if t is None else repr(float(t))
-            lines.append(f"{t_txt},{lo!r},{hi!r},{mg!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(*report_csv(vars(self)))
+
+
+def report_csv(doc: dict | None) -> tuple[tuple[str, ...], list]:
+    """The CSV header t,lhs,rhs,margin and columns of a report: the lists of its
+    JSON dict or its fields (uncopied), or no rows for None (an empty search)."""
+    keys = ("grid", "lhs", "rhs", "margin")
+    return ("t", *keys[1:]), [[] if doc is None else doc[k] for k in keys]
 
 
 def _build_report(
@@ -170,7 +173,7 @@ def _pointwise_audit(
     """f*(t) <= rhs_of(ts) at each t of the grid (None: straddling_grid(sf))."""
     ts = _check_grid(straddling_grid(sf) if grid is None else grid)
     # A right-hand side past the float range is reported by the writers
-    # (require_finite), so its overflow is no warning here.
+    # (NumericError), so its overflow is no warning here.
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = rhs_of(ts)
     return _build_report(name, params, ts.tolist(), eval_step(sf, ts), rhs, abs_tol)

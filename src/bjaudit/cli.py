@@ -4,6 +4,9 @@ One subcommand per capability; every run is deterministic given argv, input
 files, and --seed, and all JSON floats carry 17 significant digits.  Exit
 codes: 0 for success (a detected inequality violation is a result, so it
 also exits 0), 2 for usage or domain errors, 3 for numeric failures.
+
+Each cmd_* returns the JSON object and the CSV header and columns, lists
+taken from that object; main reads --format and renders once (jsonutil).
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from .audit import (
     counterexample_search,
     indicator_sweep,
     random_atoms,
+    report_csv,
 )
-from .errors import DomainError, NumericError, UsageError
+from .errors import BJAuditError, DomainError, UsageError
 from .functionals import e_functional_trig, load_trig_csv
 from .invgauss import InvGaussParams, demo_pipeline
-from .jsonutil import dumps17, infinite_param, require_finite
+from .jsonutil import csv_text, dumps17, infinite_param
 from .measures import load_instance_csv, lp_norm
 from .params import (
     ApproxParams,
@@ -41,7 +45,7 @@ from .params import (
     params_from_s_tau,
     params_from_theta_q,
 )
-from .rearrange import approx_quasinorm, decreasing_rearrangement, step_csv_text
+from .rearrange import approx_quasinorm, decreasing_rearrangement, step_csv, step_csv_text
 from .spectral import (
     audit_spectral_bound,
     load_matrix_csv,
@@ -111,21 +115,13 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _kv_csv(pairs) -> str:
-    lines = ["key,value"]
-    for k, v in pairs:
-        if v is None:
-            lines.append(f"{k},")
-        elif isinstance(v, float):
-            if not infinite_param(k, v):
-                require_finite((v,))
-            lines.append(f"{k},{float(v)!r}")
-        else:
-            lines.append(f"{k},{v}")
-    return "\n".join(lines) + "\n"
+def _kv_output(obj: dict):
+    """A flat JSON object, in CSV one key,value row per entry."""
+    values = ["inf" if infinite_param(k, v) else v for k, v in obj.items()]
+    return obj, ("key", "value"), [list(obj), values]
 
 
-def cmd_constants(args) -> str:
+def cmd_constants(args):
     p = resolve_params(args)
     out: dict[str, object] = {
         "theta": p.theta,
@@ -149,30 +145,22 @@ def cmd_constants(args) -> str:
         out["consistency_abs_diff"] = rep["abs_diff"]
     except DomainError:
         out["consistency_abs_diff"] = None
-    if args.format == "json":
-        return dumps17(out) + "\n"
-    return _kv_csv(out.items())
+    return _kv_output(out)
 
 
-def cmd_rearrange(args) -> str:
+def cmd_rearrange(args):
     sp, f = load_instance_csv(args.input)
     sf = decreasing_rearrangement(f, sp)
-    if args.format == "json":
-        return (
-            dumps17(
-                {
-                    "breaks": [float(b) for b in sf.breaks],
-                    "values": [float(v) for v in sf.values],
-                    "support_mass": sf.support_mass if sf.n_steps else 0.0,
-                    "sup_value": sf.sup_value if sf.n_steps else 0.0,
-                }
-            )
-            + "\n"
-        )
-    return step_csv_text(sf)
+    out = {
+        "breaks": sf.breaks.tolist(),
+        "values": sf.values.tolist(),
+        "support_mass": sf.support_mass,
+        "sup_value": sf.sup_value,
+    }
+    return (out, *step_csv(out["breaks"], out["values"]))
 
 
-def cmd_quasinorm(args) -> str:
+def cmd_quasinorm(args):
     p = resolve_params(args)
     sp, f = load_instance_csv(args.input)
     sf = decreasing_rearrangement(f, sp)
@@ -186,16 +174,14 @@ def cmd_quasinorm(args) -> str:
         "l2": lp_norm(f, sp, 2.0),
         "linf": lp_norm(f, sp, math.inf),
     }
-    if args.format == "json":
-        return dumps17(out) + "\n"
-    return _kv_csv(out.items())
+    return _kv_output(out)
 
 
 def _grid(args) -> np.ndarray | None:
     return None if args.grid is None else parse_grid(args.grid)
 
 
-def cmd_audit(args) -> str:
+def cmd_audit(args):
     name = args.name.replace("_", "-")
     sp, f = load_instance_csv(args.input)
     if name == "jackson":
@@ -217,24 +203,19 @@ def cmd_audit(args) -> str:
         rep = audit_q2(f, sp, args.theta, _grid(args))
     else:
         raise UsageError(f"unknown audit name {args.name!r}; choose from {AUDIT_NAMES}")
-    if args.format == "json":
-        return rep.to_json_text()
-    return rep.to_csv_text()
+    out = rep.to_json_dict()
+    return (out, *report_csv(out))
 
 
-def cmd_search(args) -> str:
+def cmd_search(args):
     p = resolve_params(args)
     provider = ConstantProvider(args.provider)
     if args.generator == "random-atoms":
         gen = random_atoms(args.n_max, args.seed, args.draws)
     else:
         gen = indicator_sweep()
-    result = counterexample_search(p, provider, gen, budget=args.budget)
-    if args.format == "json":
-        return dumps17(result.to_json_dict()) + "\n"
-    if result.report is None:
-        return "t,lhs,rhs,margin\n"
-    return result.report.to_csv_text()
+    out = counterexample_search(p, provider, gen, budget=args.budget).to_json_dict()
+    return (out, *report_csv(out["report"]))
 
 
 def _spectral_g(name: str):
@@ -248,20 +229,18 @@ def _spectral_g(name: str):
     raise UsageError(f"unknown g {name!r}; choose from {SPECTRAL_G}")
 
 
-def cmd_spectral(args) -> str:
+def cmd_spectral(args):
     matrix = load_matrix_csv(args.matrix)
     psi = load_state_csv(args.state)
     model = spectral_measure(matrix, psi)
     rep = audit_spectral_bound(model, _spectral_g(args.g), args.variant, _grid(args))
-    if args.format == "json":
-        out = rep.to_json_dict()
-        out["eigenvalues"] = [float(x) for x in model.eigenvalues]
-        out["weights"] = [float(x) for x in model.weights]
-        return dumps17(out) + "\n"
-    return rep.to_csv_text()
+    out = rep.to_json_dict()
+    out["eigenvalues"] = model.eigenvalues.tolist()
+    out["weights"] = model.weights.tolist()
+    return (out, *report_csv(out))
 
 
-def cmd_demo_invgauss(args) -> str:
+def cmd_demo_invgauss(args):
     p = InvGaussParams(amplitude=args.C, mean=args.m, shape=args.l)
     u_grid = parse_grid(args.u_grid) if args.u_grid is not None else None
     result = demo_pipeline(
@@ -276,25 +255,11 @@ def cmd_demo_invgauss(args) -> str:
         _emit(step_csv_text(result.rearrangement), args.steps_out)
     if args.metadata_out is not None:
         _emit(result.metadata_json_text(), args.metadata_out)
-    if args.format == "json":
-        return (
-            dumps17(
-                {
-                    "metadata": result.metadata,
-                    "table": {
-                        "u": list(result.u_grid),
-                        "f_star": list(result.f_star),
-                        "e_value": list(result.e_value),
-                        "jackson_bound": list(result.jackson_bound),
-                    },
-                }
-            )
-            + "\n"
-        )
-    return result.to_csv_text()
+    table = result.table()
+    return {"metadata": result.metadata, "table": table}, tuple(table), list(table.values())
 
 
-def cmd_trig(args) -> str:
+def cmd_trig(args):
     coeffs = load_trig_csv(args.input)
     if args.n_max is not None:
         n_max = args.n_max
@@ -304,13 +269,7 @@ def cmd_trig(args) -> str:
         n_max = max((abs(int(k)) for k in coeffs), default=0) + 1
     ns = list(range(1, n_max + 1))
     es = [e_functional_trig(coeffs, n) for n in ns]
-    if args.format == "json":
-        return dumps17({"n": ns, "e_value": es}) + "\n"
-    require_finite(es)
-    lines = ["n,e_value"]
-    for n, e in zip(ns, es):
-        lines.append(f"{n},{e!r}")
-    return "\n".join(lines) + "\n"
+    return {"n": ns, "e_value": es}, ("n", "e_value"), [ns, es]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,13 +374,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        text = args.func(args)
-    except (UsageError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
+        obj, header, columns = args.func(args)
+        text = dumps17(obj) + "\n" if args.format == "json" else csv_text(header, columns)
+    except BJAuditError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     _emit(text, args.out)
     return 0
 

@@ -5,11 +5,16 @@ Three failure kinds are kept apart on purpose: bad mathematical input
 (UsageError), and numerical routines that cannot certify their own output
 (NumericError and its quadrature specialization).  Detected inequality
 violations are *results*, never exceptions.
+
+Each class carries its CLI exit code and the prefix of its stderr line.
 """
 
 
 class BJAuditError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
+    prefix = "error"
 
 
 class DomainError(BJAuditError, ValueError):
@@ -22,6 +27,9 @@ class UsageError(BJAuditError, ValueError):
 
 class NumericError(BJAuditError, ArithmeticError):
     """A numerical routine could not certify its result."""
+
+    exit_code = 3
+    prefix = "numeric error"
 
 
 class QuadratureError(NumericError):

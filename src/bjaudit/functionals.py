@@ -345,7 +345,7 @@ def interp_quasinorm(
     K is K2, or K_inf with kfunc="kinf", taken over the pieces of
     k_envelope and summed in log space: the first (K = t ||f||_inf), the
     last (K = ||f||_0) and each K_inf piece integrate in closed form, the
-    interior K2 pieces by one fixed Gauss-Legendre pass (_log_integral).
+    interior K2 pieces by one fixed Gauss-Legendre pass (_log_quasinorm).
     K_inf obeys I^q = (1/theta) Q_{s,tau}^{theta q} at s = 1/theta - 1,
     tau = theta q, an identity the tests use as an oracle.  q = inf is the
     exact max over the breakpoints: on each piece t^-theta K(t) is monotone
@@ -360,7 +360,7 @@ def interp_quasinorm(
     env = k_envelope(f, sp, kfunc)
     if env.log_breaks.size == 0:  # f = 0
         return 0.0
-    log_value = _log_sup(env, theta) if q == math.inf else _log_integral(env, theta, q) / q
+    log_value = _log_sup(env, theta) if q == math.inf else _log_quasinorm(env, theta, q)
     value = math.exp(min(log_value, _LOG_FLOAT_MAX))
     if not log_value <= _LOG_FLOAT_MAX or value == 0.0:  # nan included
         raise NumericError(f"interpolation quasinorm leaves the float range at q = {q!r}")
@@ -398,22 +398,25 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 0.5 * (np.concatenate([x20, x10]) + 1.0), 0.5 * w20, 0.5 * w10
 
 
-def _log_integral(env: KEnvelope, theta: float, q: float) -> float:
-    """log int_0^inf (t^-theta K(t))^q dt/t = log int e^g(u) du, u = log t."""
+def _log_quasinorm(env: KEnvelope, theta: float, q: float) -> float:
+    """(1/q) log int_0^inf (t^-theta K(t))^q dt/t = (1/q) log int e^g(u) du, u = log t."""
     p0, p1 = theta * q, (1.0 - theta) * q
     if env.kfunc == "kinf":
         # g is piecewise linear: it rises with slope p1 to a peak at each
         # break (t v_j = m_{j+1}), then falls with slope -p0 until t v_{j+1}
         # = m_{j+1}.  Each slope integrates to e^peak (1 - e^-drop) / |slope|,
         # the first rise (from m = 0) and the last fall (to v = 0) to e^peak.
+        # The peaks are taken over q, which cannot overflow; a product with q
+        # that does (q near 1e308) only sends its exponential to 0.
         lm, lv = np.log(env.m[1:]), np.log(env.v[:-1])
-        peak = p1 * lm + p0 * lv
+        peak = (1.0 - theta) * lm + theta * lv
         top = peak.max()
-        e = np.exp(peak - top)
-        total = e[0] / p1 + e[-1] / p0
-        total -= e[1:] @ np.expm1(p1 * (lm[:-1] - lm[1:])) / p1
-        total -= e[:-1] @ np.expm1(p0 * (lv[1:] - lv[:-1])) / p0
-        return float(top + math.log(total))
+        with np.errstate(over="ignore"):
+            e = np.exp(q * (peak - top))
+            total = e[0] / p1 + e[-1] / p0
+            total -= e[1:] @ np.expm1(p1 * (lm[:-1] - lm[1:])) / p1
+            total -= e[:-1] @ np.expm1(p0 * (lv[1:] - lv[:-1])) / p0
+        return float(top + math.log(total) / q)
     lb = env.log_breaks
     b_0, b_last = float(lb[0]), float(lb[-1])  # Python floats overflow to inf silently
     head = q * math.log(env.v[0]) + p1 * b_0 - math.log(p1)  # K = t v on (0, b_0]
@@ -458,4 +461,4 @@ def _log_integral(env: KEnvelope, theta: float, q: float) -> float:
         total, error = total + weight[c] @ fine, error + weight[c] @ abs(fine - coarse)
     if error > _GL_TOL * total:
         raise QuadratureError(f"K2 quadrature error estimate {error / total:.2e} exceeds {_GL_TOL}")
-    return float(top + math.log(total))
+    return float(top + math.log(total)) / q

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .jsonutil import dumps17, require_finite
+from .jsonutil import csv_text, dumps17
 from .measures import gaussian_measure_space, lp_norm
 from .params import c_exact, params_from_s_tau
 from .rearrange import (
@@ -92,14 +92,14 @@ class DemoResult:
     metadata: dict = field(repr=False)
     rearrangement: StepFunction = field(repr=False)
 
+    def table(self) -> dict:
+        """The tabulated columns by name, in CSV column order."""
+        columns = (self.u_grid, self.f_star, self.e_value, self.jackson_bound)
+        return dict(zip(("u", "f_star", "e_value", "jackson_bound"), map(list, columns)))
+
     def to_csv_text(self) -> str:
-        require_finite(self.u_grid + self.f_star + self.e_value + self.jackson_bound)
-        lines = ["u,f_star,e_value,jackson_bound"]
-        for u, fs, ev, jb in zip(
-            self.u_grid, self.f_star, self.e_value, self.jackson_bound
-        ):
-            lines.append(f"{u!r},{fs!r},{ev!r},{jb!r}")
-        return "\n".join(lines) + "\n"
+        table = self.table()
+        return csv_text(tuple(table), table.values())
 
     def metadata_json_text(self) -> str:
         return dumps17(self.metadata) + "\n"

@@ -1,25 +1,26 @@
-"""Deterministic JSON with floats at 17 significant digits.
-
-The stdlib encoder writes shortest-round-trip floats; report consumers want a
-fixed width instead, so every float is rendered with %.17g (which still
-round-trips exactly).
+"""The report writers: every JSON report goes through dumps17, every CSV one
+through csv_text.  The stdlib encoder writes shortest-round-trip floats; report
+consumers want a fixed width instead, so every JSON float is rendered with
+%.17g (which still round-trips exactly).  A CSV float is written with repr.
 
 Reports carry finite numbers only, in JSON and CSV alike: a NaN or infinity
 raises NumericError, which the CLI turns into exit code 3.  The one exception
 is an echoed parameter (theta, q, s or tau): q = tau = inf is the sup end of
-the scale, so an infinite parameter is written as the string "inf" in JSON
-and as inf in CSV.
+the scale, so an infinite parameter is written as the string "inf" in JSON,
+and its caller passes the string "inf" to csv_text.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import NumericError
 
-__all__ = ["dumps17", "infinite_param", "require_finite"]
+__all__ = ["csv_text", "dumps17", "infinite_param"]
 
 _NON_FINITE = "reports must not contain NaN or infinity"
+_CSV_CHUNK = 4096
 
 _PARAM_KEYS = frozenset(("theta", "q", "s", "tau"))
 
@@ -92,4 +93,36 @@ def _encode(obj, out: list[str], indent: int) -> None:
 def dumps17(obj) -> str:
     out: list[str] = []
     _encode(obj, out, 0)
+    return "".join(out)
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        require_finite((v,))
+        return repr(float(v))
+    return str(v)
+
+
+def csv_text(header, columns) -> str:
+    """A header line of the names in `header`, then one line per row of the
+    equal-length `columns`.  A float is written with repr and must be finite,
+    None as an empty field, anything else with str."""
+    specs, cells = [], []
+    for col in columns:
+        if set(map(type, col)) == {float}:
+            # A column of plain floats is checked and rendered in one pass.
+            require_finite(col)
+            specs.append("%r")
+            cells.append(col)
+        else:
+            specs.append("%s")
+            cells.append([_csv_cell(v) for v in col])
+    rows = zip(*cells, strict=True)
+    line = ",".join(specs) + "\n"
+    out = [",".join(header) + "\n"]
+    # One format pass per _CSV_CHUNK rows keeps each argument tuple small.
+    while chunk := tuple(itertools.chain.from_iterable(itertools.islice(rows, _CSV_CHUNK))):
+        out.append(line * (len(chunk) // len(cells)) % chunk)
     return "".join(out)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError, UsageError
+from .jsonutil import csv_text
 from .params import _float_pow
 
 __all__ = [
@@ -149,19 +150,23 @@ def sorted_mass_profile(
 
     This single summation order backs both distribution_function and the
     decreasing rearrangement, which makes equimeasurability exact in floats,
-    not just up to rounding.
+    not just up to rounding.  Weights that sum past the float range give inf
+    without a warning; the callers that need a finite mass raise NumericError.
     """
     _check_aligned(f, sp)
     pos = f.magnitudes > 0.0
     mags = f.magnitudes[pos]
     w = sp.weights[pos]
     order = np.argsort(-mags, kind="stable")
-    return mags[order], np.cumsum(w[order])
+    with np.errstate(over="ignore"):
+        return mags[order], np.cumsum(w[order])
 
 
 def _mass_above(mags_desc: np.ndarray, cumw: np.ndarray, sigma: float) -> float:
     # number of sorted magnitudes strictly above sigma
     k = int(np.searchsorted(-mags_desc, -sigma, side="left"))
+    if k and not math.isfinite(cumw[k - 1]):
+        raise NumericError("the weights above sigma sum past the float range")
     return float(cumw[k - 1]) if k > 0 else 0.0
 
 
@@ -341,7 +346,5 @@ def load_instance_csv(path_or_text: str) -> tuple[DiscreteMeasureSpace, SimpleFu
 
 def instance_csv_text(sp: DiscreteMeasureSpace, f: SimpleFunction) -> str:
     _check_aligned(f, sp)
-    lines = ["atom_id,weight,magnitude"]
-    for aid, w, m in zip(sp.atom_ids, sp.weights, f.magnitudes):
-        lines.append(f"{aid},{float(w)!r},{float(m)!r}")
-    return "\n".join(lines) + "\n"
+    columns = (sp.atom_ids, sp.weights.tolist(), f.magnitudes.tolist())
+    return csv_text(("atom_id", "weight", "magnitude"), columns)

@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericError
-from .jsonutil import require_finite
+from .jsonutil import csv_text
 from .measures import (
     DiscreteMeasureSpace,
     SimpleFunction,
@@ -30,6 +30,7 @@ __all__ = [
     "eval_step",
     "lp_from_rearrangement",
     "approx_quasinorm",
+    "step_csv",
     "step_csv_text",
 ]
 
@@ -81,8 +82,7 @@ def decreasing_rearrangement(
 
     Raises NumericError when the kept weights sum past the float range.
     """
-    with np.errstate(over="ignore"):
-        mags, cumw = sorted_mass_profile(f, sp)
+    mags, cumw = sorted_mass_profile(f, sp)
     keep = mags > f.support_threshold
     mags, cumw = mags[keep], cumw[keep]
     if mags.size == 0:
@@ -188,15 +188,12 @@ def approx_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
     return _log_space_quasinorm(sf, s, tau)
 
 
-def step_csv_text(sf: StepFunction) -> str:
-    """CSV rows t_break,value: each row's value holds on [t_break, next break).
+def step_csv(breaks: list, values: list) -> tuple[tuple[str, str], list]:
+    """The CSV header t_break,value and columns of a step function's breaks and
+    values: each value holds on [t_break, next break), and a final row (the
+    last break, 0.0) marks where the function falls to zero."""
+    return ("t_break", "value"), [breaks, values + [0.0]] if values else [[], []]
 
-    A final row marks where the function falls to zero.
-    """
-    require_finite(np.concatenate((sf.breaks, sf.values)))
-    lines = ["t_break,value"]
-    for left, v in zip(sf.breaks[:-1], sf.values):
-        lines.append(f"{float(left)!r},{float(v)!r}")
-    if sf.n_steps:
-        lines.append(f"{float(sf.breaks[-1])!r},0.0")
-    return "\n".join(lines) + "\n"
+
+def step_csv_text(sf: StepFunction) -> str:
+    return csv_text(*step_csv(sf.breaks.tolist(), sf.values.tolist()))

@@ -18,6 +18,7 @@ import numpy as np
 
 from .audit import AuditReport, audit_weak_l1
 from .errors import DomainError, NumericError, UsageError
+from .jsonutil import csv_text
 from .measures import (
     DiscreteMeasureSpace,
     SimpleFunction,
@@ -251,17 +252,11 @@ def matrix_csv_text(matrix) -> str:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix must be square, got shape {a.shape}")
-    lines = ["row,col,re,im"]
-    n = a.shape[0]
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"{i},{j},{float(a[i, j].real)!r},{float(a[i, j].imag)!r}")
-    return "\n".join(lines) + "\n"
+    rows, cols = np.divmod(np.arange(a.size), a.shape[0])
+    columns = (rows.tolist(), cols.tolist(), a.real.ravel().tolist(), a.imag.ravel().tolist())
+    return csv_text(("row", "col", "re", "im"), columns)
 
 
 def state_csv_text(psi) -> str:
     v = np.asarray(psi, dtype=complex).ravel()
-    lines = ["index,re,im"]
-    for i, z in enumerate(v):
-        lines.append(f"{i},{float(z.real)!r},{float(z.imag)!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("index", "re", "im"), (range(v.size), v.real.tolist(), v.imag.tolist()))

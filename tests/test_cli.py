@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bjaudit
-from bjaudit import NumericError
+from bjaudit import DomainError, NumericError, QuadratureError, UsageError
 from bjaudit.cli import main, parse_grid
 
 UNIT_INDICATOR = "atom_id,weight,magnitude\na0,1.0,1.0\n"
@@ -373,6 +373,31 @@ def test_numeric_error_exit_code(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, ["rearrange", "--input", str(path)])
     assert code == 3
     assert err.startswith("numeric error:")
+
+
+@pytest.mark.parametrize(
+    "error, want_code, want_prefix",
+    [
+        (DomainError, 2, "error: "),
+        (UsageError, 2, "error: "),
+        (NumericError, 3, "numeric error: "),
+        (QuadratureError, 3, "numeric error: "),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_every_package_error_maps_to_its_exit_code(
+    capsys, monkeypatch, tmp_path, error, want_code, want_prefix, fmt
+):
+    import bjaudit.cli as cli_mod
+
+    def boom(path):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cli_mod, "load_instance_csv", boom)
+    path = tmp_path / "inst.csv"
+    path.write_text(UNIT_INDICATOR)
+    code, out, err = run(capsys, ["rearrange", "--input", str(path), "--format", fmt])
+    assert (code, out, err) == (want_code, "", want_prefix + "synthetic failure\n")
 
 
 EXTREME_INSTANCE = "atom_id,weight,magnitude\na0,1.0,1e300\na1,1.0,1e-300\n"

@@ -18,6 +18,26 @@ def _imported_modules(path):
             yield node.module, node.lineno
 
 
+def _names_used(node):
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name for alias in node.names]
+    return [getattr(node, "id", None), getattr(node, "attr", None)]
+
+
+def test_only_jsonutil_checks_report_finiteness():
+    # jsonutil writes every report: no other module imports or calls
+    # require_finite, so a hand-written CSV writer elsewhere fails here
+    package = Path(bjaudit.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "jsonutil.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "require_finite" in _names_used(node)
+    ]
+    assert found == []
+
+
 def test_runtime_needs_no_scipy():
     # numpy is the only runtime dependency: no module imports scipy, at the
     # top or inside a function, and the package metadata does not ask for it

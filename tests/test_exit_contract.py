@@ -17,11 +17,14 @@ from bjaudit import (
     NumericError,
     SimpleFunction,
     decreasing_rearrangement,
+    distribution_function,
     interp_quasinorm,
     k2_exhaustive,
     k2_functional,
     k_envelope,
     lp_from_rearrangement,
+    lp_norm,
+    truncation_profile,
 )
 from bjaudit.cli import main
 
@@ -110,6 +113,30 @@ def test_lp_from_rearrangement_root_overflow_is_numeric_error():
         with pytest.raises(NumericError, match="norm overflows"):
             lp_from_rearrangement(sf, 0.25)
         assert lp_from_rearrangement(sf, 0.5) == pytest.approx(1e300, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        truncation_profile,
+        k_envelope,
+        lambda f, sp: k_envelope(f, sp, "kinf"),
+        lambda f, sp: interp_quasinorm(f, sp, 0.5, 2.0),
+        lambda f, sp: interp_quasinorm(f, sp, 0.5, 2.0, kfunc="kinf"),
+        lambda f, sp: interp_quasinorm(f, sp, 0.5, np.inf),
+        lambda f, sp: distribution_function(f, sp, 0.5),
+        lambda f, sp: lp_norm(f, sp, 0),
+    ],
+    ids=["truncation_profile", "k_envelope", "k_envelope_kinf", "interp_k2", "interp_kinf",
+         "interp_qinf", "distribution_function", "lp_norm_0"],
+)
+def test_mass_past_the_float_range_is_numeric_error(call):
+    # the running sum of the weights passes the float range
+    sp, f = _instance([1e308, 1e308], [2.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            call(f, sp)
 
 
 def test_k2_is_finite_where_its_squares_overflow():

@@ -33,6 +33,7 @@ from bjaudit import (
     load_trig_csv,
     truncation_profile,
     approx_quasinorm,
+    random_atoms,
 )
 
 
@@ -293,11 +294,10 @@ def test_interp_overflow_is_numeric_error(kfunc):
         )
         with pytest.raises(NumericError):
             interp_quasinorm(f, sp, 1.0 / 3.0, 0.05, kfunc=kfunc)
-        # ||f||_0 itself is past the float range (numpy warns of the overflow
-        # in the running sum of the weights)
+        # ||f||_0 itself is past the float range
         sp = DiscreteMeasureSpace(weights=np.array([1e308, 1e308]))
         f = SimpleFunction(np.array([2.0, 1.0]))
-        with np.errstate(over="ignore"), pytest.raises(NumericError):
+        with pytest.raises(NumericError):
             interp_quasinorm(f, sp, 1.0 / 3.0, 6.0, kfunc=kfunc)
 
 
@@ -318,6 +318,50 @@ def test_envelope_with_absorbed_weights():
             assert got == pytest.approx(want, rel=1e-12)
 
 
+def _mp_log_kinf(f, sp, theta, q):
+    """log I_Kinf from I_Kinf^q = (1/theta) Q_{s,tau}^tau, tau = theta q,
+    s tau = (1 - theta) q, summed over the steps of f* at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    sf = decreasing_rearrangement(f, sp)
+    with mpmath.workdps(30):
+        th, qq = mpmath.mpf(theta), mpmath.mpf(q)
+        st_ = (1 - th) * qq
+        ts = [mpmath.mpf(x) for x in sf.breaks.tolist()]
+        # log of v^tau (t1^(s tau) - t0^(s tau)) per step, which stays fast
+        # where the powers themselves have exponents near 1e308
+        logs = [
+            th * qq * mpmath.log(v) + st_ * mpmath.log(t1)
+            + mpmath.log(-mpmath.expm1(st_ * mpmath.log(t0 / t1)) if t0 else 1)
+            for v, t0, t1 in zip(sf.values.tolist(), ts, ts[1:])
+        ]
+        top = max(logs)
+        log_q_tau = top + mpmath.log(sum(mpmath.exp(x - top) for x in logs)) - mpmath.log(st_)
+        return float((log_q_tau - mpmath.log(th)) / qq)
+
+
+@pytest.mark.parametrize("q", [1e305, 1e306, 1e307, 1e308, 1.7e308])
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_interp_kinf_at_huge_q(theta, q):
+    # p1 log m + p0 log v, the log of a peak of (t^-theta K_inf)^q, passes
+    # the float range here although log I does not.  The last instance has
+    # its top peak there (at theta = 0.1 and q = 1.7e308) and a lower one
+    # inside: a sum taken before dividing by q once dropped the top.
+    draws = list(random_atoms(6, 1, 5))
+    draws.append(
+        (DiscreteMeasureSpace(weights=np.array([0.3, 0.07])), SimpleFunction(np.array([5.0, 0.37])))
+    )
+    for sp, f in draws:
+        want = _mp_log_kinf(f, sp, theta, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = interp_quasinorm(f, sp, theta, q, kfunc="kinf")
+            except NumericError:
+                assert not -700.0 < want < 700.0
+            else:
+                assert math.log(got) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 @given(
     logs=st.lists(
         st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)), min_size=1, max_size=6
@@ -329,21 +373,9 @@ def test_envelope_with_absorbed_weights():
 def test_interp_wide_instances(logs, theta, q):
     # weights and magnitudes from 1e-300 to 1e300: every value either comes
     # out of the log-space sum or is a NumericError, never a numpy warning
-    mpmath = pytest.importorskip("mpmath")
     sp = DiscreteMeasureSpace(weights=np.array([10.0**a for a, _ in logs]))
     f = SimpleFunction(np.array([10.0**b for _, b in logs]))
-    # log I_Kinf from I_Kinf^q = (1/theta) Q_{s,tau}^tau, tau = theta q,
-    # s tau = (1 - theta) q, summed over the steps of f* at 30 digits
-    sf = decreasing_rearrangement(f, sp)
-    with mpmath.workdps(30):
-        th, qq = mpmath.mpf(theta), mpmath.mpf(q)
-        st_ = (1 - th) * qq
-        ts = [mpmath.mpf(x) for x in sf.breaks.tolist()]
-        q_tau = sum(
-            mpmath.mpf(v) ** (th * qq) * (t1**st_ - t0**st_)
-            for v, t0, t1 in zip(sf.values.tolist(), ts, ts[1:])
-        ) / st_
-        want = float((mpmath.log(q_tau) - mpmath.log(th)) / qq)
+    want = _mp_log_kinf(f, sp, theta, q)
     # the size of the inputs' logs sets the rounding of log I
     tol = 1e-13 * (1.0 + 2.31 * max(max(abs(a), abs(b)) for a, b in logs))
     log_max, log_min = math.log(sys.float_info.max), math.log(sys.float_info.min)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -99,6 +101,37 @@ def cli_stdout(argv: list[str]) -> str:
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
 def test_cli_stdout_matches_golden(name, argv):
     assert cli_stdout(argv).encode() == (GOLDEN / "out" / name).read_bytes()
+
+
+# CSV header names whose JSON list has another key
+JSON_KEY = {"t": "grid", "t_break": "breaks", "value": "values"}
+
+
+def _field(text: str):
+    return None if text == "" else float(text)
+
+
+def _json_value(v):
+    return math.inf if v == "inf" else v
+
+
+@pytest.mark.parametrize("stem", sorted({name.rsplit(".", 1)[0] for name, _ in CASES}))
+def test_csv_agrees_with_json(stem):
+    doc = json.loads((GOLDEN / "out" / f"{stem}.json").read_text())
+    lines = (GOLDEN / "out" / f"{stem}.csv").read_text().splitlines()
+    header, *rows = [line.split(",") for line in lines]
+    if header == ["key", "value"]:
+        assert [(k, _field(v)) for k, v in rows] == [(k, _json_value(v)) for k, v in doc.items()]
+        return
+    # an audit's columns sit in the document, a search's in its report (null
+    # when nothing was audited), the demo's in its table
+    table = (doc["report"] or {}) if "report" in doc else doc.get("table", doc)
+    columns = [list(col) for col in zip(*rows)] or [[] for _ in header]
+    for name, col in zip(header, columns):
+        want = table.get(JSON_KEY.get(name, name), [])
+        if name == "value" and want:
+            want = want + [0.0]  # the row where the step function falls to zero
+        assert [_field(x) for x in col] == want, name
 
 
 if __name__ == "__main__":

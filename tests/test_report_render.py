@@ -1,11 +1,12 @@
 """Bulk report rendering against per-item reference implementations.
 
-dumps17 renders a column of plain floats in one format pass, audit reports are
-built from arrays, and straddling_grid is vectorized.  Each must produce the
-same bytes as the per-item code kept here as the reference.
+dumps17 and csv_text render a column of plain floats in one format pass,
+audit reports are built from arrays, and straddling_grid is vectorized.  Each
+must produce the same bytes as the per-item code kept here as the reference.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bjaudit.audit as audit_mod
+import bjaudit.jsonutil as jsonutil_mod
 from bjaudit import (
     ConstantProvider,
     DiscreteMeasureSpace,
@@ -24,8 +26,10 @@ from bjaudit import (
     straddling_grid,
 )
 from bjaudit.audit import AuditReport
-from bjaudit.jsonutil import dumps17, infinite_param
+from bjaudit.jsonutil import csv_text, dumps17, infinite_param
+from bjaudit.measures import instance_csv_text
 from bjaudit.rearrange import EMPTY_STEP, StepFunction
+from bjaudit.spectral import matrix_csv_text, state_csv_text
 
 NON_FINITE = "reports must not contain NaN or infinity"
 
@@ -90,6 +94,22 @@ def ref_dumps17(obj):
     out = []
     _ref_encode(obj, out, 0)
     return "".join(out)
+
+
+def ref_csv_text(header, columns):
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise NumericError(NON_FINITE)
+            return repr(float(v))
+        return str(v)
+
+    lines = [",".join(header)]
+    for row in zip(*columns, strict=True):
+        lines.append(",".join(map(cell, row)))
+    return "\n".join(lines) + "\n"
 
 
 def ref_build_report(name, params, grid, lhs, rhs, abs_tol):
@@ -203,6 +223,69 @@ def test_dumps17_float_column_forms():
     assert dumps17({"tau": math.inf, "s": 1.0}) == '{\n  "tau": "inf",\n  "s": 1\n}'
     # mixed columns keep the per-item path
     assert dumps17([1.0, 2, True, None, np.float64(0.5)]) == "[1, 2, true, null, 0.5]"
+
+
+# -- csv_text --------------------------------------------------------------------
+
+csv_cells = st.one_of(
+    finite,
+    st.integers(-(10**6), 10**6),
+    st.none(),
+    st.text("ab_", max_size=4),
+    finite.map(np.float64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.lists(st.booleans(), min_size=1, max_size=5),
+    st.sampled_from([1, 2, 5, 4096]),
+    st.data(),
+)
+def test_csv_text_matches_per_item_reference(n_rows, plain, chunk, data):
+    # a column is all plain floats (the one-pass path) or of mixed cells, and
+    # the rows are formatted `chunk` at a time
+    columns = [
+        data.draw(st.lists(finite if p else csv_cells, min_size=n_rows, max_size=n_rows))
+        for p in plain
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    with mock.patch.object(jsonutil_mod, "_CSV_CHUNK", chunk):
+        assert csv_text(header, columns) == ref_csv_text(header, columns)
+
+
+def test_csv_text_forms():
+    assert csv_text(("t", "v"), ([], [])) == "t,v\n"
+    assert csv_text(("t", "v"), ([None, 0.1], ["inf", 5e-324])) == "t,v\n,inf\n0.1,5e-324\n"
+    with pytest.raises(ValueError):
+        csv_text(("a", "b"), ([1.0], [1.0, 2.0]))
+
+
+def _non_finite_instance(bad):
+    sp = DiscreteMeasureSpace(weights=np.array([1.0, 2.0]))
+    f = SimpleFunction(np.array([3.0, 4.0]))
+    # the constructors reject a non-finite weight, so it is put in after them
+    object.__setattr__(sp, "weights", np.array([1.0, bad]))
+    return sp, f
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda bad: csv_text(("a", "b"), ([1.0, bad], [None, 2.0])),
+        lambda bad: csv_text(("a",), ([1, np.float64(bad)],)),
+        lambda bad: matrix_csv_text(np.array([[1.0, complex(0, bad)], [complex(0, -bad), 1.0]])),
+        lambda bad: matrix_csv_text(np.array([[bad]])),
+        lambda bad: state_csv_text(np.array([1.0, bad])),
+        lambda bad: instance_csv_text(*_non_finite_instance(bad)),
+    ],
+    ids=["csv_text", "csv_text_mixed", "matrix_im", "matrix_re", "state", "instance"],
+)
+def test_csv_writers_reject_non_finite(write, bad):
+    with pytest.raises(NumericError, match=NON_FINITE):
+        write(bad)
 
 
 # -- large reports -----------------------------------------------------------------
