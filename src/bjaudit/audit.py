@@ -315,25 +315,25 @@ def random_atoms(n_max: int, seed: int, n_draws: int = 200):
 
     Each draw takes n = integers(1, n_max + 1), then n uniform weights, n
     uniform magnitudes and n uniforms each for the tie and the zero masks, in
-    this order; the stream is the same however the draws are blocked.
+    this order.  That is two RNG calls: the 4n doubles come from one
+    random(4n), mapped as uniform(low, high) maps them, low + (high - low) * u,
+    so the stream is that of five calls, however the draws are blocked.
     """
     if n_max < 1 or n_draws < 0:
         raise DomainError("need n_max >= 1 and n_draws >= 0")
     rng = np.random.default_rng(seed)
     for first in range(0, n_draws, _DRAW_BLOCK):
-        sizes, weights, mags, tie_u, zero_u = [], [], [], [], []
+        sizes, draws = [], []
         for _ in range(min(_DRAW_BLOCK, n_draws - first)):
             n = int(rng.integers(1, n_max + 1))
             sizes.append(n)
-            weights.append(rng.uniform(0.1, 3.0, n))
-            mags.append(rng.uniform(0.05, 5.0, n))
-            tie_u.append(rng.random(n))
-            zero_u.append(rng.random(n))
-        block = np.concatenate(mags)
-        tie_mask = np.concatenate(tie_u) < 0.25
-        block[tie_mask] = np.round(block[tie_mask], 1)
-        block[np.concatenate(zero_u) < 0.1] = 0.0
-        yield from _instances_from_block(np.concatenate(weights), block, sizes)
+            draws.append(rng.random(4 * n).reshape(4, n))
+        w_u, m_u, tie_u, zero_u = np.concatenate(draws, axis=1)
+        mags = 0.05 + (5.0 - 0.05) * m_u
+        tie_mask = tie_u < 0.25
+        mags[tie_mask] = np.round(mags[tie_mask], 1)
+        mags[zero_u < 0.1] = 0.0
+        yield from _instances_from_block(0.1 + (3.0 - 0.1) * w_u, mags, sizes)
 
 
 def indicator_sweep(masses=None):

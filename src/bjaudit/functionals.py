@@ -195,12 +195,12 @@ def truncation_profile(
         return np.zeros(1), np.zeros(1)
     if not math.isfinite(cumw[-1]):
         raise NumericError("the weights on the support sum past the float range")
-    distinct = np.unique(mags_desc)  # ascending, positive
-    # mass strictly above each distinct magnitude: cumw at the last index of
-    # the tie group sitting above it
-    counts = np.searchsorted(-mags_desc, -distinct, side="left")
-    mass_above = np.where(counts > 0, cumw[np.maximum(counts - 1, 0)], 0.0)
-    return np.concatenate([[cumw[-1]], mass_above]), np.concatenate([[0.0], distinct])
+    # e: the last index of each tie group but the lowest one, highest first.
+    # The distinct magnitudes, ascending, are mags_desc[e + 1] then mags_desc[0];
+    # the mass strictly above each is cumw at the end of the group above it.
+    e = np.flatnonzero(mags_desc[1:] != mags_desc[:-1])[::-1]
+    m = np.concatenate([cumw[-1:], cumw[e], [0.0]])
+    return m, np.concatenate([[0.0], mags_desc[e + 1], mags_desc[:1]])
 
 
 def k2_functional(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 from .errors import NumericError
 
@@ -21,6 +22,7 @@ __all__ = ["csv_text", "dumps17", "infinite_param"]
 
 _NON_FINITE = "reports must not contain NaN or infinity"
 _CSV_CHUNK = 4096
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 _PARAM_KEYS = frozenset(("theta", "q", "s", "tau"))
 
@@ -105,10 +107,19 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _csv_quoted(cells: list[str]) -> list[str]:
+    """The cells quoted as csv.QUOTE_MINIMAL quotes them: a cell holding a
+    comma, a quote, CR or LF goes in quotes, with each quote doubled."""
+    if not _CSV_SPECIAL.search("".join(cells)):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _CSV_SPECIAL.search(c) else c for c in cells]
+
+
 def csv_text(header, columns) -> str:
     """A header line of the names in `header`, then one line per row of the
     equal-length `columns`.  A float is written with repr and must be finite,
-    None as an empty field, anything else with str."""
+    None as an empty field, anything else with str, quoted as csv.writer's
+    QUOTE_MINIMAL would (and also on a CR)."""
     specs, cells = [], []
     for col in columns:
         if set(map(type, col)) == {float}:
@@ -118,7 +129,7 @@ def csv_text(header, columns) -> str:
             cells.append(col)
         else:
             specs.append("%s")
-            cells.append([_csv_cell(v) for v in col])
+            cells.append(_csv_quoted([_csv_cell(v) for v in col]))
     rows = zip(*cells, strict=True)
     line = ",".join(specs) + "\n"
     out = [",".join(header) + "\n"]

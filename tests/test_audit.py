@@ -221,6 +221,18 @@ def test_random_atoms_blocks_keep_the_draw_by_draw_stream(n_max, seed, n_draws):
                 arr[0] = 1.0
 
 
+@pytest.mark.parametrize("n_draws", [127, 128, 129, 256, 257])
+@pytest.mark.parametrize("n_max", [1, 40])
+def test_random_atoms_stream_at_block_edges(n_max, n_draws):
+    for seed in (0, 1, 17, 2024):
+        got = list(random_atoms(n_max, seed, n_draws))
+        want = list(_draw_by_draw_random_atoms(n_max, seed, n_draws))
+        assert len(got) == len(want) == n_draws
+        for (sp, f), (sp_want, f_want) in zip(got, want):
+            assert sp.weights.tobytes() == sp_want.weights.tobytes()
+            assert f.magnitudes.tobytes() == f_want.magnitudes.tobytes()
+
+
 def test_random_atoms_argument_errors():
     for n_max, n_draws in ((0, 5), (3, -1)):
         with pytest.raises(DomainError):

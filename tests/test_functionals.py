@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bjaudit import functionals
@@ -34,6 +34,7 @@ from bjaudit import (
     truncation_profile,
     approx_quasinorm,
     random_atoms,
+    sorted_mass_profile,
 )
 
 
@@ -141,6 +142,44 @@ def test_truncation_profile_contents():
     m, v = truncation_profile(f, sp)
     got = sorted(zip(v.tolist(), m.tolist()))
     assert got == [(0.0, 3.5), (1.0, 1.5), (3.0, 0.5), (5.0, 0.0)]
+
+
+def _unique_searchsorted_profile(f, sp):
+    """The truncation profile through np.unique and searchsorted."""
+    mags_desc, cumw = sorted_mass_profile(f, sp)
+    if mags_desc.size == 0:
+        return np.zeros(1), np.zeros(1)
+    distinct = np.unique(mags_desc)
+    counts = np.searchsorted(-mags_desc, -distinct, side="left")
+    mass_above = np.where(counts > 0, cumw[np.maximum(counts - 1, 0)], 0.0)
+    return np.concatenate([[cumw[-1]], mass_above]), np.concatenate([[0.0], distinct])
+
+
+@given(
+    atoms=st.lists(
+        st.tuples(
+            st.sampled_from([1e-200, 1e-3, 0.25, 1.0, 2.5, 1e6]),
+            st.one_of(
+                st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                st.floats(min_value=0.0, max_value=1e3, allow_subnormal=False),
+            ),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+@example(atoms=[(1.0, 0.0), (2.0, 0.0)])  # f = 0
+@example(atoms=[(0.7, 2.0)])  # one atom
+@example(atoms=[(0.5, 3.0), (1.0, 3.0), (2.0, 3.0)])  # all magnitudes tied
+@example(atoms=[(0.5, 0.0), (1.0, 4.0), (2.0, 0.0), (0.3, 1.0)])  # zeros
+@example(atoms=[(1.0, 2.0), (1e-200, 1.0), (1.0, 0.5)])  # 1e-200 absorbed into the sum
+@settings(max_examples=300, deadline=None)
+def test_truncation_profile_matches_unique_searchsorted(atoms):
+    weights, mags = (np.array(x) for x in zip(*atoms))
+    f, sp = SimpleFunction(mags), DiscreteMeasureSpace(weights=weights)
+    for got, want in zip(truncation_profile(f, sp), _unique_searchsorted_profile(f, sp)):
+        assert got.dtype == want.dtype == float and got.ndim == 1
+        assert got.tobytes() == want.tobytes()
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000), t=st.floats(min_value=1e-3, max_value=50.0))

@@ -1,11 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bjaudit.rearrange as rearrange_mod
 from bjaudit import (
     DiscreteMeasureSpace,
     DomainError,
@@ -16,6 +18,7 @@ from bjaudit import (
     decreasing_rearrangement,
     eval_step,
     lp_from_rearrangement,
+    random_atoms,
     step_csv_text,
 )
 
@@ -167,6 +170,62 @@ def test_quasinorm_past_the_float_range_is_numeric_error(tau):
     sf = StepFunction(breaks=np.array([0.0, 1e10]), values=np.array([1e298]))
     want = 1e308 / math.sqrt(2.0)
     assert approx_quasinorm(sf, 1.0, 2.0) == pytest.approx(want, rel=1e-12)
+
+
+def _mp_quasinorm(sf, s, tau):
+    """Q_{s,tau} of the step function at 30 digits: the closed form on its
+    float breaks and values, and max v_i t_i^s at tau = inf."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ts = [mpmath.mpf(x) for x in sf.breaks.tolist()]
+        vs = [mpmath.mpf(x) for x in sf.values.tolist()]
+        s = mpmath.mpf(s)
+        if tau == math.inf:
+            return max(v * t**s for v, t in zip(vs, ts[1:]))
+        tau = mpmath.mpf(tau)
+        st_ = s * tau
+        total = sum(v**tau * (t1**st_ - t0**st_) for v, t0, t1 in zip(vs, ts, ts[1:]))
+        return (total / st_) ** (1 / tau)
+
+
+# (weight scale, magnitude scale, (s, tau) pairs, takes the log-space branch,
+# rel tolerance).  The measured worst errors over these 100 draws were
+# 1.1e-15, 2.0e-13, 1.6e-16 and 1.4e-13; the log-space error grows with
+# |log Q| (about 900 here), as exp amplifies the rounding of log Q.
+QUASINORM_MPMATH_CASES = {
+    "direct": (
+        1.0, 1.0, [(s, t) for s in (0.5, 1.0, 2.0) for t in (0.25, 0.5, 1.0, 3.0)], False, 5e-15
+    ),
+    "log_space": (1e150, 1.0, [(s, t) for s in (1.0, 2.0) for t in (3.0, 5.0)], True, 1e-12),
+    "tau_inf": (1.0, 1.0, [(s, math.inf) for s in (0.5, 1.0, 2.0)], False, 1e-15),
+    "tau_inf_log": (1e200, 1e-60, [(1.6, math.inf)], True, 1e-12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUASINORM_MPMATH_CASES))
+def test_quasinorm_matches_mpmath(case):
+    w_scale, m_scale, pairs, log_branch, rel = QUASINORM_MPMATH_CASES[case]
+    worst = 0.0
+    for sp, f in random_atoms(12, 5, 100):
+        sf = decreasing_rearrangement(
+            SimpleFunction(np.asarray(f.magnitudes) * m_scale),
+            DiscreteMeasureSpace(weights=np.asarray(sp.weights) * w_scale),
+        )
+        if sf.n_steps == 0:
+            continue
+        for s, tau in pairs:
+            with mock.patch.object(
+                rearrange_mod, "_log_space_quasinorm", wraps=rearrange_mod._log_space_quasinorm
+            ) as log_space:
+                got = approx_quasinorm(sf, s, tau)
+            if tau == math.inf:  # the log-space max is inline, after the direct one overflows
+                with np.errstate(over="ignore"):
+                    assert np.isinf(sf.values * sf.breaks[1:] ** s).any() == log_branch
+            else:
+                assert log_space.called == log_branch
+            want = _mp_quasinorm(sf, s, tau)
+            worst = max(worst, float(abs(got - want) / want))
+    assert worst <= rel
 
 
 def test_quasinorm_rejects_bad_params():

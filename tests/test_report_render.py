@@ -5,6 +5,8 @@ audit reports are built from arrays, and straddling_grid is vectorized.  Each
 must produce the same bytes as the per-item code kept here as the reference.
 """
 
+import csv
+import io
 import math
 from unittest import mock
 
@@ -27,7 +29,7 @@ from bjaudit import (
 )
 from bjaudit.audit import AuditReport
 from bjaudit.jsonutil import csv_text, dumps17, infinite_param
-from bjaudit.measures import instance_csv_text
+from bjaudit.measures import instance_csv_text, load_instance_csv
 from bjaudit.rearrange import EMPTY_STEP, StepFunction
 from bjaudit.spectral import matrix_csv_text, state_csv_text
 
@@ -260,6 +262,49 @@ def test_csv_text_forms():
     assert csv_text(("t", "v"), ([None, 0.1], ["inf", 5e-324])) == "t,v\n,inf\n0.1,5e-324\n"
     with pytest.raises(ValueError):
         csv_text(("a", "b"), ([1.0], [1.0, 2.0]))
+
+
+def _stdlib_csv_text(header, columns):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns, strict=True))
+    return buf.getvalue()
+
+
+# csv.writer (Python 3.11) leaves a bare CR unquoted with lineterminator="\n",
+# so the comparison with it draws no CR; the round trip below does.
+no_cr_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(no_cr_text, no_cr_text), max_size=8))
+def test_csv_text_quotes_strings_as_csv_writer(rows):
+    columns = [list(col) for col in zip(*rows)] or [[], []]
+    assert csv_text(("a", "b"), columns) == _stdlib_csv_text(("a", "b"), columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=8))
+def test_csv_text_strings_read_back(ids):
+    mags = [float(i) for i in range(len(ids))]
+    text = csv_text(("atom_id", "magnitude"), (ids, mags))
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["atom_id", "magnitude"]
+    assert [row[0] for row in rows[1:]] == ids
+    assert [float(row[1]) for row in rows[1:]] == mags
+
+
+def test_instance_csv_round_trips_ids_that_need_quotes():
+    ids = ("a,b", 'q"x', "x\ny", "x\ry", "plain")
+    sp = DiscreteMeasureSpace(weights=np.array([1.0, 2.0, 0.5, 0.25, 3.0]), atom_ids=ids)
+    f = SimpleFunction(np.array([2.0, 1.0, 0.0, 4.0, 5e-324]))
+    text = instance_csv_text(sp, f)
+    assert text.splitlines()[1:3] == ['"a,b",1.0,2.0', '"q""x",2.0,1.0']
+    sp_back, f_back = load_instance_csv(text)
+    assert sp_back.atom_ids == ids
+    assert sp_back.weights.tobytes() == sp.weights.tobytes()
+    assert f_back.magnitudes.tobytes() == f.magnitudes.tobytes()
 
 
 def _non_finite_instance(bad):
