@@ -110,8 +110,6 @@ def _csv_cell(v) -> str:
 def _csv_quoted(cells: list[str]) -> list[str]:
     """The cells quoted as csv.QUOTE_MINIMAL quotes them: a cell holding a
     comma, a quote, CR or LF goes in quotes, with each quote doubled."""
-    if not _CSV_SPECIAL.search("".join(cells)):
-        return cells
     return ['"' + c.replace('"', '""') + '"' if _CSV_SPECIAL.search(c) else c for c in cells]
 
 
