@@ -55,6 +55,9 @@ PROVIDER_KINDS = (
 
 WEAK_L1_VARIANTS = ("paper-2-over-pi", "safe-unit")
 
+# A claim is violated where its minimum margin is below -_ABS_TOL.
+_ABS_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ConstantProvider:
@@ -102,7 +105,7 @@ class AuditReport:
     min_margin: float
     violated: bool
     witness_t: float | None
-    abs_tol: float = 1e-12
+    abs_tol: float = _ABS_TOL
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,14 +135,12 @@ def report_csv(doc: dict | None) -> tuple[tuple[str, ...], list]:
     return ("t", *keys[1:]), [[] if doc is None else doc[k] for k in keys]
 
 
-def _build_report(
-    name: str, params: dict, grid, lhs, rhs, abs_tol: float
-) -> AuditReport:
+def _build_report(name: str, params: dict, grid, lhs, rhs) -> AuditReport:
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     margin = (rhs - lhs).tolist()
     min_margin = min(margin)
-    violated = min_margin < -abs_tol
+    violated = min_margin < -_ABS_TOL
     witness = None
     if violated:
         w = grid[margin.index(min_margin)]
@@ -154,7 +155,6 @@ def _build_report(
         min_margin=min_margin,
         violated=violated,
         witness_t=witness,
-        abs_tol=abs_tol,
     )
 
 
@@ -167,16 +167,14 @@ def _check_grid(grid) -> np.ndarray:
     return arr
 
 
-def _pointwise_audit(
-    name: str, params: dict, sf: StepFunction, grid, rhs_of, abs_tol: float
-) -> AuditReport:
+def _pointwise_audit(name: str, params: dict, sf: StepFunction, grid, rhs_of) -> AuditReport:
     """f*(t) <= rhs_of(ts) at each t of the grid (None: straddling_grid(sf))."""
     ts = _check_grid(straddling_grid(sf) if grid is None else grid)
     # A right-hand side past the float range is reported by the writers
     # (NumericError), so its overflow is no warning here.
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = rhs_of(ts)
-    return _build_report(name, params, ts.tolist(), eval_step(sf, ts), rhs, abs_tol)
+    return _build_report(name, params, ts.tolist(), eval_step(sf, ts), rhs)
 
 
 def audit_jackson(
@@ -185,11 +183,10 @@ def audit_jackson(
     p: ApproxParams,
     provider: ConstantProvider,
     grid=None,
-    abs_tol: float = 1e-12,
 ) -> AuditReport:
     """f*(t) <= t^-s * const * Q_{s,tau}(f) pointwise on the grid."""
     sf = decreasing_rearrangement(f, sp)
-    q_val = approx_quasinorm(sf, p.s, p.tau) if sf.n_steps else 0.0
+    q_val = approx_quasinorm(sf, p.s, p.tau)
     const = provider.value(p)
     return _pointwise_audit(
         "jackson",
@@ -197,30 +194,18 @@ def audit_jackson(
         sf,
         grid,
         lambda ts: ts ** (-p.s) * const * q_val,
-        abs_tol,
     )
 
 
 def audit_bernstein_right(
-    f: SimpleFunction,
-    sp: DiscreteMeasureSpace,
-    p: ApproxParams,
-    abs_tol: float = 1e-12,
+    f: SimpleFunction, sp: DiscreteMeasureSpace, p: ApproxParams
 ) -> AuditReport:
     """c_{s,tau} * Q_{s,tau}(f) <= ||f||_0^s * ||f||_inf (single, t-less point)."""
     sf = decreasing_rearrangement(f, sp)
-    q_val = approx_quasinorm(sf, p.s, p.tau) if sf.n_steps else 0.0
-    lhs = c_exact(p) * q_val
+    lhs = c_exact(p) * approx_quasinorm(sf, p.s, p.tau)
     mass_pow = _float_pow(sf.support_mass, p.s, f"||f||_0^s overflows at s={p.s!r}")
-    rhs = mass_pow * sf.sup_value if sf.n_steps else 0.0
-    return _build_report(
-        "bernstein_right",
-        {"s": p.s, "tau": p.tau},
-        [None],
-        [lhs],
-        [rhs],
-        abs_tol,
-    )
+    rhs = mass_pow * sf.sup_value
+    return _build_report("bernstein_right", {"s": p.s, "tau": p.tau}, [None], [lhs], [rhs])
 
 
 def _weak_l1_constant(variant: str) -> float:
@@ -237,7 +222,6 @@ def audit_weak_l1(
     sp: DiscreteMeasureSpace,
     variant: str,
     grid=None,
-    abs_tol: float = 1e-12,
 ) -> AuditReport:
     """f*(t) <= const * ||f||_1 / t; const is 2/pi (claimed) or 1 (provable)."""
     const = _weak_l1_constant(variant)
@@ -248,7 +232,6 @@ def audit_weak_l1(
         decreasing_rearrangement(f, sp),
         grid,
         lambda ts: const * l1 / ts,
-        abs_tol,
     )
 
 
@@ -257,27 +240,23 @@ def audit_q2(
     sp: DiscreteMeasureSpace,
     theta: float,
     grid=None,
-    abs_tol: float = 1e-12,
 ) -> AuditReport:
     """q=2 family: f*(t) <= t^(1-1/theta) (sin(pi theta)/(pi theta))^(1/(2 theta)) Q_{s,tau}.
 
     Here s = (1-theta)/theta and tau = 2*theta; at theta = 1/2 this is exactly
     the weak-L1 claim with constant 2/pi.
     """
-    if not 0.0 < theta < 1.0:
-        raise DomainError(f"theta must lie in (0,1), got {theta!r}")
+    const = c_big(theta, 2.0)
     s = (1.0 - theta) / theta
     tau = 2.0 * theta
-    const = (math.sin(math.pi * theta) / (math.pi * theta)) ** (1.0 / (2.0 * theta))
     sf = decreasing_rearrangement(f, sp)
-    q_val = approx_quasinorm(sf, s, tau) if sf.n_steps else 0.0
+    q_val = approx_quasinorm(sf, s, tau)
     return _pointwise_audit(
         "q2",
         {"theta": theta, "s": s, "tau": tau, "constant": const},
         sf,
         grid,
         lambda ts: ts ** (1.0 - 1.0 / theta) * const * q_val,
-        abs_tol,
     )
 
 
@@ -336,11 +315,9 @@ def random_atoms(n_max: int, seed: int, n_draws: int = 200):
         yield from _instances_from_block(0.1 + (3.0 - 0.1) * w_u, mags, sizes)
 
 
-def indicator_sweep(masses=None):
-    """Unit-height indicators across a sweep of support masses."""
-    if masses is None:
-        masses = np.geomspace(0.25, 4.0, 9)
-    for mass in masses:
+def indicator_sweep():
+    """Unit-height indicators on one atom, its weight swept over geomspace(0.25, 4, 9)."""
+    for mass in np.geomspace(0.25, 4.0, 9):
         yield (
             DiscreteMeasureSpace(weights=np.array([float(mass)])),
             SimpleFunction(np.array([1.0])),
@@ -401,8 +378,6 @@ def _screen(rows, p: ApproxParams, const: float):
     if packed:
         w[inside] = np.concatenate([sp.weights for sp, _ in packed])
         mag[inside] = np.concatenate([f.magnitudes for _, f in packed])
-    thr = np.array([f.support_threshold for _, f in rows])
-    mag[mag <= thr[:, None]] = 0.0
     # The stable order of the kept magnitudes is sorted_mass_profile's, so the
     # cumulative weights (and every grid point) are bit-identical to the audit's.
     order = np.argsort(-mag, axis=1, kind="stable")
@@ -529,7 +504,6 @@ def counterexample_search(
     provider: ConstantProvider,
     generator,
     budget: int | None = None,
-    abs_tol: float = 1e-12,
 ) -> SearchResult:
     """Audit the Jackson claim over generated instances; keep the worst report.
 
@@ -559,7 +533,7 @@ def counterexample_search(
             if ok[r] and worst is not None and not lo[r] < worst.min_margin:
                 continue
             sp, f = chunk[r]
-            report = audit_jackson(f, sp, p, provider, abs_tol=abs_tol)
+            report = audit_jackson(f, sp, p, provider)
             if worst is None or report.min_margin < worst.min_margin:
                 worst = report
                 worst_instance = instance_csv_text(sp, f)

@@ -164,7 +164,7 @@ def cmd_quasinorm(args):
     p = resolve_params(args)
     sp, f = load_instance_csv(args.input)
     sf = decreasing_rearrangement(f, sp)
-    q_val = approx_quasinorm(sf, p.s, p.tau) if sf.n_steps else 0.0
+    q_val = approx_quasinorm(sf, p.s, p.tau)
     out = {
         "s": p.s,
         "tau": p.tau,

@@ -72,14 +72,12 @@ class CoupleInstance:
         return True
 
 
-def l0_linf_couple(
-    sp: DiscreteMeasureSpace, support_threshold: float = 0.0
-) -> CoupleInstance:
+def l0_linf_couple(sp: DiscreteMeasureSpace) -> CoupleInstance:
     """The (L^0, L^inf) couple over `sp`; elements are magnitude vectors."""
 
     def norm0(x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(sp.weights[np.abs(x) > support_threshold].sum())
+        return float(sp.weights[np.abs(x) > 0.0].sum())
 
     def norm1(x) -> float:
         x = np.asarray(x, dtype=float)
@@ -93,13 +91,17 @@ def l0_linf_couple(
     )
 
 
-def all_support_candidates(
-    f: SimpleFunction, sp: DiscreteMeasureSpace, n_limit: int = 20
-) -> list[np.ndarray]:
+# The largest atom count the 2^n exhaustive oracles accept.
+_EXHAUSTIVE_N_MAX = 20
+
+
+def all_support_candidates(f: SimpleFunction, sp: DiscreteMeasureSpace) -> list[np.ndarray]:
     """f restricted to every one of the 2^n atom subsets (small n only)."""
     n = f.magnitudes.size
-    if n > n_limit:
-        raise UsageError(f"exhaustive candidate set requested for n={n} > {n_limit}")
+    if n > _EXHAUSTIVE_N_MAX:
+        raise UsageError(
+            f"exhaustive candidate set requested for n={n} > {_EXHAUSTIVE_N_MAX}"
+        )
     masks = _subset_masks(n)
     return [f.magnitudes * row for row in masks]
 
@@ -239,11 +241,13 @@ def k2_scalar(t: float, z_magnitude: float = 1.0) -> float:
 
 
 def _exhaustive_split_pairs(
-    f: SimpleFunction, sp: DiscreteMeasureSpace, n_limit: int
+    f: SimpleFunction, sp: DiscreteMeasureSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     n = f.magnitudes.size
-    if n > n_limit:
-        raise UsageError(f"exhaustive split oracle requested for n={n} > {n_limit}")
+    if n > _EXHAUSTIVE_N_MAX:
+        raise UsageError(
+            f"exhaustive split oracle requested for n={n} > {_EXHAUSTIVE_N_MAX}"
+        )
     masks = _subset_masks(n).astype(float)
     support_w = np.where(f.magnitudes > 0.0, sp.weights, 0.0)
     m_vals = masks @ support_w
@@ -251,22 +255,18 @@ def _exhaustive_split_pairs(
     return m_vals, v_vals
 
 
-def k2_exhaustive(
-    f: SimpleFunction, sp: DiscreteMeasureSpace, t: float, n_limit: int = 20
-) -> float:
+def k2_exhaustive(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> float:
     """K2 oracle: all 2^n subset splits a0 = f|_S, a1 = f|_{S^c}."""
     if not t > 0:
         raise DomainError(f"t must be positive, got {t!r}")
-    m, v = _exhaustive_split_pairs(f, sp, n_limit)
+    m, v = _exhaustive_split_pairs(f, sp)
     return _k2_min(m, v, t)
 
 
-def kinf_exhaustive(
-    f: SimpleFunction, sp: DiscreteMeasureSpace, t: float, n_limit: int = 20
-) -> float:
+def kinf_exhaustive(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> float:
     if not t > 0:
         raise DomainError(f"t must be positive, got {t!r}")
-    m, v = _exhaustive_split_pairs(f, sp, n_limit)
+    m, v = _exhaustive_split_pairs(f, sp)
     return float(np.maximum(m, t * v).min())
 
 

@@ -36,6 +36,12 @@ __all__ = [
     "demo_pipeline",
 ]
 
+# demo_pipeline warns where the quasinorm moves by more than _REFINE_REL_TOL
+# (the L1 mass by more than ten times it) under cell doubling, or where the
+# mass beyond t_max passes _TAIL_REL_TOL of the window's.
+_REFINE_REL_TOL = 1e-3
+_TAIL_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class InvGaussParams:
@@ -119,8 +125,6 @@ def demo_pipeline(
     t_max: float = 10.0,
     n_cells: int = 4000,
     u_grid=None,
-    refine_rel_tol: float = 1e-3,
-    tail_rel_tol: float = 1e-10,
 ) -> DemoResult:
     """Rearrange the discretized density and tabulate f*, E, and the bound.
 
@@ -150,22 +154,22 @@ def demo_pipeline(
 
     sp, f = _build_instance(p, t_lo, t_max, n_cells)
     sf = decreasing_rearrangement(f, sp)
-    q_val = approx_quasinorm(sf, params.s, params.tau) if sf.n_steps else 0.0
+    q_val = approx_quasinorm(sf, params.s, params.tau)
     l1 = lp_norm(f, sp, 1.0)
 
     # Refinement cross-check at doubled resolution (same window).
     sp2, f2 = _build_instance(p, t_max / (2 * n_cells), t_max, 2 * n_cells)
     sf2 = decreasing_rearrangement(f2, sp2)
-    q_ref = approx_quasinorm(sf2, params.s, params.tau) if sf2.n_steps else 0.0
+    q_ref = approx_quasinorm(sf2, params.s, params.tau)
     l1_ref = lp_norm(f2, sp2, 1.0)
     q_rel = abs(q_ref - q_val) / max(abs(q_ref), 1e-300)
     l1_rel = abs(l1_ref - l1) / max(abs(l1_ref), 1e-300)
-    if q_rel > refine_rel_tol:
+    if q_rel > _REFINE_REL_TOL:
         warnings.append(
             f"quasinorm changed by {q_rel:.3e} relative under cell doubling "
-            f"(tolerance {refine_rel_tol:.1e})"
+            f"(tolerance {_REFINE_REL_TOL:.1e})"
         )
-    if l1_rel > 10.0 * refine_rel_tol:
+    if l1_rel > 10.0 * _REFINE_REL_TOL:
         warnings.append(
             f"L1 mass changed by {l1_rel:.3e} relative under cell doubling"
         )
@@ -176,10 +180,10 @@ def demo_pipeline(
     sp_tail, f_tail = _build_instance(p, t_max, 2.0 * t_max, n_tail)
     tail_l1 = lp_norm(f_tail, sp_tail, 1.0)
     tail_ratio = tail_l1 / max(l1, 1e-300)
-    if tail_ratio > tail_rel_tol:
+    if tail_ratio > _TAIL_REL_TOL:
         warnings.append(
             f"L1 mass beyond t_max is {tail_ratio:.3e} of the window mass "
-            f"(tolerance {tail_rel_tol:.1e}); consider a larger t_max"
+            f"(tolerance {_TAIL_REL_TOL:.1e}); consider a larger t_max"
         )
 
     c_val = c_exact(params)
@@ -208,8 +212,8 @@ def demo_pipeline(
         "l1_mass_refined": l1_ref,
         "l1_rel_change": l1_rel,
         "tail_l1_ratio": tail_ratio,
-        "support_mass": sf.support_mass if sf.n_steps else 0.0,
-        "sup_value": sf.sup_value if sf.n_steps else 0.0,
+        "support_mass": sf.support_mass,
+        "sup_value": sf.sup_value,
         "warnings": warnings,
     }
     return DemoResult(

@@ -86,23 +86,15 @@ class DiscreteMeasureSpace:
 
 @dataclass(frozen=True, eq=False)
 class SimpleFunction:
-    """Magnitudes aligned with a space's atoms.
-
-    support_threshold declares magnitudes <= threshold as zero for support
-    purposes (useful for sampled continuous data); it defaults to 0, which
-    keeps discrete instances exact.
-    """
+    """Magnitudes aligned with a space's atoms; the support is where they are > 0."""
 
     magnitudes: np.ndarray
-    support_threshold: float = 0.0
 
     def __post_init__(self):
         m = np.atleast_1d(np.asarray(self.magnitudes, dtype=float))
         if m.ndim != 1:
             raise UsageError("magnitudes must be a 1-d sequence")
         _check_magnitudes(m)
-        if not (math.isfinite(self.support_threshold) and self.support_threshold >= 0):
-            raise DomainError("support_threshold must be >= 0")
         object.__setattr__(self, "magnitudes", _freeze(m))
 
 
@@ -113,8 +105,8 @@ def _instances_from_block(
 
     The flat weight and magnitude arrays are checked once, with the
     constructors' own predicates, and frozen; each pair holds read-only
-    slices of them, default atom ids and a zero support threshold.  This is
-    the only code that builds the two classes without __post_init__.
+    slices of them and default atom ids.  This is the only code that builds
+    the two classes without __post_init__.
     """
     weights, mags = _freeze(weights), _freeze(mags)
     if not weights.shape == mags.shape == (sum(sizes),):
@@ -130,7 +122,6 @@ def _instances_from_block(
         object.__setattr__(sp, "atom_ids", _default_ids(n))
         f = object.__new__(SimpleFunction)
         object.__setattr__(f, "magnitudes", mags[start:stop])
-        object.__setattr__(f, "support_threshold", 0.0)
         pairs.append((sp, f))
     return pairs
 
@@ -185,7 +176,7 @@ def lp_norm(f: SimpleFunction, sp: DiscreteMeasureSpace, p: float) -> float:
     _check_aligned(f, sp)
     if p == 0:
         mags, cumw = sorted_mass_profile(f, sp)
-        return _mass_above(mags, cumw, f.support_threshold)
+        return _mass_above(mags, cumw, 0.0)
     if p == math.inf:
         return float(f.magnitudes.max()) if f.magnitudes.size else 0.0
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
@@ -238,10 +229,10 @@ class SampledDensitySpace:
         ids = tuple(f"cell{i}" for i in np.nonzero(keep)[0])
         return DiscreteMeasureSpace(weights=w, atom_ids=ids)
 
-    def sample(self, fn, support_threshold: float = 0.0) -> SimpleFunction:
+    def sample(self, fn) -> SimpleFunction:
         """Evaluate |fn| at the midpoints of kept cells, aligned with compile()."""
         vals = np.abs(np.asarray(fn(self.grid[self.kept_mask()]), dtype=float))
-        return SimpleFunction(vals, support_threshold=support_threshold)
+        return SimpleFunction(vals)
 
 
 def gaussian_measure_space(t_lo: float, t_hi: float, n_cells: int) -> SampledDensitySpace:
@@ -337,7 +328,7 @@ def load_instance_csv(path_or_text: str) -> tuple[DiscreteMeasureSpace, SimpleFu
             raise UsageError(
                 f"row {rownum}: magnitude must be nonnegative, got {m_txt}"
             )
-        ids.append(aid.strip())
+        ids.append(aid)
         weights.append(w)
         mags.append(m)
     sp = DiscreteMeasureSpace(weights=np.array(weights), atom_ids=tuple(ids))

@@ -83,8 +83,6 @@ def decreasing_rearrangement(
     Raises NumericError when the kept weights sum past the float range.
     """
     mags, cumw = sorted_mass_profile(f, sp)
-    keep = mags > f.support_threshold
-    mags, cumw = mags[keep], cumw[keep]
     if mags.size == 0:
         return EMPTY_STEP
     if not math.isfinite(cumw[-1]):

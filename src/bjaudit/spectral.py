@@ -43,13 +43,20 @@ __all__ = [
 
 MAX_MATRIX_DIM = 64
 
+# spectral_measure's tolerances: the Hermitian defect max |A - A^H| and the
+# eigen residual ||A v - lambda v||, both relative to max(1, their scale), and
+# the gap below which neighbouring eigenvalues merge.
+_HERM_TOL = 1e-10
+_RESIDUAL_TOL = 1e-8
+_MERGE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SpectralModel:
     """Finite spectral measure: distinct eigenvalues with state weights.
 
     Eigenvalues ascend and are distinct after degeneracy merging; weights are
-    |projection|^2 masses summing to 1 (some may be exactly 0).
+    |projection|^2 weights summing to 1 (some may be exactly 0).
     """
 
     eigenvalues: np.ndarray
@@ -76,9 +83,9 @@ class SpectralModel:
         return int(self.eigenvalues.size)
 
 
-def _merge_degenerate(evals: np.ndarray, weights: np.ndarray, tol: float):
-    """Collapse eigenvalues closer than tol; weights add, values average."""
-    groups = np.concatenate(([0], np.cumsum(np.diff(evals) > tol)))
+def _merge_degenerate(evals: np.ndarray, weights: np.ndarray):
+    """Collapse eigenvalues closer than _MERGE_TOL; weights add, values average."""
+    groups = np.concatenate(([0], np.cumsum(np.diff(evals) > _MERGE_TOL)))
     n_groups = int(groups[-1]) + 1
     merged_w = np.zeros(n_groups)
     merged_ev = np.zeros(n_groups)
@@ -90,17 +97,11 @@ def _merge_degenerate(evals: np.ndarray, weights: np.ndarray, tol: float):
     return merged_ev, merged_w
 
 
-def spectral_measure(
-    matrix,
-    psi,
-    herm_tol: float = 1e-10,
-    residual_tol: float = 1e-8,
-    merge_tol: float = 1e-10,
-) -> SpectralModel:
+def spectral_measure(matrix, psi) -> SpectralModel:
     """Diagonalize a Hermitian matrix and project a unit state onto it.
 
     Residuals ||A v - lambda v|| are checked after the fact; if any exceeds
-    residual_tol (relative to the spectral scale) the decomposition is not
+    _RESIDUAL_TOL (relative to the spectral scale) the decomposition is not
     trusted and a NumericError is raised.
     """
     a = np.asarray(matrix, dtype=complex)
@@ -113,7 +114,7 @@ def spectral_measure(
         raise DomainError("matrix entries must be finite")
     scale = max(1.0, float(np.max(np.abs(a))) if n else 1.0)
     herm_defect = float(np.max(np.abs(a - a.conj().T)))
-    if herm_defect > herm_tol * scale:
+    if herm_defect > _HERM_TOL * scale:
         raise DomainError(
             f"matrix is not Hermitian: max |A - A^H| = {herm_defect:.3e}"
         )
@@ -131,14 +132,14 @@ def spectral_measure(
     resid = np.linalg.norm(a @ evecs - evecs * evals, axis=0)
     resid_scale = max(1.0, float(np.max(np.abs(evals))))
     worst = float(np.max(resid))
-    if worst > residual_tol * resid_scale:
+    if worst > _RESIDUAL_TOL * resid_scale:
         raise NumericError(
             f"eigendecomposition residual {worst:.3e} exceeds "
-            f"{residual_tol:.1e} * {resid_scale:g}"
+            f"{_RESIDUAL_TOL:.1e} * {resid_scale:g}"
         )
 
     weights = np.abs(evecs.conj().T @ v) ** 2
-    merged_ev, merged_w = _merge_degenerate(evals, weights, merge_tol)
+    merged_ev, merged_w = _merge_degenerate(evals, weights)
     total = float(merged_w.sum())
     if abs(total - 1.0) > 1e-10:
         raise NumericError(f"projection weights sum to {total!r}, expected 1")
@@ -184,13 +185,7 @@ def spectral_rearrangement(model: SpectralModel, g=None) -> StepFunction:
     return decreasing_rearrangement(f, sp)
 
 
-def audit_spectral_bound(
-    model: SpectralModel,
-    g,
-    variant: str,
-    grid=None,
-    abs_tol: float = 1e-12,
-) -> AuditReport:
+def audit_spectral_bound(model: SpectralModel, g, variant: str, grid=None) -> AuditReport:
     """Weak-type audit of the spectral rearrangement of g.
 
     Same inequality as audit_weak_l1 (here ||f||_1 is the quadratic form of
@@ -198,7 +193,7 @@ def audit_spectral_bound(
     tell the source apart.
     """
     sp, f = spectral_instance(model, g)
-    rep = audit_weak_l1(f, sp, variant, grid, abs_tol=abs_tol)
+    rep = audit_weak_l1(f, sp, variant, grid)
     return replace(rep, inequality_name="spectral_weak_l1")
 
 

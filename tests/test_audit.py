@@ -214,7 +214,6 @@ def test_random_atoms_blocks_keep_the_draw_by_draw_stream(n_max, seed, n_draws):
         assert sp.weights.tobytes() == sp_want.weights.tobytes()
         assert f.magnitudes.tobytes() == f_want.magnitudes.tobytes()
         assert sp.atom_ids == sp_want.atom_ids
-        assert f.support_threshold == f_want.support_threshold
         for arr in (sp.weights, f.magnitudes):
             assert arr.dtype == float and arr.ndim == 1 and not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -329,7 +328,7 @@ def _outcome(fn, *args, **kwargs):
 
 
 SEARCH_FEATURES = (
-    "ties", "zeros", "close", "absorbed", "threshold", "empty", "huge", "large", "repeat"
+    "ties", "zeros", "close", "absorbed", "empty", "huge", "large", "repeat"
 )
 SEARCH_PARAMS = ((1.0, 2.0), (0.5, 0.5), (3.0, 1.0), (1.0, math.inf), (2.0, 0.3))
 
@@ -340,7 +339,7 @@ def _draw_instance(rng, features, earlier):
         perm = rng.permutation(sp.n_atoms)
         return (
             DiscreteMeasureSpace(weights=sp.weights[perm]),
-            SimpleFunction(f.magnitudes[perm], f.support_threshold),
+            SimpleFunction(f.magnitudes[perm]),
         )
     n_max = 300 if "large" in features and rng.random() < 0.2 else 10
     n = int(rng.integers(1, n_max + 1))
@@ -358,8 +357,7 @@ def _draw_instance(rng, features, earlier):
         m = np.where(rng.random(n) < 0.5, 1e300, m)
     if "empty" in features and rng.random() < 0.2:
         m[:] = 0.0
-    thr = float(rng.choice([0.0, 1.0, 2.5])) if "threshold" in features else 0.0
-    return DiscreteMeasureSpace(weights=w), SimpleFunction(m, support_threshold=thr)
+    return DiscreteMeasureSpace(weights=w), SimpleFunction(m)
 
 
 @st.composite

@@ -53,3 +53,17 @@ def test_runtime_needs_no_scipy():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in project["dependencies"]]
     assert "scipy" not in [name.lower() for name in names]
+
+
+def test_no_test_module_defines_a_name_twice():
+    # a second top-level def of the same name shadows the first, which then
+    # never runs
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        seen = set()
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in seen:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+                seen.add(node.name)
+    assert found == []

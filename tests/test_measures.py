@@ -21,6 +21,7 @@ from bjaudit import (
     lp_norm,
     random_atoms,
     sorted_mass_profile,
+    truncation_profile,
 )
 from bjaudit.measures import _instances_from_block
 
@@ -57,7 +58,7 @@ def test_space_validation():
         DiscreteMeasureSpace(weights=np.array([1.0, 1.0]), atom_ids=("a",))
 
 
-def test_default_atom_ids():
+def test_default_atom_ids_and_total_mass():
     sp = DiscreteMeasureSpace(weights=np.array([1.0, 2.0]))
     assert sp.atom_ids == ("a0", "a1")
     assert sp.total_mass == 3.0
@@ -130,12 +131,28 @@ def test_layer_cake(inst):
     assert total == pytest.approx(lp_norm(f, sp, p) ** p, rel=1e-12, abs=1e-300)
 
 
-def test_lp_norm_support_threshold():
+def test_lp_norm_zero_counts_every_positive_magnitude():
     sp = DiscreteMeasureSpace(weights=np.array([1.0, 2.0, 4.0]))
-    f = SimpleFunction(np.array([5.0, 0.1, 0.0]), support_threshold=0.5)
-    assert lp_norm(f, sp, 0) == 1.0  # only the 5.0 atom exceeds the threshold
     f_plain = SimpleFunction(np.array([5.0, 0.1, 0.0]))
     assert lp_norm(f_plain, sp, 0) == 3.0
+
+
+@given(
+    inst=instances(),
+    absorbed=st.lists(st.booleans(), min_size=10, max_size=10),
+    zero=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_l0_size_in_every_view(inst, absorbed, zero):
+    # weights of 1e-17 beside weights near 1 are absorbed by the running sum
+    sp, f = inst
+    n = sp.n_atoms
+    sp = DiscreteMeasureSpace(weights=np.where(absorbed[:n], 1e-17, sp.weights))
+    if zero:
+        f = SimpleFunction(np.zeros(n))
+    l0 = lp_norm(f, sp, 0)
+    assert l0 == decreasing_rearrangement(f, sp).support_mass
+    assert l0 == truncation_profile(f, sp)[0][0]
 
 
 def test_lp_norm_rejects_bad_p():
@@ -244,6 +261,15 @@ def test_instance_csv_round_trip():
     text = instance_csv_text(sp, f)
     sp2, f2 = load_instance_csv(text)
     assert sp2.atom_ids == sp.atom_ids
+    assert np.array_equal(sp2.weights, sp.weights)
+    assert np.array_equal(f2.magnitudes, f.magnitudes)
+
+
+def test_instance_csv_round_trip_keeps_spaces_in_ids():
+    sp = DiscreteMeasureSpace(weights=np.array([1.0, 2.0, 3.0]), atom_ids=(" a", "a", "b "))
+    f = SimpleFunction(np.array([1.0, 2.0, 0.0]))
+    sp2, f2 = load_instance_csv(instance_csv_text(sp, f))
+    assert sp2.atom_ids == (" a", "a", "b ")
     assert np.array_equal(sp2.weights, sp.weights)
     assert np.array_equal(f2.magnitudes, f.magnitudes)
 

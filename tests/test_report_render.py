@@ -114,12 +114,12 @@ def ref_csv_text(header, columns):
     return "\n".join(lines) + "\n"
 
 
-def ref_build_report(name, params, grid, lhs, rhs, abs_tol):
+def ref_build_report(name, params, grid, lhs, rhs):
     lhs = [float(x) for x in lhs]
     rhs = [float(x) for x in rhs]
     margin = [r - l for l, r in zip(lhs, rhs)]
     min_margin = min(margin)
-    violated = min_margin < -abs_tol
+    violated = min_margin < -1e-12
     witness = None
     if violated:
         w = grid[margin.index(min_margin)]
@@ -134,7 +134,7 @@ def ref_build_report(name, params, grid, lhs, rhs, abs_tol):
         min_margin=min_margin,
         violated=violated,
         witness_t=witness,
-        abs_tol=abs_tol,
+        abs_tol=1e-12,
     )
 
 
