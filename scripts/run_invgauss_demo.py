@@ -12,13 +12,8 @@ import pathlib
 import numpy as np
 
 from bjaudit import demo_pipeline, InvGaussParams
+from bjaudit.cli import parse_grid
 from bjaudit.rearrange import step_csv_text
-
-
-def parse_ugrid(text):
-    lo, hi, n = text.split(":")
-    return np.linspace(float(lo), float(hi), int(n))
-
 
 ap = argparse.ArgumentParser()
 ap.add_argument("--out-dir", default="demo_out")
@@ -29,7 +24,7 @@ args = ap.parse_args()
 out = pathlib.Path(args.out_dir)
 out.mkdir(parents=True, exist_ok=True)
 
-u_grid = parse_ugrid(args.u_grid) if args.u_grid else None
+u_grid = parse_grid(args.u_grid) if args.u_grid else None
 res = demo_pipeline(InvGaussParams(), n_cells=args.n_cells, u_grid=u_grid)
 
 (out / "demo_table.csv").write_text(res.to_csv_text())

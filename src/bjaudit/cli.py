@@ -55,6 +55,7 @@ from .spectral import (
 
 AUDIT_NAMES = ("jackson", "bernstein-right", "weak-l1", "q2")
 SPECTRAL_G = ("identity", "square", "zero")
+MAX_TRIG_ROWS = 1_000_000  # rows n = 1..n_max of a trig table
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -267,6 +268,8 @@ def cmd_trig(args):
             raise UsageError(f"--n-max must be >= 1, got {n_max}")
     else:
         n_max = max((abs(int(k)) for k in coeffs), default=0) + 1
+    if n_max > MAX_TRIG_ROWS:
+        raise UsageError(f"n_max {n_max} exceeds the limit {MAX_TRIG_ROWS} rows")
     ns = list(range(1, n_max + 1))
     es = [e_functional_trig(coeffs, n) for n in ns]
     return {"n": ns, "e_value": es}, ("n", "e_value"), [ns, es]

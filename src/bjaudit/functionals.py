@@ -18,13 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericError, QuadratureError, UsageError
-from .measures import (
-    DiscreteMeasureSpace,
-    SimpleFunction,
-    _parse_complex,
-    _read_csv_rows,
-    sorted_mass_profile,
-)
+from .jsonutil import read_csv, require_unique_keys
+from .measures import DiscreteMeasureSpace, SimpleFunction, sorted_mass_profile
 from .rearrange import _LOG_FLOAT_MAX, decreasing_rearrangement, eval_step
 
 __all__ = [
@@ -165,22 +160,17 @@ def e_functional_trig(coeffs: dict[int, complex], n: int) -> float:
     return math.sqrt(tail)
 
 
+_TRIG_CSV = {"k": "int", "re": "float", "im": "float"}
+
+
 def load_trig_csv(path_or_text: str) -> dict[int, complex]:
     """Read Fourier coefficients from CSV rows `k,re,im` (header required).
 
     A header alone is the zero function: no coefficients.
     """
-    rows = _read_csv_rows(path_or_text, "coefficient", ("k", "re", "im"), empty_ok=True)
-    out: dict[int, complex] = {}
-    for rownum, (k_txt, re_txt, im_txt) in rows:
-        try:
-            k = int(k_txt)
-        except ValueError as exc:
-            raise UsageError(f"row {rownum}: non-integer k ({exc})") from exc
-        if k in out:
-            raise UsageError(f"row {rownum}: duplicate frequency k={k}")
-        out[k] = _parse_complex(re_txt, im_txt, rownum)
-    return out
+    rownums, (ks, re, im) = read_csv(path_or_text, "coefficient", _TRIG_CSV, empty_ok=True)
+    require_unique_keys(rownums, ("k",), ks)
+    return dict(zip(ks, map(complex, re.tolist(), im.tolist())))
 
 
 def truncation_profile(

@@ -1,24 +1,36 @@
-"""The report writers: every JSON report goes through dumps17, every CSV one
-through csv_text.  The stdlib encoder writes shortest-round-trip floats; report
-consumers want a fixed width instead, so every JSON float is rendered with
-%.17g (which still round-trips exactly).  A CSV float is written with repr.
+"""The CSV dialect, read and written, and the JSON writer.
+
+Every JSON report goes through dumps17, every CSV one through csv_text, and
+every CSV input through read_csv.  The stdlib encoder writes
+shortest-round-trip floats; report consumers want a fixed width instead, so
+every JSON float is rendered with %.17g (which still round-trips exactly).  A
+CSV float is written with repr and read back with float(), so a finite float
+survives a CSV round trip bit for bit.
 
 Reports carry finite numbers only, in JSON and CSV alike: a NaN or infinity
 raises NumericError, which the CLI turns into exit code 3.  The one exception
 is an echoed parameter (theta, q, s or tau): q = tau = inf is the sup end of
 the scale, so an infinite parameter is written as the string "inf" in JSON,
-and its caller passes the string "inf" to csv_text.
+and its caller passes the string "inf" to csv_text.  An input's header is
+a dict from each column's name to its kind; read_csv reports the lowest faulty
+row as a UsageError, before the loaders' checks of keys and coverage.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
+import operator
+import os
 import re
 
-from .errors import NumericError
+import numpy as np
 
-__all__ = ["csv_text", "dumps17", "infinite_param"]
+from .errors import NumericError, UsageError
+
+__all__ = ["csv_text", "dumps17", "infinite_param", "read_csv", "require_unique_keys"]
 
 _NON_FINITE = "reports must not contain NaN or infinity"
 _CSV_CHUNK = 4096
@@ -135,3 +147,89 @@ def csv_text(header, columns) -> str:
     while chunk := tuple(itertools.chain.from_iterable(itertools.islice(rows, _CSV_CHUNK))):
         out.append(line * (len(chunk) // len(cells)) % chunk)
     return "".join(out)
+
+
+# Column kinds: "text" is kept as written; "float" (finite, parsed by float())
+# and "int" (parsed by int()) may carry a rule against zero, "> 0" or ">= 0".
+_RULES = {"": None, "> 0": operator.gt, ">= 0": operator.ge}
+
+
+def _column(name: str, kind: str, fields: tuple[str, ...]):
+    """(`fields` parsed as `kind`, None), or (None, (index, message)) for the
+    first faulty field.  A text column is the fields as written, an int
+    column a list of Python ints, a float column a float64 array."""
+    typ, _, rule = kind.partition(" ")
+    if typ == "text":
+        return fields, None
+    parse, test = (int if typ == "int" else float), _RULES[rule]
+    try:
+        vals = list(map(parse, fields))
+        finite = typ == "int" or all(map(math.isfinite, vals))
+        if finite and (not vals or not test or test(min(vals), 0)):
+            return (vals if typ == "int" else np.array(vals, dtype=float)), None
+    except ValueError:
+        pass
+    for k, field in enumerate(fields):  # some field is faulty: find the first
+        try:
+            val = parse(field)
+        except ValueError as exc:
+            return None, (k, f"non-{'integer' if typ == 'int' else 'numeric'} {name} ({exc})")
+        if typ == "float" and not math.isfinite(val):
+            return None, (k, f"{name} must be finite, got {field}")
+        if test and not test(val, 0):
+            return None, (k, f"{name} must be {rule}, got {field}")
+
+
+def read_csv(path_or_text: str, what: str, header: dict[str, str], empty_ok: bool = False):
+    """The data rows of a CSV path or text, as (row numbers, columns).
+
+    A string holding a newline is text, and so is one that holds a comma and
+    names no existing file; any other string is a path.  `header` maps each
+    column's name, in order, to its kind.  Checks the header and every row's
+    field count, then parses each column; the lowest row holding a faulty
+    field (the leftmost, within a row) is reported.  Row numbers are 1-based
+    file rows; blank lines are skipped.  A header with no data rows is an
+    error unless empty_ok.
+    """
+    text = path_or_text
+    if "\n" not in text and ("," not in text or os.path.exists(text)):
+        try:
+            with open(path_or_text, "r", newline="") as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read {what} CSV: {exc}") from exc
+    reader = csv.reader(io.StringIO(text))
+    try:
+        records = list(reader)
+    except csv.Error as exc:  # an over-long field or a bare CR outside quotes
+        raise UsageError(f"{what} CSV line {reader.line_num}: {exc}") from exc
+    rownums = [i for i, row in enumerate(records, 1) if row]
+    records = [row for row in records if row]
+    if not records:
+        raise UsageError(f"{what} CSV is empty")
+    got = [c.strip() for c in records[0]]
+    if got != list(header):
+        want = ",".join(header)
+        raise UsageError(f"row {rownums[0]}: expected header '{want}', got " + ",".join(got))
+    for rownum, row in zip(rownums[1:], records[1:]):
+        if len(row) != len(header):
+            raise UsageError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
+    if len(records) == 1 and not empty_ok:
+        raise UsageError(f"{what} CSV has a header but no data rows")
+    fields = list(zip(*records[1:])) or [()] * len(header)
+    columns, faults = zip(*map(_column, header, header.values(), fields))
+    if any(faults):
+        k, why = min(filter(None, faults), key=operator.itemgetter(0))
+        raise UsageError(f"row {rownums[k + 1]}: {why}")
+    return rownums[1:], list(columns)
+
+
+def require_unique_keys(rownums: list[int], names: tuple[str, ...], *keys) -> None:
+    """Raise UsageError at the first row whose values in the `keys` columns,
+    named `names`, repeat an earlier row's."""
+    seen = set()
+    for rownum, key in zip(rownums, zip(*keys)):
+        if key in seen:
+            key_text = ",".join(map(str, key))
+            raise UsageError(f"row {rownum}: duplicate entry for {','.join(names)} = {key_text}")
+        seen.add(key)

@@ -8,15 +8,13 @@ enter through SampledDensitySpace, a midpoint-rule discretization.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NumericError, UsageError
-from .jsonutil import csv_text
+from .jsonutil import csv_text, read_csv
 from .params import _float_pow
 
 __all__ = [
@@ -249,93 +247,17 @@ def gaussian_measure_space(t_lo: float, t_hi: float, n_cells: int) -> SampledDen
     )
 
 
-def _read_csv_rows(
-    path_or_text: str, what: str, header: tuple[str, ...], empty_ok: bool = False
-) -> list[tuple[int, list[str]]]:
-    """Data rows of a CSV file path (or of literal text containing a newline).
+# CSV format: one atom per row.
+_INSTANCE_CSV = {"atom_id": "text", "weight": "float > 0", "magnitude": "float >= 0"}
 
-    Checks the header and every row's field count, and returns the rows after
-    the header as (1-based file row number, fields); blank lines are skipped.
-    A header with no data rows is an error unless empty_ok.
-    """
-    if "\n" in path_or_text:
-        text = path_or_text
-    else:
-        try:
-            with open(path_or_text, "r", newline="") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {what} CSV: {exc}") from exc
-    rows = [(i + 1, row) for i, row in enumerate(csv.reader(io.StringIO(text))) if row]
-    if not rows:
-        raise UsageError(f"{what} CSV is empty")
-    got = [c.strip() for c in rows[0][1]]
-    if got != list(header):
-        raise UsageError(
-            f"row 1: expected header '{','.join(header)}', got " + ",".join(got)
-        )
-    for rownum, row in rows[1:]:
-        if len(row) != len(header):
-            raise UsageError(
-                f"row {rownum}: expected {len(header)} fields, got {len(row)}"
-            )
-    if len(rows) == 1 and not empty_ok:
-        raise UsageError(f"{what} CSV has a header but no data rows")
-    return rows[1:]
-
-
-def _parse_float(field: str, rownum: int) -> float:
-    try:
-        val = float(field)
-    except ValueError as exc:
-        raise UsageError(f"row {rownum}: non-numeric field ({exc})") from exc
-    if not math.isfinite(val):
-        raise UsageError(f"row {rownum}: entries must be finite, got {field}")
-    return val
-
-
-def _parse_complex(re_txt: str, im_txt: str, rownum: int) -> complex:
-    return complex(_parse_float(re_txt, rownum), _parse_float(im_txt, rownum))
-
-
-def _parse_index(field: str, rownum: int, name: str) -> int:
-    try:
-        val = int(field)
-    except ValueError as exc:
-        raise UsageError(f"row {rownum}: non-integer {name} ({exc})") from exc
-    if val < 0:
-        raise UsageError(f"row {rownum}: {name} must be >= 0, got {val}")
-    return val
-
-
-# CSV format: header "atom_id,weight,magnitude", one atom per row.
 
 def load_instance_csv(path_or_text: str) -> tuple[DiscreteMeasureSpace, SimpleFunction]:
-    """Read an instance from a CSV file path (or literal CSV text).
-
-    Errors carry 1-based file row numbers.
-    """
-    rows = _read_csv_rows(path_or_text, "instance", ("atom_id", "weight", "magnitude"))
-    ids: list[str] = []
-    weights: list[float] = []
-    mags: list[float] = []
-    for rownum, (aid, w_txt, m_txt) in rows:
-        w = _parse_float(w_txt, rownum)
-        m = _parse_float(m_txt, rownum)
-        if w <= 0:
-            raise UsageError(f"row {rownum}: weight must be positive, got {w_txt}")
-        if m < 0:
-            raise UsageError(
-                f"row {rownum}: magnitude must be nonnegative, got {m_txt}"
-            )
-        ids.append(aid)
-        weights.append(w)
-        mags.append(m)
-    sp = DiscreteMeasureSpace(weights=np.array(weights), atom_ids=tuple(ids))
-    return sp, SimpleFunction(np.array(mags))
+    """Read an instance from a CSV file path or text; errors name the file row."""
+    _, (ids, weights, mags) = read_csv(path_or_text, "instance", _INSTANCE_CSV)
+    return DiscreteMeasureSpace(weights=weights, atom_ids=ids), SimpleFunction(mags)
 
 
 def instance_csv_text(sp: DiscreteMeasureSpace, f: SimpleFunction) -> str:
     _check_aligned(f, sp)
     columns = (sp.atom_ids, sp.weights.tolist(), f.magnitudes.tolist())
-    return csv_text(("atom_id", "weight", "magnitude"), columns)
+    return csv_text(_INSTANCE_CSV, columns)

@@ -18,14 +18,8 @@ import numpy as np
 
 from .audit import AuditReport, audit_weak_l1
 from .errors import DomainError, NumericError, UsageError
-from .jsonutil import csv_text
-from .measures import (
-    DiscreteMeasureSpace,
-    SimpleFunction,
-    _parse_complex,
-    _parse_index,
-    _read_csv_rows,
-)
+from .jsonutil import csv_text, read_csv, require_unique_keys
+from .measures import DiscreteMeasureSpace, SimpleFunction
 from .rearrange import StepFunction, decreasing_rearrangement
 
 __all__ = [
@@ -197,50 +191,41 @@ def audit_spectral_bound(model: SpectralModel, g, variant: str, grid=None) -> Au
     return replace(rep, inequality_name="spectral_weak_l1")
 
 
-# CSV formats.  Matrix: header "row,col,re,im", all n^2 entries, 0-based.
-# State: header "index,re,im", all n entries, 0-based.
+# CSV formats.  Matrix: all n^2 entries, 0-based.  State: all n entries, 0-based.
+_MATRIX_CSV = {"row": "int >= 0", "col": "int >= 0", "re": "float", "im": "float"}
+_STATE_CSV = {"index": "int >= 0", "re": "float", "im": "float"}
+
 
 def load_matrix_csv(path_or_text: str) -> np.ndarray:
     """Read a dense complex matrix; every entry must be listed exactly once."""
-    entries: dict[tuple[int, int], complex] = {}
-    for rownum, (i_txt, j_txt, re_txt, im_txt) in _read_csv_rows(
-        path_or_text, "matrix", ("row", "col", "re", "im")
-    ):
-        i = _parse_index(i_txt, rownum, "row index")
-        j = _parse_index(j_txt, rownum, "col index")
-        if (i, j) in entries:
-            raise UsageError(f"row {rownum}: duplicate entry for ({i},{j})")
-        entries[(i, j)] = _parse_complex(re_txt, im_txt, rownum)
-    n = 1 + max(max(i, j) for i, j in entries)
+    rownums, (i, j, re, im) = read_csv(path_or_text, "matrix", _MATRIX_CSV)
+    require_unique_keys(rownums, ("row", "col"), i, j)
+    n = 1 + max(max(i), max(j))
     if n > MAX_MATRIX_DIM:
         raise UsageError(f"matrix dimension {n} exceeds the limit {MAX_MATRIX_DIM}")
-    if len(entries) != n * n:
-        raise UsageError(
-            f"matrix CSV implies dimension {n} but lists {len(entries)} of "
-            f"{n * n} entries"
-        )
-    a = np.zeros((n, n), dtype=complex)
-    for (i, j), z in entries.items():
-        a[i, j] = z
-    return a
+    return _dense("matrix CSV implies dimension", (i, j), re, im)
 
 
 def load_state_csv(path_or_text: str) -> np.ndarray:
     """Read a complex state vector; indices must cover 0..n-1 exactly."""
-    entries: dict[int, complex] = {}
-    for rownum, (i_txt, re_txt, im_txt) in _read_csv_rows(
-        path_or_text, "state", ("index", "re", "im")
-    ):
-        i = _parse_index(i_txt, rownum, "index")
-        if i in entries:
-            raise UsageError(f"row {rownum}: duplicate entry for index {i}")
-        entries[i] = _parse_complex(re_txt, im_txt, rownum)
-    n = 1 + max(entries)
-    if len(entries) != n:
-        raise UsageError(
-            f"state CSV implies length {n} but lists {len(entries)} entries"
-        )
-    return np.array([entries[i] for i in range(n)], dtype=complex)
+    rownums, (i, re, im) = read_csv(path_or_text, "state", _STATE_CSV)
+    require_unique_keys(rownums, ("index",), i)
+    return _dense("state CSV implies length", (i,), re, im)
+
+
+def _dense(claim: str, index: tuple[list[int], ...], re: np.ndarray, im: np.ndarray):
+    """The n x ... x n complex array with re + i*im at each distinct index
+    tuple, n = 1 + the largest index.  They cover it when there are n^d of
+    them, which is checked on Python ints before any index array is built."""
+    n = 1 + max(map(max, index))
+    size = n ** len(index)
+    if len(re) != size:
+        raise UsageError(f"{claim} {n} but lists {len(re)} of {size} entries")
+    a = np.zeros((n,) * len(index), dtype=complex)
+    at = tuple(map(np.array, index))
+    a.real[at] = re
+    a.imag[at] = im
+    return a
 
 
 def matrix_csv_text(matrix) -> str:
@@ -249,9 +234,9 @@ def matrix_csv_text(matrix) -> str:
         raise DomainError(f"matrix must be square, got shape {a.shape}")
     rows, cols = np.divmod(np.arange(a.size), a.shape[0])
     columns = (rows.tolist(), cols.tolist(), a.real.ravel().tolist(), a.imag.ravel().tolist())
-    return csv_text(("row", "col", "re", "im"), columns)
+    return csv_text(_MATRIX_CSV, columns)
 
 
 def state_csv_text(psi) -> str:
     v = np.asarray(psi, dtype=complex).ravel()
-    return csv_text(("index", "re", "im"), (range(v.size), v.real.tolist(), v.imag.tolist()))
+    return csv_text(_STATE_CSV, (range(v.size), v.real.tolist(), v.imag.tolist()))

@@ -38,6 +38,20 @@ def test_only_jsonutil_checks_report_finiteness():
     assert found == []
 
 
+def test_only_jsonutil_imports_csv():
+    # jsonutil owns the CSV dialect, read and written: a second reader or
+    # writer built on the csv module elsewhere fails here
+    package = Path(bjaudit.__file__).resolve().parent
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "jsonutil.py"
+        for module, lineno in _imported_modules(path)
+        if module.split(".")[0] == "csv"
+    ]
+    assert found == []
+
+
 def test_runtime_needs_no_scipy():
     # numpy is the only runtime dependency: no module imports scipy, at the
     # top or inside a function, and the package metadata does not ask for it

@@ -26,7 +26,7 @@ from bjaudit import (
     lp_norm,
     truncation_profile,
 )
-from bjaudit.cli import main
+from bjaudit.cli import MAX_TRIG_ROWS, main
 
 INPUTS = {
     "ref": "atom_id,weight,magnitude\na0,0.5,5.0\na1,1.0,3.0\na2,2.0,1.0\n",
@@ -43,6 +43,15 @@ INPUTS = {
     ),
     "trig_square_overflow": "k,re,im\n0,1,0\n1,1e200,0\n",
     "trig_sum_overflow": "k,re,im\n1,1.3e154,0\n2,1.3e154,0\n",
+    "ref_matrix": "row,col,re,im\n0,0,1,0\n",
+    "ref_state": "index,re,im\n0,1,0\n",
+    # keys past the int64 range
+    "huge_matrix_key": "row,col,re,im\n99999999999999999999999,0,1,0\n",
+    "huge_state_index": "index,re,im\n99999999999999999999999,1,0\n",
+    "huge_trig_k": "k,re,im\n99999999999999999999999,1,0\n",
+    # inputs the csv module refuses: a field past its size limit, a bare CR
+    "long_field": "atom_id,weight,magnitude\n" + "a" * 200_000 + ",1,2\n",
+    "bare_cr": "atom_id,weight,magnitude\na\rb,1,2\n",
 }
 EXTREMES = (
     "extreme", "overflowing_mass", "huge_q", "huge_support", "max_weight", "weak_l1_overflow"
@@ -80,16 +89,31 @@ CASES = [
             ["audit", "--name", "q2", "--theta", "0.5"],
         )
     ),
+    (None, ["spectral", "--matrix", "@huge_matrix_key", "--state", "@ref_state"], 2),
+    (None, ["spectral", "--matrix", "@ref_matrix", "--state", "@huge_state_index"], 2),
+    # the trig table stops at MAX_TRIG_ROWS rows, whether n_max is implied or given
+    ("huge_trig_k", ["trig"], 2),
+    ("huge_trig_k", ["trig", "--n-max", "3"], 0),
+    ("huge_trig_k", ["trig", "--n-max", str(MAX_TRIG_ROWS + 1)], 2),
+    ("huge_trig_k", ["trig", "--n-max", "99999999999999999999999"], 2),
+    ("long_field", ["rearrange"], 2),
+    ("bare_cr", ["rearrange"], 2),
 ]
+
+
+def _input_file(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(INPUTS[name])
+    return str(path)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("name, argv, want", CASES)
 def test_exit_contract_without_warnings(capsys, tmp_path, name, argv, want, fmt):
+    # an argument "@key" stands for a file holding INPUTS[key]
+    argv = [_input_file(tmp_path, arg[1:]) if arg.startswith("@") else arg for arg in argv]
     if name is not None:
-        path = tmp_path / "input.csv"
-        path.write_text(INPUTS[name])
-        argv = argv + ["--input", str(path)]
+        argv = argv + ["--input", _input_file(tmp_path, name)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv + ["--format", fmt])

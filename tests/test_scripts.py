@@ -51,11 +51,14 @@ def test_search_counterexamples():
 def test_run_invgauss_demo(tmp_path):
     out_dir = tmp_path / "demo"
     out = _run_script(
-        "run_invgauss_demo.py", "--out-dir", str(out_dir), "--n-cells", "200", cwd=tmp_path
+        "run_invgauss_demo.py",
+        "--out-dir", str(out_dir), "--n-cells", "200", "--u-grid", "0.05:0.6:5",
+        cwd=tmp_path,
     )
-    assert f"wrote {out_dir}/demo_table.csv (106 rows)" in out
+    assert f"wrote {out_dir}/demo_table.csv (5 rows)" in out
     table = (out_dir / "demo_table.csv").read_text().splitlines()
-    assert len(table) == 107
+    assert len(table) == 6
+    assert table[1].startswith("0.05,") and table[-1].startswith("0.6,")
     assert (out_dir / "demo_steps.csv").read_text().startswith("t_break,value\n")
     metadata = json.loads((out_dir / "demo_metadata.json").read_text())
     assert metadata["n_cells"] == 200
