@@ -60,10 +60,8 @@ from .functionals import (
 from .invgauss import DemoResult, InvGaussParams, demo_pipeline, invgauss_density
 from .measures import (
     DiscreteMeasureSpace,
-    SampledDensitySpace,
     SimpleFunction,
     distribution_function,
-    gaussian_measure_space,
     instance_csv_text,
     load_instance_csv,
     lp_norm,

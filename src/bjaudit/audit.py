@@ -25,7 +25,7 @@ from .measures import (
     instance_csv_text,
     lp_norm,
 )
-from .params import ApproxParams, _float_pow, c_big, c_exact
+from .params import ApproxParams, _float_pow, c_big, c_exact, params_from_theta_q
 from .rearrange import StepFunction, approx_quasinorm, decreasing_rearrangement, eval_step
 
 __all__ = [
@@ -243,20 +243,19 @@ def audit_q2(
 ) -> AuditReport:
     """q=2 family: f*(t) <= t^(1-1/theta) (sin(pi theta)/(pi theta))^(1/(2 theta)) Q_{s,tau}.
 
-    Here s = (1-theta)/theta and tau = 2*theta; at theta = 1/2 this is exactly
-    the weak-L1 claim with constant 2/pi.
+    Here (s, tau) = params_from_theta_q(theta, 2); at theta = 1/2 this is
+    exactly the weak-L1 claim with constant 2/pi.
     """
+    p = params_from_theta_q(theta, 2.0)
     const = c_big(theta, 2.0)
-    s = (1.0 - theta) / theta
-    tau = 2.0 * theta
     sf = decreasing_rearrangement(f, sp)
-    q_val = approx_quasinorm(sf, s, tau)
+    q_val = approx_quasinorm(sf, p.s, p.tau)
     return _pointwise_audit(
         "q2",
-        {"theta": theta, "s": s, "tau": tau, "constant": const},
+        {"theta": theta, "s": p.s, "tau": p.tau, "constant": const},
         sf,
         grid,
-        lambda ts: ts ** (1.0 - 1.0 / theta) * const * q_val,
+        lambda ts: ts ** (-p.s) * const * q_val,
     )
 
 

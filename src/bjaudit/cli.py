@@ -31,7 +31,7 @@ from .audit import (
     report_csv,
 )
 from .errors import BJAuditError, DomainError, UsageError
-from .functionals import e_functional_trig, load_trig_csv
+from .functionals import _trig_errors, load_trig_csv
 from .invgauss import InvGaussParams, demo_pipeline
 from .jsonutil import csv_text, dumps17, infinite_param
 from .measures import load_instance_csv, lp_norm
@@ -54,7 +54,11 @@ from .spectral import (
 )
 
 AUDIT_NAMES = ("jackson", "bernstein-right", "weak-l1", "q2")
-SPECTRAL_G = ("identity", "square", "zero")
+SPECTRAL_G = {
+    "identity": lambda lam: lam,
+    "square": lambda lam: lam * lam,
+    "zero": lambda lam: 0.0,
+}
 MAX_TRIG_ROWS = 1_000_000  # rows n = 1..n_max of a trig table
 
 
@@ -219,22 +223,11 @@ def cmd_search(args):
     return (out, *report_csv(out["report"]))
 
 
-def _spectral_g(name: str):
-    name = name.replace("_", "-")
-    if name == "identity":
-        return lambda lam: lam
-    if name == "square":
-        return lambda lam: lam * lam
-    if name == "zero":
-        return lambda lam: 0.0
-    raise UsageError(f"unknown g {name!r}; choose from {SPECTRAL_G}")
-
-
 def cmd_spectral(args):
     matrix = load_matrix_csv(args.matrix)
     psi = load_state_csv(args.state)
     model = spectral_measure(matrix, psi)
-    rep = audit_spectral_bound(model, _spectral_g(args.g), args.variant, _grid(args))
+    rep = audit_spectral_bound(model, SPECTRAL_G[args.g], args.variant, _grid(args))
     out = rep.to_json_dict()
     out["eigenvalues"] = model.eigenvalues.tolist()
     out["weights"] = model.weights.tolist()
@@ -271,7 +264,7 @@ def cmd_trig(args):
     if n_max > MAX_TRIG_ROWS:
         raise UsageError(f"n_max {n_max} exceeds the limit {MAX_TRIG_ROWS} rows")
     ns = list(range(1, n_max + 1))
-    es = [e_functional_trig(coeffs, n) for n in ns]
+    es = _trig_errors(coeffs, ns)
     return {"n": ns, "e_value": es}, ("n", "e_value"), [ns, es]
 
 

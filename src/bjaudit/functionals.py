@@ -153,11 +153,29 @@ def e_functional_trig(coeffs: dict[int, complex], n: int) -> float:
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    try:
-        tail = sum(abs(v) ** 2 for k, v in coeffs.items() if abs(int(k)) >= n)
-    except OverflowError as exc:
-        raise NumericError(f"l2 tail of the coefficients overflows at n = {n}") from exc
-    return math.sqrt(tail)
+    return _trig_errors(coeffs, [n])[0]
+
+
+def _trig_errors(coeffs: dict[int, complex], ns) -> list[float]:
+    """e_functional_trig at each n of an increasing sequence of n >= 1, in one pass.
+
+    One running sum of |c_k|^2 goes from the largest |k| down; every k of
+    one |k| is added before that |k|'s tail is read.  Raises NumericError
+    where a square or the sum passes the float range.
+    """
+    terms = sorted(((abs(int(k)), v) for k, v in coeffs.items()), key=lambda kv: kv[0])
+    errors = []
+    tail = 0.0
+    for n in reversed(ns):
+        while terms and terms[-1][0] >= n:
+            try:
+                tail += abs(terms.pop()[1]) ** 2
+            except OverflowError:
+                tail = math.inf
+        if tail == math.inf:
+            raise NumericError(f"l2 tail of the coefficients overflows at n = {n}")
+        errors.append(math.sqrt(tail))
+    return errors[::-1]
 
 
 _TRIG_CSV = {"k": "int", "re": "float", "im": "float"}

@@ -1,7 +1,8 @@
 """Inverse-Gaussian density demo under the standard Gaussian measure.
 
 Discretizes the density C sqrt(l/(2 pi t^3)) exp(-l(t-m)^2/(2 m^2 t)) on a
-truncated cell grid weighted by the Gaussian measure, rearranges it, and
+truncated grid of uniform cells, each weighted by the standard Gaussian
+density at its midpoint times its width, rearranges it, and
 tabulates f*, the E-functional (identical by construction on a discrete
 space), and the Jackson bound u^-s c_{s,tau} Q_{s,tau}(f).
 
@@ -18,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .jsonutil import csv_text, dumps17
-from .measures import gaussian_measure_space, lp_norm
-from .params import c_exact, params_from_s_tau
+from .measures import DiscreteMeasureSpace, SimpleFunction, lp_norm
+from .params import _float_pow, c_exact, params_from_s_tau
 from .rearrange import (
     StepFunction,
     approx_quasinorm,
@@ -62,8 +63,11 @@ class InvGaussParams:
 def invgauss_density(t, p: InvGaussParams | None = None):
     """C sqrt(l/(2 pi t^3)) exp(-l(t-m)^2/(2 m^2 t)); 0 for t <= 0.
 
-    Evaluated in log space so the t -> 0+ limit underflows cleanly to 0
-    instead of tripping 0 * inf.
+    Prefactor and exponent meet in log space, so the t -> 0+ limit underflows
+    cleanly to 0 instead of tripping 0 * inf.  Where a factor of the exponent
+    is zero, subnormal or infinite in floats (t or m near 0 or huge), the
+    exponent itself is formed from logs.  Raises NumericError where m^2 or
+    the density overflows a float.
     """
     if p is None:
         p = InvGaussParams()
@@ -72,6 +76,7 @@ def invgauss_density(t, p: InvGaussParams | None = None):
     arr = np.atleast_1d(arr)
     if not np.all(np.isfinite(arr)):
         raise DomainError("density argument must be finite")
+    m2 = _float_pow(p.mean, 2, f"the density's m^2 overflows a float at m = {p.mean!r}")
     out = np.zeros_like(arr)
     pos = arr > 0.0
     tp = arr[pos]
@@ -80,10 +85,27 @@ def invgauss_density(t, p: InvGaussParams | None = None):
         + 0.5 * (math.log(p.shape) - math.log(2.0 * math.pi))
         - 1.5 * np.log(tp)
     )
-    log_exp = -p.shape * (tp - p.mean) ** 2 / (2.0 * p.mean**2 * tp)
-    with np.errstate(under="ignore"):
+    with np.errstate(all="ignore"):
+        sq = (tp - p.mean) ** 2
+        num = -p.shape * sq
+        den = 2.0 * m2 * tp
+        log_exp = num / den
+        direct = _normal(sq) & _normal(num) & _normal(den)
+        far = tp[~direct]
+        log_exp[~direct] = -np.exp(
+            math.log(p.shape) - math.log(2.0) - 2.0 * math.log(p.mean)
+            + 2.0 * np.log(np.abs(far - p.mean))
+            - np.log(far)
+        )
         out[pos] = np.exp(log_pref + log_exp)
+    if not np.isfinite(out).all():
+        raise NumericError("the inverse-Gaussian density overflows a float")
     return float(out[0]) if scalar else out
+
+
+def _normal(x: np.ndarray) -> np.ndarray:
+    """Where |x| is a normal float: neither zero, subnormal nor infinite."""
+    return (np.abs(x) >= np.finfo(float).tiny) & (np.abs(x) < np.inf)
 
 
 @dataclass(frozen=True)
@@ -111,11 +133,19 @@ class DemoResult:
         return dumps17(self.metadata) + "\n"
 
 
-def _build_instance(p: InvGaussParams, t_lo: float, t_max: float, n_cells: int):
-    space = gaussian_measure_space(t_lo, t_max, n_cells)
-    sp = space.compile()
-    f = space.sample(lambda ts: invgauss_density(ts, p))
-    return sp, f
+def _gaussian_cells(p: InvGaussParams, t_lo: float, t_hi: float, n_cells: int):
+    """The demo instance on n_cells uniform cells of (t_lo, t_hi).
+
+    Each cell weighs the standard Gaussian density at its midpoint times its
+    width; cells whose weight underflows to 0 are dropped, and the function
+    is the inverse-Gaussian density at the kept midpoints.
+    """
+    width = (t_hi - t_lo) / n_cells
+    mids = t_lo + width * (np.arange(n_cells) + 0.5)
+    with np.errstate(over="ignore"):  # mid^2 = inf gives the weight exp(-inf) = 0
+        weights = np.exp(-0.5 * mids * mids) / math.sqrt(2.0 * math.pi) * width
+    kept = weights > 0.0
+    return DiscreteMeasureSpace(weights[kept]), SimpleFunction(invgauss_density(mids[kept], p))
 
 
 def demo_pipeline(
@@ -137,8 +167,8 @@ def demo_pipeline(
     if p is None:
         p = InvGaussParams()
     params = params_from_s_tau(s, tau)  # validates s, tau and gives c_{s,tau}
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise DomainError(f"t_max must be positive finite, got {t_max!r}")
+    if not (t_max > 0 and math.isfinite(2.0 * t_max)):
+        raise DomainError(f"t_max must be positive with 2*t_max finite, got {t_max!r}")
     if n_cells < 2:
         raise DomainError(f"n_cells must be >= 2, got {n_cells!r}")
     if u_grid is None:
@@ -150,15 +180,18 @@ def demo_pipeline(
         raise DomainError("u_grid entries must be positive finite reals")
 
     t_lo = t_max / n_cells
+    width = (t_max - t_lo) / n_cells
+    if width == 0.0:
+        raise NumericError(f"the cell width underflows to 0 at t_max={t_max!r}, n_cells={n_cells}")
     warnings: list[str] = []
 
-    sp, f = _build_instance(p, t_lo, t_max, n_cells)
+    sp, f = _gaussian_cells(p, t_lo, t_max, n_cells)
     sf = decreasing_rearrangement(f, sp)
     q_val = approx_quasinorm(sf, params.s, params.tau)
     l1 = lp_norm(f, sp, 1.0)
 
     # Refinement cross-check at doubled resolution (same window).
-    sp2, f2 = _build_instance(p, t_max / (2 * n_cells), t_max, 2 * n_cells)
+    sp2, f2 = _gaussian_cells(p, t_max / (2 * n_cells), t_max, 2 * n_cells)
     sf2 = decreasing_rearrangement(f2, sp2)
     q_ref = approx_quasinorm(sf2, params.s, params.tau)
     l1_ref = lp_norm(f2, sp2, 1.0)
@@ -175,9 +208,8 @@ def demo_pipeline(
         )
 
     # Tail check: extend the window once and measure the extra L1 mass.
-    width = (t_max - t_lo) / n_cells
     n_tail = max(2, int(math.ceil(t_max / width)))
-    sp_tail, f_tail = _build_instance(p, t_max, 2.0 * t_max, n_tail)
+    sp_tail, f_tail = _gaussian_cells(p, t_max, 2.0 * t_max, n_tail)
     tail_l1 = lp_norm(f_tail, sp_tail, 1.0)
     tail_ratio = tail_l1 / max(l1, 1e-300)
     if tail_ratio > _TAIL_REL_TOL:

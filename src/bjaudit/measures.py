@@ -2,14 +2,13 @@
 
 Everything downstream (rearrangements, E/K-functionals, audits) depends on a
 function only through its magnitudes |f(x)|, so a function is just a
-nonnegative vector aligned with a weighted atom list.  Continuous densities
-enter through SampledDensitySpace, a midpoint-rule discretization.
+nonnegative vector aligned with a weighted atom list.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +19,8 @@ from .params import _float_pow
 __all__ = [
     "DiscreteMeasureSpace",
     "SimpleFunction",
-    "SampledDensitySpace",
     "lp_norm",
     "distribution_function",
-    "gaussian_measure_space",
     "load_instance_csv",
     "instance_csv_text",
 ]
@@ -179,8 +176,6 @@ def lp_norm(f: SimpleFunction, sp: DiscreteMeasureSpace, p: float) -> float:
         return float(f.magnitudes.max()) if f.magnitudes.size else 0.0
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
         raise DomainError(f"p must be in (0,inf), inf, or 0; got {p!r}")
-    if f.magnitudes.size == 0:
-        return 0.0
     return _lp_root(sp.weights, f.magnitudes, p)
 
 
@@ -191,60 +186,6 @@ def _lp_root(weights: np.ndarray, mags: np.ndarray, p: float) -> float:
     if not math.isfinite(total):
         raise NumericError(f"the L^{p:g} sum overflows a float")
     return _float_pow(total, 1.0 / p, f"the L^{p:g} norm overflows a float")
-
-
-@dataclass(frozen=True, eq=False)
-class SampledDensitySpace:
-    """Midpoint-rule discretization of a density on a cell grid."""
-
-    grid: np.ndarray  # strictly increasing cell midpoints
-    cell_widths: np.ndarray
-    density: np.ndarray  # nonnegative density at midpoints
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        w = np.asarray(self.cell_widths, dtype=float)
-        d = np.asarray(self.density, dtype=float)
-        if not (g.ndim == w.ndim == d.ndim == 1 and g.size == w.size == d.size):
-            raise UsageError("grid, cell_widths, density must be 1-d and aligned")
-        if g.size and np.any(np.diff(g) <= 0):
-            raise DomainError("grid midpoints must be strictly increasing")
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise DomainError("cell widths must be positive")
-        if np.any(d < 0) or not np.all(np.isfinite(d)):
-            raise DomainError("density must be nonnegative and finite")
-        object.__setattr__(self, "grid", _freeze(g))
-        object.__setattr__(self, "cell_widths", _freeze(w))
-        object.__setattr__(self, "density", _freeze(d))
-
-    def kept_mask(self) -> np.ndarray:
-        return self.density * self.cell_widths > 0.0
-
-    def compile(self) -> DiscreteMeasureSpace:
-        """Weights density*width; zero-weight cells dropped."""
-        keep = self.kept_mask()
-        w = (self.density * self.cell_widths)[keep]
-        ids = tuple(f"cell{i}" for i in np.nonzero(keep)[0])
-        return DiscreteMeasureSpace(weights=w, atom_ids=ids)
-
-    def sample(self, fn) -> SimpleFunction:
-        """Evaluate |fn| at the midpoints of kept cells, aligned with compile()."""
-        vals = np.abs(np.asarray(fn(self.grid[self.kept_mask()]), dtype=float))
-        return SimpleFunction(vals)
-
-
-def gaussian_measure_space(t_lo: float, t_hi: float, n_cells: int) -> SampledDensitySpace:
-    """Uniform cells on (t_lo, t_hi) carrying the standard Gaussian density."""
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
-        raise DomainError("need t_lo < t_hi, both finite")
-    if n_cells < 2:
-        raise DomainError("n_cells must be >= 2")
-    width = (t_hi - t_lo) / n_cells
-    mids = t_lo + width * (np.arange(n_cells) + 0.5)
-    dens = np.exp(-0.5 * mids * mids) / math.sqrt(2.0 * math.pi)
-    return SampledDensitySpace(
-        grid=mids, cell_widths=np.full(n_cells, width), density=dens
-    )
 
 
 # CSV format: one atom per row.

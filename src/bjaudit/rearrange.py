@@ -102,8 +102,6 @@ def decreasing_rearrangement(
     if not np.all(widths_pos):
         values = values[widths_pos]
         breaks = np.concatenate([[0.0], breaks[1:][widths_pos]])
-        if values.size == 0:
-            return EMPTY_STEP
     return StepFunction(breaks=breaks, values=values)
 
 

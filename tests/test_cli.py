@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +353,17 @@ def test_trig_golden(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["n"] == [1, 2]
     assert doc["e_value"] == [0.75, 0.25]
+
+
+def test_trig_table_is_linear_in_its_size(capsys, tmp_path):
+    # per-n tails would sum 20,000 coefficients 20,000 times over
+    k = np.arange(20_000)
+    path = tmp_path / "coeffs.csv"
+    path.write_text("k,re,im\n" + "".join(f"{i},{1.0 / (i + 1)},0\n" for i in k))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["trig", "--input", str(path)])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and out.count("\n") == 20_001
 
 
 def test_trig_bad_n_max(capsys, tmp_path):

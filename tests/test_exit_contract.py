@@ -56,6 +56,7 @@ INPUTS = {
 EXTREMES = (
     "extreme", "overflowing_mass", "huge_q", "huge_support", "max_weight", "weak_l1_overflow"
 )
+DEMO = ["demo-invgauss", "--n-cells", "10", "--u-grid", "0.5:1:2"]
 JACKSON_HUGE_S = ["--s", "1e6", "--tau", "3", "--provider", "paper-with-factor"]
 
 CASES = [
@@ -98,6 +99,14 @@ CASES = [
     ("huge_trig_k", ["trig", "--n-max", "99999999999999999999999"], 2),
     ("long_field", ["rearrange"], 2),
     ("bare_cr", ["rearrange"], 2),
+    # the demo's windows and density at extreme t_max and mean
+    (None, [*DEMO, "--t-max", "1.4e154"], 0),
+    (None, [*DEMO, "--t-max", "1e308"], 2),
+    (None, [*DEMO, "--t-max", "1e-320"], 0),
+    (None, [*DEMO, "--m", "1e-300"], 0),
+    (None, [*DEMO, "--m", "1e154"], 0),
+    (None, [*DEMO, "--m", "1e300"], 3),
+    (None, [*DEMO, "--t-max", "5e-324"], 3),
 ]
 
 
@@ -122,6 +131,8 @@ def test_exit_contract_without_warnings(capsys, tmp_path, name, argv, want, fmt)
     assert "Traceback" not in err and "Warning" not in err
     if code:
         assert out == "" and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 def _instance(weights, mags):

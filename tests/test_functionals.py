@@ -118,6 +118,38 @@ def test_trig_tail_identity():
         e_functional_trig(coeffs, 0)
 
 
+def _file_order_trig_error(coeffs, n):
+    """The l2 tail at one n, summed in the coefficients' own order: the reference."""
+    return math.sqrt(sum(abs(v) ** 2 for k, v in coeffs.items() if abs(int(k)) >= n))
+
+
+_COEFF = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(-30, 30), st.builds(complex, _COEFF, _COEFF), max_size=61),
+    st.integers(1, 40),
+)
+def test_trig_errors_agree_with_fsum(coeffs, n_max):
+    # keys k and -k share one |k|, so ties are drawn as often as not
+    table = functionals._trig_errors(coeffs, range(1, n_max + 1))
+    tol = (len(coeffs) + 1) * 2.0**-53
+    for n, got in enumerate(table, start=1):
+        want = math.sqrt(math.fsum(abs(v) ** 2 for k, v in coeffs.items() if abs(k) >= n))
+        assert got == e_functional_trig(coeffs, n)  # one code path, the same bits
+        assert abs(got - want) <= tol * want
+        assert abs(_file_order_trig_error(coeffs, n) - want) <= tol * want
+
+
+def test_trig_errors_overflow_is_numeric_error():
+    with pytest.raises(NumericError, match="overflows at n = 1"):
+        functionals._trig_errors({0: 1.0, 1: 1e200}, [1, 2])  # a square overflows
+    with pytest.raises(NumericError, match="overflows at n = 1"):
+        e_functional_trig({1: 1.3e154, 2: 1.3e154}, 1)  # the sum overflows
+    assert e_functional_trig({1: 1.3e154, 2: 1.3e154}, 2) == 1.3e154
+
+
 def test_trig_csv_loader():
     text = "k,re,im\n0,1.0,0.0\n2,0.0,-0.5\n"
     coeffs = load_trig_csv(text)

@@ -1,15 +1,19 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from bjaudit import (
     DomainError,
     InvGaussParams,
+    NumericError,
     demo_pipeline,
     eval_step,
     invgauss_density,
 )
+from bjaudit.invgauss import _gaussian_cells
 
 
 def test_density_peak_value():
@@ -42,6 +46,73 @@ def test_density_vectorized_matches_scalar():
         assert v == invgauss_density(float(t))
     with pytest.raises(DomainError):
         invgauss_density(math.nan)
+
+
+@pytest.mark.parametrize(
+    "t, p",
+    [
+        (3.0, InvGaussParams(mean=1e154)),  # 2 m^2 t and l (t-m)^2 overflow
+        (9e154, InvGaussParams(mean=1e154)),
+        (1e155, InvGaussParams(mean=1e154)),
+        (1e-5, InvGaussParams(mean=1e-5, shape=1e-30)),  # l (t-m)^2 underflows
+        (2.0, InvGaussParams(shape=1e-320)),
+        (0.5, InvGaussParams()),  # the direct form
+    ],
+)
+def test_density_where_the_exponent_leaves_the_float_range(t, p):
+    with mpmath.workdps(40):
+        t_, c, m, l = map(mpmath.mpf, (t, p.amplitude, p.mean, p.shape))
+        want = c * mpmath.sqrt(l / (2 * mpmath.pi * t_**3)) * mpmath.exp(
+            -l * (t_ - m) ** 2 / (2 * m**2 * t_)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = invgauss_density(t, p)
+        assert float(abs(got - want) / want) < 1e-12
+
+
+def test_density_limits_and_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # t -> 0 and m -> 0 give 0 without a warning
+        assert invgauss_density(1e-320) == 0.0
+        assert invgauss_density(1.0, InvGaussParams(mean=1e-300)) == 0.0
+        with pytest.raises(NumericError, match="m\\^2 overflows"):
+            invgauss_density(1.0, InvGaussParams(mean=1e300))
+        # at t = m = 1e-300 the density itself is about 8e450
+        with pytest.raises(NumericError, match="density overflows"):
+            invgauss_density(1e-300, InvGaussParams(mean=1e-300))
+
+
+def test_gaussian_cells_mass():
+    sp, f = _gaussian_cells(InvGaussParams(), 0.0, 4.0, 2000)
+    # midpoint rule vs Phi(4) - Phi(0); O(h^2) accuracy
+    assert sp.total_mass == pytest.approx(0.4999683287581669, abs=1e-7)
+    assert f.magnitudes.size == sp.n_atoms == 2000
+
+
+def test_gaussian_cells_drop_zero_weight_cells():
+    # on (38, 39.5) the Gaussian weight underflows to 0 partway along the window
+    t_lo, t_hi, n = 38.0, 39.5, 300
+    width = (t_hi - t_lo) / n
+    mids = t_lo + width * (np.arange(n) + 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights = np.exp(-0.5 * mids * mids) / math.sqrt(2.0 * math.pi) * width
+        sp, f = _gaussian_cells(InvGaussParams(), t_lo, t_hi, n)
+    kept = weights > 0.0
+    assert 0 < sp.n_atoms == kept.sum() < n
+    assert np.array_equal(sp.weights, weights[kept])
+    assert np.array_equal(f.magnitudes, invgauss_density(mids[kept]))
+    assert sp.atom_ids[:2] == ("a0", "a1")
+
+
+def test_gaussian_cells_past_the_square_range_are_empty():
+    # mid^2 overflows: every weight is exp(-inf) = 0, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sp, f = _gaussian_cells(InvGaussParams(), 1e154, 2e154, 10)
+    assert sp.n_atoms == f.magnitudes.size == 0
 
 
 def test_params_validation():
@@ -96,6 +167,8 @@ def test_demo_validation():
         demo_pipeline(n_cells=1)
     with pytest.raises(DomainError):
         demo_pipeline(t_max=-1.0)
+    with pytest.raises(DomainError, match="2\\*t_max"):
+        demo_pipeline(t_max=1e308)  # the tail window (t_max, 2 t_max) passes the float range
     with pytest.raises(DomainError):
         demo_pipeline(u_grid=np.array([]))
     with pytest.raises(DomainError):

@@ -14,7 +14,6 @@ from bjaudit import (
     UsageError,
     decreasing_rearrangement,
     distribution_function,
-    gaussian_measure_space,
     instance_csv_text,
     load_instance_csv,
     lp_from_rearrangement,
@@ -226,31 +225,10 @@ def test_lp_norm_root_overflow_is_numeric_error():
     assert lp_norm(f, sp, 0.5) == pytest.approx(1e300, rel=1e-12)
 
 
-def test_gaussian_measure_space_mass():
-    space = gaussian_measure_space(0.0, 4.0, 2000)
-    sp = space.compile()
-    # midpoint rule vs Phi(4) - Phi(0); O(h^2) accuracy
-    expected = 0.4999683287581669
-    assert sp.total_mass == pytest.approx(expected, abs=1e-7)
-    with pytest.raises(DomainError):
-        gaussian_measure_space(1.0, 1.0, 100)
-    with pytest.raises(DomainError):
-        gaussian_measure_space(0.0, 1.0, 1)
-
-
-def test_sampled_space_drops_zero_weight_cells():
-    from bjaudit import SampledDensitySpace
-
-    space = SampledDensitySpace(
-        grid=np.array([1.0, 2.0, 3.0]),
-        cell_widths=np.array([1.0, 1.0, 1.0]),
-        density=np.array([0.5, 0.0, 0.25]),
-    )
-    sp = space.compile()
-    assert sp.n_atoms == 2
-    assert sp.atom_ids == ("cell0", "cell2")
-    f = space.sample(lambda t: t)
-    assert np.array_equal(f.magnitudes, [1.0, 3.0])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_lp_norm_of_empty_instance_is_zero(p):
+    sp, f = DiscreteMeasureSpace(weights=np.array([])), SimpleFunction(np.array([]))
+    assert lp_norm(f, sp, p) == 0.0
 
 
 def test_instance_csv_round_trip():
