@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .jsonutil import csv_text, dumps17
 from .measures import (
     DiscreteMeasureSpace,
     SimpleFunction,
+    _check_magnitudes,
+    _check_weights,
     _instances_from_block,
     instance_csv_text,
     lp_norm,
@@ -284,34 +287,122 @@ def straddling_grid(
     return np.unique(pts[pts > 0])
 
 
-# Draws are made in blocks of this many, each checked and frozen as a whole.
-_DRAW_BLOCK = 128
+# Draws are made and screened in blocks of padded (rows x width) arrays of
+# about this many cells.  A block keeps its draws and about a dozen arrays of
+# its size alive at once, so it stays small: blocks of 128 eight-atom draws ran
+# as fast as 256 or 4096, and each doubling added memory (4096 draws: 8 MB more
+# peak RSS than 256).
+_SCREEN_CELLS = 1024
+
+
+class _Block(NamedTuple):
+    """Draws as zero-padded (rows x width) weights and magnitudes.
+
+    sizes[r] is row r's atom count, or -1 for a pair whose function and space
+    do not align, which the screen never certifies.  pairs holds the rows'
+    (sp, f) pairs, or is None where they are built from the arrays on demand.
+    """
+
+    weights: np.ndarray
+    mags: np.ndarray
+    sizes: np.ndarray
+    pairs: list | None
+
+    @classmethod
+    def pack(cls, weights, mags, sizes, pairs=None) -> _Block:
+        """Flat weights and magnitudes laid out in rows of `sizes` atoms."""
+        inside = np.arange(max(int(sizes.max()), 1)) < sizes[:, None]
+        w = np.zeros(inside.shape)
+        m = np.zeros(inside.shape)
+        w[inside] = weights
+        m[inside] = mags
+        return cls(w, m, sizes, pairs)
+
+    def pairs_from(self, start: int, stop: int | None = None) -> list:
+        """The (sp, f) pairs of rows start:stop, built by _instances_from_block."""
+        if self.pairs is not None:
+            return self.pairs[start:stop]
+        w, m, sizes = (a[start:stop] for a in self[:3])
+        inside = np.arange(w.shape[1]) < sizes[:, None]
+        return _instances_from_block(w[inside], m[inside], sizes.tolist())
 
 
 def random_atoms(n_max: int, seed: int, n_draws: int = 200):
-    """Seeded finite generator of random instances (ties and zeros included).
+    """Seeded finite iterator of random instances (ties and zeros included).
 
     Each draw takes n = integers(1, n_max + 1), then n uniform weights, n
     uniform magnitudes and n uniforms each for the tie and the zero masks, in
     this order.  That is two RNG calls: the 4n doubles come from one
     random(4n), mapped as uniform(low, high) maps them, low + (high - low) * u,
     so the stream is that of five calls, however the draws are blocked.
+    Draws are made _SCREEN_CELLS // n_max at a time, as one checked, padded
+    block; counterexample_search screens such blocks as they are and builds
+    (space, function) pairs only for the draws it audits.  Iterating yields
+    every draw's pair, frozen, and the two ways of reading may be mixed.
     """
     if n_max < 1 or n_draws < 0:
         raise DomainError("need n_max >= 1 and n_draws >= 0")
-    rng = np.random.default_rng(seed)
-    for first in range(0, n_draws, _DRAW_BLOCK):
+    return _RandomAtoms(n_max, seed, n_draws)
+
+
+class _RandomAtoms:
+    """The iterator random_atoms returns: draws made and not yet read are kept
+    in one padded block, rows self._pos onwards."""
+
+    def __init__(self, n_max: int, seed: int, n_draws: int):
+        self._rng = np.random.default_rng(seed)
+        self._n_max = n_max
+        self._left = n_draws  # draws not yet made
+        self._block = _Block(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, dtype=int), None)
+        self._pos = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if not self._unread():
+            raise StopIteration
+        block = self._block
+        if block.pairs is None:
+            # the rows before self._pos were read as arrays and need no pair
+            self._block = block._replace(pairs=[None] * self._pos + block.pairs_from(self._pos))
+        self._pos += 1
+        return self._block.pairs[self._pos - 1]
+
+    def blocks(self, limit: int | None):
+        """The next `limit` draws (all when None) as padded blocks."""
+        while (limit is None or limit > 0) and self._unread():
+            block, start = self._block, self._pos
+            stop = block.sizes.size if limit is None else min(block.sizes.size, start + limit)
+            self._pos = stop
+            if limit is not None:
+                limit -= stop - start
+            yield _Block(*(a[start:stop] for a in block[:3]), None)
+
+    def _unread(self) -> bool:
+        """Whether a draw is left, making the next block when the kept one is read."""
+        if self._pos == self._block.sizes.size and self._left:
+            self._block = self._draw(min(max(_SCREEN_CELLS // self._n_max, 1), self._left))
+            self._left -= self._block.sizes.size
+            self._pos = 0
+        return self._pos < self._block.sizes.size
+
+    def _draw(self, rows: int) -> _Block:
+        integers, random = self._rng.integers, self._rng.random
         sizes, draws = [], []
-        for _ in range(min(_DRAW_BLOCK, n_draws - first)):
-            n = int(rng.integers(1, n_max + 1))
+        for _ in range(rows):
+            n = int(integers(1, self._n_max + 1))
             sizes.append(n)
-            draws.append(rng.random(4 * n).reshape(4, n))
+            draws.append(random(4 * n).reshape(4, n))
         w_u, m_u, tie_u, zero_u = np.concatenate(draws, axis=1)
         mags = 0.05 + (5.0 - 0.05) * m_u
         tie_mask = tie_u < 0.25
         mags[tie_mask] = np.round(mags[tie_mask], 1)
         mags[zero_u < 0.1] = 0.0
-        yield from _instances_from_block(0.1 + (3.0 - 0.1) * w_u, mags, sizes)
+        weights = 0.1 + (3.0 - 0.1) * w_u
+        _check_weights(weights)
+        _check_magnitudes(mags)
+        return _Block.pack(weights, mags, np.array(sizes))
 
 
 def indicator_sweep():
@@ -339,11 +430,6 @@ class SearchResult:
         }
 
 
-# The search screens draws in chunks of padded (rows x n_max) arrays.  A chunk
-# keeps its draws and about a dozen arrays of its size alive at once, so it
-# stays small: chunks of 128 eight-atom draws ran as fast as 256 or 4096, and
-# each doubling added memory (4096 draws: 8 MB more peak RSS than 256).
-_SCREEN_CELLS = 1024
 _ULP = 2.0**-53
 _POW_ULPS = 8.0  # error allowed for each power, on the screen and in the scalar audit
 
@@ -353,8 +439,8 @@ def _normal(x):
     return (x >= 1e-280) & (x <= 1e280)
 
 
-def _screen(rows, p: ApproxParams, const: float):
-    """Brackets of the Jackson min_margin of many (sp, f) rows at once.
+def _screen(block: _Block, p: ApproxParams, const: float):
+    """Brackets of the Jackson min_margin of a block's rows at once.
 
     Returns arrays (lo, hi, ok).  Where ok, lo <= m <= hi for the min_margin
     m that audit_jackson reports on the default grid.  A row is not certified
@@ -363,20 +449,11 @@ def _screen(rows, p: ApproxParams, const: float):
     keeps the audit on the direct closed form.  Q_{s,tau} is summed per atom:
     the terms m_i^tau (c_i^{s tau} - c_{i-1}^{s tau}) of a tie group telescope
     to the group's term, so only the rounding differs from the audit, and the
-    bracket covers that rounding on both sides.
+    bracket covers that rounding on both sides.  The zero padding is never
+    kept, so a row's bracket does not depend on the block's width.
     """
-    n_rows = len(rows)
-    sizes = np.array([sp.weights.size for sp, _ in rows])
-    aligned = sizes == np.array([f.magnitudes.size for _, f in rows])
-    sizes[~aligned] = 0
-    n = max(int(sizes.max()), 1)
-    inside = np.arange(n) < sizes[:, None]
-    packed = [pair for pair, a in zip(rows, aligned) if a]
-    w = np.zeros(inside.shape)
-    mag = np.zeros(inside.shape)
-    if packed:
-        w[inside] = np.concatenate([sp.weights for sp, _ in packed])
-        mag[inside] = np.concatenate([f.magnitudes for _, f in packed])
+    w, mag = block.weights, block.mags
+    n_rows = block.sizes.size
     # The stable order of the kept magnitudes is sorted_mass_profile's, so the
     # cumulative weights (and every grid point) are bit-identical to the audit's.
     order = np.argsort(-mag, axis=1, kind="stable")
@@ -390,7 +467,7 @@ def _screen(rows, p: ApproxParams, const: float):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         c = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
         c_prev = np.concatenate([np.zeros((n_rows, 1)), c[:, :-1]], axis=1)
-        ok = aligned & each_kept((c > c_prev) & _normal(c))
+        ok = (block.sizes >= 0) & each_kept((c > c_prev) & _normal(c))
 
         # The group ends b_1 < ... < b_K (the audit's breaks), one row each.
         end = kept & (mag != np.concatenate([mag[:, 1:], np.zeros((n_rows, 1))], axis=1))
@@ -478,13 +555,14 @@ def _screen(rows, p: ApproxParams, const: float):
 
 
 def _chunks(pairs):
-    """Consecutive (sp, f) pairs in lists of at most _SCREEN_CELLS padded cells."""
+    """Consecutive (sp, f) pairs packed into blocks of at most _SCREEN_CELLS
+    padded cells (more only for a single pair that is larger)."""
     chunk, width = [], 0
     try:
         for sp, f in pairs:
             size = sp.weights.size
             if chunk and (len(chunk) + 1) * max(width, size) > _SCREEN_CELLS:
-                yield chunk
+                yield _pack_pairs(chunk)
                 chunk, width = [], 0
             chunk.append((sp, f))
             width = max(width, size)
@@ -492,10 +570,21 @@ def _chunks(pairs):
         # The draws before a failing draw are audited first, so that their
         # own errors surface in draw order, as in a draw-by-draw loop.
         if chunk:
-            yield chunk
+            yield _pack_pairs(chunk)
         raise
     if chunk:
-        yield chunk
+        yield _pack_pairs(chunk)
+
+
+def _pack_pairs(chunk: list) -> _Block:
+    """The block of a list of (sp, f) pairs; a misaligned pair gets size -1."""
+    sizes = np.array([sp.weights.size for sp, _ in chunk])
+    aligned = sizes == np.array([f.magnitudes.size for _, f in chunk])
+    sizes[~aligned] = -1
+    packed = [pair for pair, a in zip(chunk, aligned) if a]
+    weights = np.concatenate([np.zeros(0), *(sp.weights for sp, _ in packed)])
+    mags = np.concatenate([np.zeros(0), *(f.magnitudes for _, f in packed)])
+    return _Block.pack(weights, mags, sizes, chunk)
 
 
 def counterexample_search(
@@ -507,9 +596,11 @@ def counterexample_search(
     """Audit the Jackson claim over generated instances; keep the worst report.
 
     The worst report is the first in draw order whose min_margin is strictly
-    below every earlier one.  Draws are screened in chunks (_screen), and
-    audit_jackson runs only on those whose bracket can still reach the running
-    minimum, so the result equals that of auditing every draw.  Exactly
+    below every earlier one.  Draws are screened in padded blocks (_screen):
+    random_atoms hands over its own, any other generator's pairs are packed
+    by _chunks.  audit_jackson runs only on the draws whose bracket can still
+    reach the running minimum, and only they become pairs, so the result
+    equals that of auditing every draw.  Exactly
     `budget` draws are taken from the generator (all when None); a zero budget
     or an empty generator returns an empty result claiming nothing.
     Deterministic whenever the generator is.
@@ -521,17 +612,21 @@ def counterexample_search(
     worst: AuditReport | None = None
     worst_instance: str | None = None
     count = 0
-    draws = itertools.islice(generator, None if budget is None else max(budget, 0))
-    for chunk in _chunks(draws):
-        count += len(chunk)
-        lo, hi, ok = _screen(chunk, p, const)
+    limit = None if budget is None else max(budget, 0)
+    if isinstance(generator, _RandomAtoms):
+        blocks = generator.blocks(limit)
+    else:
+        blocks = _chunks(itertools.islice(generator, limit))
+    for block in blocks:
+        count += block.sizes.size
+        lo, hi, ok = _screen(block, p, const)
         cut = hi[ok].min(initial=math.inf)
         confirm = ~ok | (lo <= cut)
         confirm[0] |= worst is None
         for r in np.flatnonzero(confirm):
             if ok[r] and worst is not None and not lo[r] < worst.min_margin:
                 continue
-            sp, f = chunk[r]
+            sp, f = block.pairs_from(r, r + 1)[0]
             report = audit_jackson(f, sp, p, provider)
             if worst is None or report.min_margin < worst.min_margin:
                 worst = report

@@ -137,12 +137,14 @@ def _log_space_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
     # per-segment log contributions; segments below exp(-740) of the max drop out
     st = s * tau
     hi = sf.breaks[1:]
-    lo = sf.breaks[:-1]
+    lo = sf.breaks[1:-1]
+    # log(t_i^st - t_{i-1}^st) = st log t_i + log(-expm1(st log(t_{i-1}/t_i))); the
+    # first segment (t_0 = 0) has no tail.  A tail of -inf (st log ratio
+    # underflowing to 0) drops its segment.
+    tail = np.zeros(hi.size)
     with np.errstate(divide="ignore"):
-        log_hi = np.log(hi)
-        ratio = np.where(lo > 0.0, lo / hi, 0.0)
-    tail = np.log1p(-(ratio**st))
-    logs = tau * np.log(sf.values) + st * log_hi + tail - math.log(st)
+        tail[1:] = np.log(-np.expm1(st * np.log(lo / hi[1:])))
+    logs = tau * np.log(sf.values) + st * np.log(hi) + tail - math.log(st)
     m = logs.max()
     keep = logs - m > -740.0
     total = np.exp(logs[keep] - m).sum()

@@ -29,7 +29,7 @@ from bjaudit import (
     random_atoms,
     straddling_grid,
 )
-from bjaudit.audit import _screen
+from bjaudit.audit import _chunks, _screen
 
 REF_SPACE = DiscreteMeasureSpace(weights=np.array([0.5, 1.0, 2.0]))
 REF_F = SimpleFunction(np.array([5.0, 3.0, 1.0]))
@@ -238,16 +238,54 @@ def test_random_atoms_argument_errors():
             next(random_atoms(n_max, 0, n_draws))
 
 
+# n_max values whose blocks of _SCREEN_CELLS // n_max draws are 1024, 341,
+# 128, 78 and 25 draws long
+BLOCK_N_MAX = (1, 3, 8, 13, 40)
+
+
+def _assert_same_draws(got, want):
+    assert len(got) == len(want)
+    for (sp, f), (sp_want, f_want) in zip(got, want):
+        assert sp.weights.tobytes() == sp_want.weights.tobytes()
+        assert f.magnitudes.tobytes() == f_want.magnitudes.tobytes()
+
+
 @pytest.mark.parametrize("budget", [1, 127, 128, 129, 299])
 def test_search_budget_inside_a_draw_block(budget):
     p = params_from_s_tau(1.0, 2.0)
     provider = ConstantProvider("paper-c")
-    got = counterexample_search(p, provider, random_atoms(8, 41, 300), budget=budget)
-    want = counterexample_search(
-        p, provider, _draw_by_draw_random_atoms(8, 41, 300), budget=budget
-    )
-    assert got.n_instances == budget
-    assert got.to_json_dict() == want.to_json_dict()
+    for n_max in BLOCK_N_MAX:
+        got = counterexample_search(p, provider, random_atoms(n_max, 41, 300), budget=budget)
+        want = counterexample_search(
+            p, provider, _draw_by_draw_random_atoms(n_max, 41, 300), budget=budget
+        )
+        assert got.n_instances == budget
+        assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("budget", [0, 1, 24, 25, 127, 128, 129, 299, 300, 400])
+def test_next_after_a_budgeted_search_is_the_next_draw(budget):
+    p = params_from_s_tau(1.0, 2.0)
+    for n_max in BLOCK_N_MAX:
+        gen = random_atoms(n_max, 41, 300)
+        counterexample_search(p, ConstantProvider("paper-c"), gen, budget=budget)
+        want = list(_draw_by_draw_random_atoms(n_max, 41, 300))[budget:]
+        _assert_same_draws(list(gen), want)
+
+
+@pytest.mark.parametrize("pulled", [1, 24, 25, 127, 128, 129, 299])
+def test_search_after_pulled_pairs_matches_reference(pulled):
+    p = params_from_s_tau(1.0, 2.0)
+    provider = ConstantProvider("paper-c")
+    for n_max in BLOCK_N_MAX:
+        gen = random_atoms(n_max, 41, 300)
+        head = [next(gen) for _ in range(pulled)]
+        want_draws = list(_draw_by_draw_random_atoms(n_max, 41, 300))
+        _assert_same_draws(head, want_draws[:pulled])
+        got = counterexample_search(p, provider, gen)
+        want = _reference_search(p, provider, iter(want_draws[pulled:]))
+        assert got.n_instances == 300 - pulled
+        assert got.to_json_dict() == want.to_json_dict()
 
 
 def test_search_zero_budget():
@@ -384,13 +422,14 @@ def test_search_equals_reference_loop(case):
 
 
 def test_search_matches_reference_on_random_atoms():
-    for s, tau in SEARCH_PARAMS[:4]:
-        p = params_from_s_tau(s, tau)
-        for kind in PROVIDER_KINDS:
-            provider = ConstantProvider(kind)
-            got = counterexample_search(p, provider, random_atoms(8, 41, 250))
-            want = _reference_search(p, provider, random_atoms(8, 41, 250))
-            assert got.to_json_dict() == want.to_json_dict()
+    for n_max in BLOCK_N_MAX:
+        for s, tau in SEARCH_PARAMS[:4]:
+            p = params_from_s_tau(s, tau)
+            for kind in PROVIDER_KINDS:
+                provider = ConstantProvider(kind)
+                got = counterexample_search(p, provider, random_atoms(n_max, 41, 250))
+                want = _reference_search(p, provider, random_atoms(n_max, 41, 250))
+                assert got.to_json_dict() == want.to_json_dict()
 
 
 # Tie groups whose last atom is light: a point inside the group (an atom's
@@ -404,6 +443,12 @@ CLOSE_TIES = [
 ]
 
 
+def _screen_pairs(rows, p, const):
+    """_screen over (sp, f) pairs, packed into blocks by _chunks as the search packs them."""
+    brackets = [_screen(block, p, const) for block in _chunks(iter(rows))]
+    return tuple(np.concatenate(parts) for parts in zip(*brackets))
+
+
 def test_screen_brackets_the_audited_margin():
     rng = np.random.default_rng(5)
     rows = [(DiscreteMeasureSpace(weights=w), SimpleFunction(m)) for w, m in CLOSE_TIES]
@@ -413,11 +458,17 @@ def test_screen_brackets_the_audited_margin():
         p = params_from_s_tau(s, tau)
         for kind in PROVIDER_KINDS:
             provider = ConstantProvider(kind)
-            lo, hi, ok = _screen(rows, p, provider.value(p))
+            lo, hi, ok = _screen_pairs(rows, p, provider.value(p))
             assert ok[: len(CLOSE_TIES)].all()
             # ordinary draws are all certified, so none needs the scalar audit
-            _, _, ok_plain = _screen(list(random_atoms(8, 41, 256)), p, provider.value(p))
-            assert ok_plain.all()
+            plain = _screen_pairs(list(random_atoms(8, 41, 256)), p, provider.value(p))
+            assert plain[2].all()
+            # and so are the blocks random_atoms hands the search, bracket for bracket
+            blocks = list(random_atoms(8, 41, 256).blocks(None))
+            direct = [_screen(block, p, provider.value(p)) for block in blocks]
+            assert [block.sizes.size for block in blocks] == [128, 128]
+            for got, want in zip(zip(*direct), plain):
+                assert np.concatenate(got).tobytes() == want.tobytes()
             for (sp, f), lo_r, hi_r, ok_r in zip(rows, lo, hi, ok):
                 if ok_r:
                     margin = audit_jackson(f, sp, p, provider).min_margin

@@ -8,6 +8,7 @@ NumericError or a finite value, never a warning.
 """
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ INPUTS = {
 EXTREMES = (
     "extreme", "overflowing_mass", "huge_q", "huge_support", "max_weight", "weak_l1_overflow"
 )
+GOLDEN_INSTANCE = str(Path(__file__).parent / "golden" / "instance.csv")
 DEMO = ["demo-invgauss", "--n-cells", "10", "--u-grid", "0.5:1:2"]
 JACKSON_HUGE_S = ["--s", "1e6", "--tau", "3", "--provider", "paper-with-factor"]
 
@@ -107,6 +109,11 @@ CASES = [
     (None, [*DEMO, "--m", "1e154"], 0),
     (None, [*DEMO, "--m", "1e300"], 3),
     (None, [*DEMO, "--t-max", "5e-324"], 3),
+    # s tau so small that the log-space quasinorm's (t_{i-1}/t_i)^(s tau) rounds to 1
+    (None, ["quasinorm", "--s", "2", "--tau", "1e-17", "--input", GOLDEN_INSTANCE], 3),
+    (None, ["demo-invgauss", "--tau", "1e-300"], 3),
+    # a bad generator argument is a domain error whatever the budget
+    (None, ["search", "--provider", "unit", "--n-max", "0", "--budget", "0"], 2),
 ]
 
 
