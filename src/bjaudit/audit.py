@@ -180,6 +180,13 @@ def _pointwise_audit(name: str, params: dict, sf: StepFunction, grid, rhs_of) ->
     return _build_report(name, params, ts.tolist(), eval_step(sf, ts), rhs)
 
 
+def _jackson_report(
+    name: str, params: dict, sf: StepFunction, q_val: float, s: float, const: float, grid
+) -> AuditReport:
+    """f*(t) <= t^-s * const * Q pointwise on the grid, with Q = Q_{s,tau}(f) given."""
+    return _pointwise_audit(name, params, sf, grid, lambda ts: ts ** (-s) * const * q_val)
+
+
 def audit_jackson(
     f: SimpleFunction,
     sp: DiscreteMeasureSpace,
@@ -191,13 +198,8 @@ def audit_jackson(
     sf = decreasing_rearrangement(f, sp)
     q_val = approx_quasinorm(sf, p.s, p.tau)
     const = provider.value(p)
-    return _pointwise_audit(
-        "jackson",
-        {"s": p.s, "tau": p.tau, "provider": provider.kind, "constant": const},
-        sf,
-        grid,
-        lambda ts: ts ** (-p.s) * const * q_val,
-    )
+    params = {"s": p.s, "tau": p.tau, "provider": provider.kind, "constant": const}
+    return _jackson_report("jackson", params, sf, q_val, p.s, const, grid)
 
 
 def audit_bernstein_right(
@@ -246,20 +248,15 @@ def audit_q2(
 ) -> AuditReport:
     """q=2 family: f*(t) <= t^(1-1/theta) (sin(pi theta)/(pi theta))^(1/(2 theta)) Q_{s,tau}.
 
-    Here (s, tau) = params_from_theta_q(theta, 2); at theta = 1/2 this is
-    exactly the weak-L1 claim with constant 2/pi.
+    This is the Jackson audit with the paper-bigc-table constant C_{theta,2}
+    at (s, tau) = params_from_theta_q(theta, 2); at theta = 1/2 it is exactly
+    the weak-L1 claim with constant 2/pi.
     """
     p = params_from_theta_q(theta, 2.0)
-    const = c_big(theta, 2.0)
+    const = ConstantProvider("paper-bigc-table").value(p)
     sf = decreasing_rearrangement(f, sp)
-    q_val = approx_quasinorm(sf, p.s, p.tau)
-    return _pointwise_audit(
-        "q2",
-        {"theta": theta, "s": p.s, "tau": p.tau, "constant": const},
-        sf,
-        grid,
-        lambda ts: ts ** (-p.s) * const * q_val,
-    )
+    params = {"theta": theta, "s": p.s, "tau": p.tau, "constant": const}
+    return _jackson_report("q2", params, sf, approx_quasinorm(sf, p.s, p.tau), p.s, const, grid)
 
 
 _REL, _EXTEND = 1e-3, 1.5

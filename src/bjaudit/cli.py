@@ -59,34 +59,35 @@ SPECTRAL_G = {
     "square": lambda lam: lam * lam,
     "zero": lambda lam: 0.0,
 }
-MAX_TRIG_ROWS = 1_000_000  # rows n = 1..n_max of a trig table
+# The most grid points, demo cells, atoms per search draw or trig table rows
+# a run may ask for; larger counts exit 2 before any array is built.
+MAX_ROWS = 1_000_000
+
+
+def _within_limit(what: str, n: int) -> int:
+    if n > MAX_ROWS:
+        raise UsageError(f"{what} {n} exceeds the limit {MAX_ROWS}")
+    return n
 
 
 def parse_grid(text: str) -> np.ndarray:
     """`lo:hi:n` linear, `log:lo:hi:n` logarithmic, or a single value."""
     parts = text.split(":")
+    log = len(parts) == 4 and parts[0] == "log"
+    if not (len(parts) in (1, 3) or log):
+        raise UsageError(f"cannot parse grid {text!r}; use VALUE, lo:hi:n, or log:lo:hi:n")
     try:
         if len(parts) == 1:
             return np.array([float(parts[0])])
-        if len(parts) == 4 and parts[0] == "log":
-            lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
-            if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
-                raise UsageError(f"log grid needs 0 < lo <= hi, got {text!r}")
-            if n < 1:
-                raise UsageError(f"grid needs n >= 1, got {text!r}")
-            return np.geomspace(lo, hi, n)
-        if len(parts) == 3:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise UsageError(f"grid needs lo <= hi, got {text!r}")
-            if n < 1:
-                raise UsageError(f"grid needs n >= 1, got {text!r}")
-            return np.linspace(lo, hi, n)
-    except ValueError as exc:
+        lo, hi, n = float(parts[-3]), float(parts[-2]), int(parts[-1])
+        need = "log grid needs 0 < lo <= hi" if log else "grid needs lo <= hi"
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and (lo > 0 or not log)):
+            raise UsageError(f"{need}, got {text!r}")
+        if n < 1:
+            raise UsageError(f"grid needs n >= 1, got {text!r}")
+    except ValueError as exc:  # a UsageError too, so every message has this prefix
         raise UsageError(f"cannot parse grid {text!r}: {exc}") from exc
-    raise UsageError(
-        f"cannot parse grid {text!r}; use VALUE, lo:hi:n, or log:lo:hi:n"
-    )
+    return (np.geomspace if log else np.linspace)(lo, hi, _within_limit("grid size", n))
 
 
 def _add_param_group(sub: argparse.ArgumentParser) -> None:
@@ -216,7 +217,7 @@ def cmd_search(args):
     p = resolve_params(args)
     provider = ConstantProvider(args.provider)
     if args.generator == "random-atoms":
-        gen = random_atoms(args.n_max, args.seed, args.draws)
+        gen = random_atoms(_within_limit("--n-max", args.n_max), args.seed, args.draws)
     else:
         gen = indicator_sweep()
     out = counterexample_search(p, provider, gen, budget=args.budget).to_json_dict()
@@ -242,7 +243,7 @@ def cmd_demo_invgauss(args):
         s=args.s,
         tau=args.tau,
         t_max=args.t_max,
-        n_cells=args.n_cells,
+        n_cells=_within_limit("--n-cells", args.n_cells),
         u_grid=u_grid,
     )
     if args.steps_out is not None:
@@ -261,9 +262,7 @@ def cmd_trig(args):
             raise UsageError(f"--n-max must be >= 1, got {n_max}")
     else:
         n_max = max((abs(int(k)) for k in coeffs), default=0) + 1
-    if n_max > MAX_TRIG_ROWS:
-        raise UsageError(f"n_max {n_max} exceeds the limit {MAX_TRIG_ROWS} rows")
-    ns = list(range(1, n_max + 1))
+    ns = list(range(1, _within_limit("n_max", n_max) + 1))
     es = _trig_errors(coeffs, ns)
     return {"n": ns, "e_value": es}, ("n", "e_value"), [ns, es]
 

@@ -92,16 +92,13 @@ _EXHAUSTIVE_N_MAX = 20
 
 def all_support_candidates(f: SimpleFunction, sp: DiscreteMeasureSpace) -> list[np.ndarray]:
     """f restricted to every one of the 2^n atom subsets (small n only)."""
-    n = f.magnitudes.size
+    return [f.magnitudes * row for row in _subset_masks(f.magnitudes.size, "candidate set")]
+
+
+def _subset_masks(n: int, what: str) -> np.ndarray:
+    """The 2^n subsets of n atoms as 0/1 rows; n past _EXHAUSTIVE_N_MAX is refused."""
     if n > _EXHAUSTIVE_N_MAX:
-        raise UsageError(
-            f"exhaustive candidate set requested for n={n} > {_EXHAUSTIVE_N_MAX}"
-        )
-    masks = _subset_masks(n)
-    return [f.magnitudes * row for row in masks]
-
-
-def _subset_masks(n: int) -> np.ndarray:
+        raise UsageError(f"exhaustive {what} requested for n={n} > {_EXHAUSTIVE_N_MAX}")
     codes = np.arange(2**n, dtype=np.uint32)
     return (codes[:, None] >> np.arange(n)) & 1
 
@@ -213,30 +210,33 @@ def truncation_profile(
     return m, np.concatenate([[0.0], mags_desc[e + 1], mags_desc[:1]])
 
 
-def k2_functional(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> float:
-    """K2(t,f) over (L^0,L^inf): min over truncations of sqrt(m^2 + t^2 v^2)."""
+def _k_of(m: np.ndarray, tv: np.ndarray, kfunc: str) -> np.ndarray:
+    """K's value at each split (m, t v): hypot(m, t v) for K2, max(m, t v) for K_inf."""
+    return np.hypot(m, tv) if kfunc == "k2" else np.maximum(m, tv)
+
+
+def _k_at(pairs_of, f: SimpleFunction, sp: DiscreteMeasureSpace, t: float, kfunc: str) -> float:
+    """K(t, f): the min of _k_of over the split pairs (m, v) = pairs_of(f, sp).
+
+    t is checked before the pairs are built.  A product t v past the float
+    range is inf, which both combines keep and the min passes over, so its
+    overflow is no warning.
+    """
     if not t > 0:
         raise DomainError(f"t must be positive, got {t!r}")
-    m, v = truncation_profile(f, sp)
-    return _k2_min(m, v, t)
-
-
-def _k2_min(m: np.ndarray, v: np.ndarray, t: float) -> float:
-    """min over the pairs of hypot(m, t v), K2's value of each split.
-
-    A product t v past the float range is inf, which hypot keeps and the
-    min passes over, so its overflow is no warning.
-    """
+    m, v = pairs_of(f, sp)
     with np.errstate(over="ignore"):
-        return float(np.hypot(m, t * v).min())
+        return float(_k_of(m, t * v, kfunc).min())
+
+
+def k2_functional(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> float:
+    """K2(t,f) over (L^0,L^inf): min over truncations of sqrt(m^2 + t^2 v^2)."""
+    return _k_at(truncation_profile, f, sp, t, "k2")
 
 
 def kinf_functional(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> float:
     """K_inf(t,f): min over truncations of max(m, t*v)."""
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t!r}")
-    m, v = truncation_profile(f, sp)
-    return float(np.maximum(m, t * v).min())
+    return _k_at(truncation_profile, f, sp, t, "kinf")
 
 
 def k2_scalar(t: float, z_magnitude: float = 1.0) -> float:
@@ -252,11 +252,7 @@ def _exhaustive_split_pairs(
     f: SimpleFunction, sp: DiscreteMeasureSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     n = f.magnitudes.size
-    if n > _EXHAUSTIVE_N_MAX:
-        raise UsageError(
-            f"exhaustive split oracle requested for n={n} > {_EXHAUSTIVE_N_MAX}"
-        )
-    masks = _subset_masks(n).astype(float)
+    masks = _subset_masks(n, "split oracle").astype(float)
     support_w = np.where(f.magnitudes > 0.0, sp.weights, 0.0)
     m_vals = masks @ support_w
     v_vals = ((1.0 - masks) * f.magnitudes).max(axis=1) if n else np.zeros(1)
@@ -265,17 +261,12 @@ def _exhaustive_split_pairs(
 
 def k2_exhaustive(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> float:
     """K2 oracle: all 2^n subset splits a0 = f|_S, a1 = f|_{S^c}."""
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t!r}")
-    m, v = _exhaustive_split_pairs(f, sp)
-    return _k2_min(m, v, t)
+    return _k_at(_exhaustive_split_pairs, f, sp, t, "k2")
 
 
 def kinf_exhaustive(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> float:
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t!r}")
-    m, v = _exhaustive_split_pairs(f, sp)
-    return float(np.maximum(m, t * v).min())
+    """K_inf oracle over the same 2^n subset splits."""
+    return _k_at(_exhaustive_split_pairs, f, sp, t, "kinf")
 
 
 @dataclass(frozen=True)
@@ -299,8 +290,7 @@ class KEnvelope:
     def __call__(self, t):
         """K(t, f) at every t > 0 of an array."""
         j = np.searchsorted(self.breaks, t)
-        m, tv = self.m[j], t * self.v[j]
-        return np.hypot(m, tv) if self.kfunc == "k2" else np.maximum(m, tv)
+        return _k_of(self.m[j], t * self.v[j], self.kfunc)
 
 
 def k_envelope(

@@ -19,16 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audit import _jackson_report
 from .errors import DomainError, NumericError
 from .jsonutil import csv_text, dumps17
 from .measures import DiscreteMeasureSpace, SimpleFunction, lp_norm
 from .params import _float_pow, c_exact, params_from_s_tau
-from .rearrange import (
-    StepFunction,
-    approx_quasinorm,
-    decreasing_rearrangement,
-    eval_step,
-)
+from .rearrange import StepFunction, approx_quasinorm, decreasing_rearrangement
 
 __all__ = [
     "InvGaussParams",
@@ -218,15 +214,12 @@ def demo_pipeline(
             f"(tolerance {_TAIL_REL_TOL:.1e}); consider a larger t_max"
         )
 
-    c_val = c_exact(params)
-    f_star = eval_step(sf, us)
     # On a compiled discrete space the best-approximation error at budget u
-    # is exactly the rearrangement at u, so the column is recomputed the same
-    # way rather than via the 2^n brute force.
-    e_value = f_star.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = us ** (-params.s) * c_val * q_val
-
+    # is exactly the rearrangement at u, so the E column is f* itself rather
+    # than the 2^n brute force; the bound column is the Jackson audit's rhs.
+    c_val = c_exact(params)
+    echo = {"s": params.s, "tau": params.tau, "provider": "paper-c", "constant": c_val}
+    report = _jackson_report("jackson", echo, sf, q_val, params.s, c_val, us)
     metadata = {
         "density": {"amplitude": p.amplitude, "mean": p.mean, "shape": p.shape},
         "s": params.s,
@@ -249,10 +242,10 @@ def demo_pipeline(
         "warnings": warnings,
     }
     return DemoResult(
-        u_grid=tuple(float(u) for u in us),
-        f_star=tuple(float(x) for x in f_star),
-        e_value=tuple(float(x) for x in e_value),
-        jackson_bound=tuple(float(x) for x in bound),
+        u_grid=report.grid,
+        f_star=report.lhs,
+        e_value=report.lhs,
+        jackson_bound=report.rhs,
         quasinorm=q_val,
         metadata=metadata,
         rearrangement=sf,

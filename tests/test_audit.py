@@ -25,6 +25,7 @@ from bjaudit import (
     decreasing_rearrangement,
     indicator_sweep,
     params_from_s_tau,
+    params_from_theta_q,
     instance_csv_text,
     random_atoms,
     straddling_grid,
@@ -159,6 +160,29 @@ def test_q2_theta_half_matches_weak_l1():
         rep_w = audit_weak_l1(f, sp, "paper-2-over-pi", grid)
         for a, b in zip(rep_q2.rhs, rep_w.rhs):
             assert a == pytest.approx(b, rel=1e-12)
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+@given(
+    theta=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+    log_grid=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_q2_is_the_bigc_table_jackson_audit(theta, seed, log_grid):
+    # bit for bit: the q2 report is the Jackson audit with C_{theta,2}
+    grid = np.geomspace(0.1, 10.0, 7) if log_grid else None
+    provider = ConstantProvider("paper-bigc-table")
+    for sp, f in random_atoms(n_max=6, seed=seed, n_draws=4):
+        q2 = audit_q2(f, sp, theta, grid)
+        jackson = audit_jackson(f, sp, params_from_theta_q(theta, 2.0), provider, grid)
+        for key in ("lhs", "rhs", "margin", "min_margin", "witness_t"):
+            assert _bits(getattr(q2, key)) == _bits(getattr(jackson, key)), key
+        assert q2.violated == jackson.violated
+        assert _bits(q2.params["constant"]) == _bits(jackson.params["constant"])
 
 
 def test_q2_reference_instance_frozen():

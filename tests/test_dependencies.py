@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -81,3 +83,20 @@ def test_no_test_module_defines_a_name_twice():
                     found.append(f"{path.name}:{node.lineno} {node.name}")
                 seen.add(node.name)
     assert found == []
+
+
+def test_every_traced_layer_resolves():
+    # the benchmark's tracer patches each (module, attribute) of its LAYERS
+    # by name, so a deleted or renamed one would break `bench/run.py --trace 1`
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attribute, *_ in tracing.LAYERS:
+        owner = importlib.import_module(module)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attribute}")
+    assert tracing.LAYERS
+    assert missing == []

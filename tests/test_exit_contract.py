@@ -15,6 +15,7 @@ import pytest
 
 from bjaudit import (
     DiscreteMeasureSpace,
+    DomainError,
     NumericError,
     SimpleFunction,
     decreasing_rearrangement,
@@ -23,11 +24,13 @@ from bjaudit import (
     k2_exhaustive,
     k2_functional,
     k_envelope,
+    kinf_exhaustive,
+    kinf_functional,
     lp_from_rearrangement,
     lp_norm,
     truncation_profile,
 )
-from bjaudit.cli import MAX_TRIG_ROWS, main
+from bjaudit.cli import MAX_ROWS, main
 
 INPUTS = {
     "ref": "atom_id,weight,magnitude\na0,0.5,5.0\na1,1.0,3.0\na2,2.0,1.0\n",
@@ -59,6 +62,7 @@ EXTREMES = (
 )
 GOLDEN_INSTANCE = str(Path(__file__).parent / "golden" / "instance.csv")
 DEMO = ["demo-invgauss", "--n-cells", "10", "--u-grid", "0.5:1:2"]
+AUDIT_GOLDEN = ["audit", "--name", "jackson", "--s", "1", "--tau", "1", "--input", GOLDEN_INSTANCE]
 JACKSON_HUGE_S = ["--s", "1e6", "--tau", "3", "--provider", "paper-with-factor"]
 
 CASES = [
@@ -94,10 +98,10 @@ CASES = [
     ),
     (None, ["spectral", "--matrix", "@huge_matrix_key", "--state", "@ref_state"], 2),
     (None, ["spectral", "--matrix", "@ref_matrix", "--state", "@huge_state_index"], 2),
-    # the trig table stops at MAX_TRIG_ROWS rows, whether n_max is implied or given
+    # the trig table stops at MAX_ROWS rows, whether n_max is implied or given
     ("huge_trig_k", ["trig"], 2),
     ("huge_trig_k", ["trig", "--n-max", "3"], 0),
-    ("huge_trig_k", ["trig", "--n-max", str(MAX_TRIG_ROWS + 1)], 2),
+    ("huge_trig_k", ["trig", "--n-max", str(MAX_ROWS + 1)], 2),
     ("huge_trig_k", ["trig", "--n-max", "99999999999999999999999"], 2),
     ("long_field", ["rearrange"], 2),
     ("bare_cr", ["rearrange"], 2),
@@ -114,6 +118,20 @@ CASES = [
     (None, ["demo-invgauss", "--tau", "1e-300"], 3),
     # a bad generator argument is a domain error whatever the budget
     (None, ["search", "--provider", "unit", "--n-max", "0", "--budget", "0"], 2),
+    # grid points, demo cells and atoms per search draw past MAX_ROWS, refused
+    # before any array is built
+    *(
+        (None, argv, 2)
+        for n in (str(MAX_ROWS + 1), "10000000000000")
+        for argv in (
+            [*AUDIT_GOLDEN, "--grid", f"0.5:2:{n}"],
+            [*AUDIT_GOLDEN, "--grid", f"log:0.5:2:{n}"],
+            ["spectral", "--matrix", "@ref_matrix", "--state", "@ref_state", "--grid", f"1:2:{n}"],
+            ["demo-invgauss", "--u-grid", f"0.5:2:{n}"],
+            ["demo-invgauss", "--n-cells", n],
+            ["search", "--provider", "unit", "--s", "1", "--tau", "1", "--draws=1", "--n-max", n],
+        )
+    ),
 ]
 
 
@@ -181,8 +199,22 @@ def test_mass_past_the_float_range_is_numeric_error(call):
             call(f, sp)
 
 
+@pytest.mark.parametrize(
+    "k", [k2_functional, kinf_functional, k2_exhaustive, kinf_exhaustive],
+    ids=["k2_functional", "kinf_functional", "k2_exhaustive", "kinf_exhaustive"],
+)
+def test_k_checks_t_before_the_mass(k):
+    # a bad t is a domain error even where the weights pass the float range
+    sp, f = _instance([1e308, 1e308], [2.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            k(f, sp, -1.0)
+
+
 def test_k2_is_finite_where_its_squares_overflow():
-    # K2(1e100) = ||f||_0 = 1e200, while m^2 and (t v)^2 pass the float range
+    # K2(1e100) = ||f||_0 = 1e200, while m^2 and (t v)^2 pass the float range;
+    # K_inf(1e100) too, where t v = 1e400 of the split v = 1e300 overflows
     sp, f = _instance([1e-200, 1.0, 1e200], [1e-300, 1.0, 1e300])
     t = 1e100
     with warnings.catch_warnings():
@@ -191,8 +223,11 @@ def test_k2_is_finite_where_its_squares_overflow():
             float(k_envelope(f, sp, "k2")(np.array([t]))[0]),
             k2_functional(f, sp, t),
             k2_exhaustive(f, sp, t),
+            float(k_envelope(f, sp, "kinf")(np.array([t]))[0]),
+            kinf_functional(f, sp, t),
+            kinf_exhaustive(f, sp, t),
         ]
-    assert got == [1e200, 1e200, 1e200]
+    assert got == [1e200] * 6
 
 
 @pytest.mark.parametrize("theta, q", [(0.5, 1e308), (0.5, 1.7e308), (0.9, 1e308)])
