@@ -262,9 +262,19 @@ def audit_q2(
 _REL, _EXTEND = 1e-3, 1.5
 
 
-def straddling_grid(
-    sf: StepFunction, rel: float = _REL, extend: float = _EXTEND
-) -> np.ndarray:
+def _straddle(b: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The points around breaks b = (0, b_1, ..., b_K) along the last axis:
+    b_k (1 -+ _REL) and (b_{k-1} + b_k)/2 for each k, then _EXTEND * last,
+    where last holds b_K with the axis kept.  straddling_grid and _screen
+    both build their points here: the screen's brackets hold only for the
+    audit's own points."""
+    bk = b[..., 1:]
+    return np.concatenate(
+        [bk * (1.0 - _REL), bk * (1.0 + _REL), (b[..., :-1] + bk) / 2.0, last * _EXTEND], axis=-1
+    )
+
+
+def straddling_grid(sf: StepFunction) -> np.ndarray:
     """Positive t-grid straddling every break (never landing exactly on one).
 
     Exact break points are excluded on purpose: there the strict-inequality
@@ -274,11 +284,8 @@ def straddling_grid(
     """
     if sf.n_steps == 0:
         return np.array([1.0])
-    b = sf.breaks
     with np.errstate(over="ignore"):
-        pts = np.concatenate(
-            [b[1:] * (1.0 - rel), b[1:] * (1.0 + rel), (b[:-1] + b[1:]) / 2.0, b[-1:] * extend]
-        )
+        pts = _straddle(sf.breaks, sf.breaks[-1:])
     if not np.isfinite(pts).all():
         raise NumericError("the t-grid around the breaks of f* passes the float range")
     return np.unique(pts[pts > 0])
@@ -476,19 +483,10 @@ def _screen(block: _Block, p: ApproxParams, const: float):
         b[rr, kk] = c[rr, ii]
         values = np.zeros(b.shape)
         values[rr, kk - 1] = mag[rr, ii]
-        # straddling_grid: b_k (1 -+ rel) and (b_{k-1} + b_k)/2 for each k,
-        # and extend * b_K; each block ascends, so the sort below merges runs.
-        last = np.where(n_groups > 0, b[np.arange(n_rows), n_groups] * _EXTEND, np.inf)
-        keys = np.concatenate(
-            [
-                b[:, 1:],
-                b[:, 1:] * (1.0 - _REL),
-                b[:, 1:] * (1.0 + _REL),
-                (b[:, :-1] + b[:, 1:]) / 2.0,
-                last[:, None],
-            ],
-            axis=1,
-        )
+        # The breaks, then straddling_grid's points; each run ascends, so the
+        # sort below merges runs.  A padded b_k is inf, and so are its points.
+        last = np.where(n_groups > 0, b[np.arange(n_rows), n_groups], np.inf)
+        keys = np.concatenate([b[:, 1:], _straddle(b, last[:, None])], axis=1)
         # One stable sort per row puts each break before equal points, so the
         # running count of breaks is the step index of right-continuous f*.
         by_t = np.argsort(keys, axis=1, kind="stable")

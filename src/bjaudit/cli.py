@@ -75,18 +75,19 @@ def parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     log = len(parts) == 4 and parts[0] == "log"
     if not (len(parts) in (1, 3) or log):
-        raise UsageError(f"cannot parse grid {text!r}; use VALUE, lo:hi:n, or log:lo:hi:n")
+        raise UsageError(f"cannot parse grid {text!r}: use VALUE, lo:hi:n, or log:lo:hi:n")
     try:
         if len(parts) == 1:
             return np.array([float(parts[0])])
         lo, hi, n = float(parts[-3]), float(parts[-2]), int(parts[-1])
+    except ValueError as exc:
+        why = exc if len(parts) > 1 else "not a number"
+        raise UsageError(f"cannot parse grid {text!r}: {why}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and (lo > 0 or not log)):
         need = "log grid needs 0 < lo <= hi" if log else "grid needs lo <= hi"
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and (lo > 0 or not log)):
-            raise UsageError(f"{need}, got {text!r}")
-        if n < 1:
-            raise UsageError(f"grid needs n >= 1, got {text!r}")
-    except ValueError as exc:  # a UsageError too, so every message has this prefix
-        raise UsageError(f"cannot parse grid {text!r}: {exc}") from exc
+        raise UsageError(f"cannot parse grid {text!r}: {need}")
+    if n < 1:
+        raise UsageError(f"cannot parse grid {text!r}: grid needs n >= 1")
     return (np.geomspace if log else np.linspace)(lo, hi, _within_limit("grid size", n))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, QuadratureError, UsageError
 from .jsonutil import read_csv, require_unique_keys
-from .measures import DiscreteMeasureSpace, SimpleFunction, sorted_mass_profile
+from .measures import DiscreteMeasureSpace, SimpleFunction, _tie_groups
 from .rearrange import _LOG_FLOAT_MAX, decreasing_rearrangement, eval_step
 
 __all__ = [
@@ -197,17 +197,12 @@ def truncation_profile(
     remainder f - g_sigma.  Contains (||f||_0, 0) and (0, ||f||_inf).
     Raises NumericError where the weights on the support pass the float range.
     """
-    mags_desc, cumw = sorted_mass_profile(f, sp)
-    if mags_desc.size == 0:  # f = 0: the single pair (0, 0)
-        return np.zeros(1), np.zeros(1)
-    if not math.isfinite(cumw[-1]):
+    ends, values = _tie_groups(f, sp)
+    if ends.size and not math.isfinite(ends[-1]):
         raise NumericError("the weights on the support sum past the float range")
-    # e: the last index of each tie group but the lowest one, highest first.
-    # The distinct magnitudes, ascending, are mags_desc[e + 1] then mags_desc[0];
-    # the mass strictly above each is cumw at the end of the group above it.
-    e = np.flatnonzero(mags_desc[1:] != mags_desc[:-1])[::-1]
-    m = np.concatenate([cumw[-1:], cumw[e], [0.0]])
-    return m, np.concatenate([[0.0], mags_desc[e + 1], mags_desc[:1]])
+    # The mass strictly above the i-th lowest distinct magnitude is the end of
+    # the group above it; f = 0 gives the single pair (0, 0).
+    return np.concatenate([ends[::-1], [0.0]]), np.concatenate([[0.0], values[::-1]])
 
 
 def _k_of(m: np.ndarray, tv: np.ndarray, kfunc: str) -> np.ndarray:

@@ -134,8 +134,8 @@ def sorted_mass_profile(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes sorted descending (positives only) with cumulative weights.
 
-    This single summation order backs both distribution_function and the
-    decreasing rearrangement, which makes equimeasurability exact in floats,
+    This single summation order backs every view of the distribution of |f|
+    (through _tie_groups), which makes equimeasurability exact in floats,
     not just up to rounding.  Weights that sum past the float range give inf
     without a warning; the callers that need a finite mass raise NumericError.
     """
@@ -148,12 +148,22 @@ def sorted_mass_profile(
         return mags[order], np.cumsum(w[order])
 
 
-def _mass_above(mags_desc: np.ndarray, cumw: np.ndarray, sigma: float) -> float:
-    # number of sorted magnitudes strictly above sigma
-    k = int(np.searchsorted(-mags_desc, -sigma, side="left"))
-    if k and not math.isfinite(cumw[k - 1]):
-        raise NumericError("the weights above sigma sum past the float range")
-    return float(cumw[k - 1]) if k > 0 else 0.0
+def _tie_groups(
+    f: SimpleFunction, sp: DiscreteMeasureSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, values): the tie groups of |f| > 0, highest first.
+
+    values holds each group's magnitude and ends the cumulative weight at the
+    group's last atom, in sorted_mass_profile's order.  f*, m(sigma), ||f||_0
+    and the truncation profile are all read off these two arrays.  A mass past
+    the float range is inf, without a warning; each reader raises where it
+    reads one.
+    """
+    mags, cumw = sorted_mass_profile(f, sp)
+    # an atom ends its group where the next magnitude differs, or none is left
+    last = np.ones(mags.size, dtype=bool)
+    last[:-1] = mags[1:] != mags[:-1]
+    return cumw[last], mags[last]
 
 
 def distribution_function(
@@ -162,16 +172,19 @@ def distribution_function(
     """m(sigma, f): total weight of atoms with |f| > sigma (strict)."""
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise DomainError(f"sigma must be >= 0, got {sigma!r}")
-    mags, cumw = sorted_mass_profile(f, sp)
-    return _mass_above(mags, cumw, sigma)
+    ends, values = _tie_groups(f, sp)
+    # number of groups strictly above sigma
+    k = int(np.searchsorted(-values, -sigma, side="left"))
+    if k and not math.isfinite(ends[k - 1]):
+        raise NumericError("the weights above sigma sum past the float range")
+    return float(ends[k - 1]) if k > 0 else 0.0
 
 
 def lp_norm(f: SimpleFunction, sp: DiscreteMeasureSpace, p: float) -> float:
     """L^p quasinorm: (sum w|f|^p)^(1/p); max for p=inf; support mass for p=0."""
     _check_aligned(f, sp)
     if p == 0:
-        mags, cumw = sorted_mass_profile(f, sp)
-        return _mass_above(mags, cumw, 0.0)
+        return distribution_function(f, sp, 0.0)
     if p == math.inf:
         return float(f.magnitudes.max()) if f.magnitudes.size else 0.0
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):

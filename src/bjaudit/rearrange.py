@@ -21,7 +21,7 @@ from .measures import (
     SimpleFunction,
     _freeze,
     _lp_root,
-    sorted_mass_profile,
+    _tie_groups,
 )
 
 __all__ = [
@@ -82,27 +82,18 @@ def decreasing_rearrangement(
 
     Raises NumericError when the kept weights sum past the float range.
     """
-    mags, cumw = sorted_mass_profile(f, sp)
-    if mags.size == 0:
+    ends, values = _tie_groups(f, sp)
+    if ends.size == 0:
         return EMPTY_STEP
-    if not math.isfinite(cumw[-1]):
+    if not math.isfinite(ends[-1]):
         raise NumericError("the kept weights sum past the float range")
-    # last index of each tie group
-    last = np.nonzero(np.diff(mags) != 0.0)[0]
-    group_end = np.concatenate([last, [mags.size - 1]])
-    group_start = np.concatenate([[0], last + 1])
-    breaks = np.concatenate([[0.0], cumw[group_end]])
-    values = mags[group_start]
-    # A weight can be absorbed by the running sum (cumw stalls in double
-    # precision when a tiny weight meets a large accumulated mass).  Such a
-    # group has zero representable width: its level is invisible to every
-    # integral of the step function, so it is dropped rather than allowed to
-    # produce a degenerate break.
-    widths_pos = np.diff(breaks) > 0.0
-    if not np.all(widths_pos):
-        values = values[widths_pos]
-        breaks = np.concatenate([[0.0], breaks[1:][widths_pos]])
-    return StepFunction(breaks=breaks, values=values)
+    # A weight can be absorbed by the running sum (the cumulative weight stalls
+    # in double precision when a tiny weight meets a large accumulated mass).
+    # Such a group has zero representable width: its level is invisible to
+    # every integral of the step function, so it is dropped rather than
+    # allowed to produce a degenerate break.
+    wide = ends > np.concatenate([[0.0], ends[:-1]])
+    return StepFunction(breaks=np.concatenate([[0.0], ends[wide]]), values=values[wide])
 
 
 def eval_step(sf: StepFunction, t):

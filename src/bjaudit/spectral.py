@@ -19,7 +19,7 @@ import numpy as np
 from .audit import AuditReport, audit_weak_l1
 from .errors import DomainError, NumericError, UsageError
 from .jsonutil import csv_text, read_csv, require_unique_keys
-from .measures import DiscreteMeasureSpace, SimpleFunction
+from .measures import DiscreteMeasureSpace, SimpleFunction, _freeze
 from .rearrange import StepFunction, decreasing_rearrangement
 
 __all__ = [
@@ -65,12 +65,8 @@ class SpectralModel:
             raise DomainError("eigenvalues must be strictly increasing after merging")
         if np.any(ws < 0) or not np.all(np.isfinite(ws)):
             raise DomainError("weights must be nonnegative finite")
-        evs = evs.copy()
-        ws = ws.copy()
-        evs.setflags(write=False)
-        ws.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", evs)
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "eigenvalues", _freeze(evs))
+        object.__setattr__(self, "weights", _freeze(ws))
 
     @property
     def n_points(self) -> int:
@@ -80,15 +76,8 @@ class SpectralModel:
 def _merge_degenerate(evals: np.ndarray, weights: np.ndarray):
     """Collapse eigenvalues closer than _MERGE_TOL; weights add, values average."""
     groups = np.concatenate(([0], np.cumsum(np.diff(evals) > _MERGE_TOL)))
-    n_groups = int(groups[-1]) + 1
-    merged_w = np.zeros(n_groups)
-    merged_ev = np.zeros(n_groups)
-    np.add.at(merged_w, groups, weights)
-    counts = np.zeros(n_groups)
-    np.add.at(counts, groups, 1.0)
-    np.add.at(merged_ev, groups, evals)
-    merged_ev /= counts
-    return merged_ev, merged_w
+    # bincount adds each group's entries in input order, from 0.0
+    return np.bincount(groups, evals) / np.bincount(groups), np.bincount(groups, weights)
 
 
 def spectral_measure(matrix, psi) -> SpectralModel:
@@ -106,7 +95,7 @@ def spectral_measure(matrix, psi) -> SpectralModel:
         raise DomainError(f"matrix dimension must lie in 1..{MAX_MATRIX_DIM}, got {n}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise DomainError("matrix entries must be finite")
-    scale = max(1.0, float(np.max(np.abs(a))) if n else 1.0)
+    scale = max(1.0, float(np.max(np.abs(a))))
     herm_defect = float(np.max(np.abs(a - a.conj().T)))
     if herm_defect > _HERM_TOL * scale:
         raise DomainError(

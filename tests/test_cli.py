@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -47,13 +48,23 @@ def test_parse_grid_forms():
 
 
 @pytest.mark.parametrize(
-    "text", ["3:1:5", "log:0:1:4", "1:2", "abc", "1:3:0", "log:2:1:3"]
+    "text, why",
+    [
+        ("3:1:5", "grid needs lo <= hi"),
+        ("log:0:1:4", "log grid needs 0 < lo <= hi"),
+        ("1:2", "use VALUE, lo:hi:n, or log:lo:hi:n"),
+        ("abc", "not a number"),
+        ("1:3:0", "grid needs n >= 1"),
+        ("log:2:1:3", "log grid needs 0 < lo <= hi"),
+        ("inf:1:2", "grid needs lo <= hi"),
+        ("x:1:3", "could not convert string to float: 'x'"),
+    ],
 )
-def test_parse_grid_rejects(text):
-    from bjaudit import UsageError
-
-    with pytest.raises(UsageError):
+def test_parse_grid_rejects(text, why):
+    msg = f"cannot parse grid {text!r}: {why}"
+    with pytest.raises(UsageError, match=f"^{re.escape(msg)}$") as err:
         parse_grid(text)
+    assert str(err.value).count(text) == 1
 
 
 def test_constants_json(capsys):

@@ -54,6 +54,21 @@ def test_only_jsonutil_imports_csv():
     assert found == []
 
 
+def test_only_measures_calls_sorted_mass_profile():
+    # every view of the distribution of |f| reads measures._tie_groups: a
+    # second fold over the sorted profile elsewhere fails here (the re-export
+    # in __init__.py is a name, not a call)
+    package = Path(bjaudit.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "measures.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and "sorted_mass_profile" in _names_used(node.func)
+    ]
+    assert found == []
+
+
 def test_runtime_needs_no_scipy():
     # numpy is the only runtime dependency: no module imports scipy, at the
     # top or inside a function, and the package metadata does not ask for it

@@ -136,22 +136,50 @@ def test_lp_norm_zero_counts_every_positive_magnitude():
     assert lp_norm(f_plain, sp, 0) == 3.0
 
 
-@given(
-    inst=instances(),
-    absorbed=st.lists(st.booleans(), min_size=10, max_size=10),
-    zero=st.booleans(),
-)
-@settings(max_examples=200, deadline=None)
-def test_one_l0_size_in_every_view(inst, absorbed, zero):
-    # weights of 1e-17 beside weights near 1 are absorbed by the running sum
-    sp, f = inst
+@st.composite
+def absorbing_instances(draw):
+    # instances() where some weights are 1e-17, which the running sum absorbs
+    # beside weights near 1, and some functions are 0
+    sp, f = draw(instances())
+    absorbed = draw(st.lists(st.booleans(), min_size=10, max_size=10))
     n = sp.n_atoms
     sp = DiscreteMeasureSpace(weights=np.where(absorbed[:n], 1e-17, sp.weights))
-    if zero:
+    if draw(st.booleans()):
         f = SimpleFunction(np.zeros(n))
+    return sp, f
+
+
+@given(inst=absorbing_instances())
+@settings(max_examples=200, deadline=None)
+def test_one_l0_size_in_every_view(inst):
+    sp, f = inst
     l0 = lp_norm(f, sp, 0)
     assert l0 == decreasing_rearrangement(f, sp).support_mass
     assert l0 == truncation_profile(f, sp)[0][0]
+
+
+@given(inst=absorbing_instances())
+@settings(max_examples=200, deadline=None)
+def test_distribution_and_rearrangement_read_the_profile(inst):
+    # m(sigma) at each sigma of the truncation profile is the profile's own m,
+    # bit for bit, and the breaks of f* are its distinct positive masses
+    sp, f = inst
+    m, sigma = truncation_profile(f, sp)
+    got = [distribution_function(f, sp, s).hex() for s in sigma.tolist()]
+    assert got == [x.hex() for x in m.tolist()]
+    breaks = decreasing_rearrangement(f, sp).breaks[1:]
+    assert breaks.tobytes() == np.unique(m[m > 0]).tobytes()
+
+
+def test_distribution_function_reads_a_finite_mass_below_an_infinite_one():
+    # the total mass overflows, but the mass above 1.5 does not
+    sp = DiscreteMeasureSpace(weights=np.array([1e308, 1e308]))
+    f = SimpleFunction(np.array([2.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert distribution_function(f, sp, 1.5) == 1e308
+        with pytest.raises(NumericError):
+            distribution_function(f, sp, 0.5)
 
 
 def test_lp_norm_rejects_bad_p():
