@@ -331,21 +331,37 @@ class _Block(NamedTuple):
         return _instances_from_block(w[inside], m[inside], sizes.tolist())
 
 
+# Words a block reads past its draws' expected need, whatever its n_max.
+_WORD_SLACK = 64
+
+
+def _read_on(bits, words: np.ndarray, size: int) -> np.ndarray:
+    """words followed by the next raw words of bits, up to `size` of them."""
+    if size <= words.size:
+        return words
+    return np.concatenate([words, bits.random_raw(size - words.size)])
+
+
 def random_atoms(n_max: int, seed: int, n_draws: int = 200):
     """Seeded finite iterator of random instances (ties and zeros included).
 
-    Each draw takes n = integers(1, n_max + 1), then n uniform weights, n
+    Each draw is n = integers(1, n_max + 1), then n uniform weights, n
     uniform magnitudes and n uniforms each for the tie and the zero masks, in
-    this order.  That is two RNG calls: the 4n doubles come from one
-    random(4n), mapped as uniform(low, high) maps them, low + (high - low) * u,
-    so the stream is that of five calls, however the draws are blocked.
-    Draws are made _SCREEN_CELLS // n_max at a time, as one checked, padded
-    block; counterexample_search screens such blocks as they are and builds
-    (space, function) pairs only for the draws it audits.  Iterating yields
-    every draw's pair, frozen, and the two ways of reading may be mixed.
+    this order, from numpy's default_rng(seed).  The 4n doubles are those of
+    one random(4n), mapped as uniform(low, high) maps them,
+    low + (high - low) * u, so the stream is that of five calls.  Draws are
+    made _SCREEN_CELLS // n_max at a time, as one checked, padded block
+    decoded from one read of the PCG64 words: the same numbers, and the same
+    generator state after each block, as those calls, however the draws are
+    blocked.  counterexample_search screens such blocks as they are and
+    builds (space, function) pairs only for the draws it audits.  Iterating
+    yields every draw's pair, frozen, and the two ways of reading may be
+    mixed.
     """
     if n_max < 1 or n_draws < 0:
         raise DomainError("need n_max >= 1 and n_draws >= 0")
+    if seed < 0:
+        raise DomainError("the seed must be a nonnegative integer")
     return _RandomAtoms(n_max, seed, n_draws)
 
 
@@ -392,21 +408,68 @@ class _RandomAtoms:
         return self._pos < self._block.sizes.size
 
     def _draw(self, rows: int) -> _Block:
-        integers, random = self._rng.integers, self._rng.random
-        sizes, draws = [], []
-        for _ in range(rows):
-            n = int(integers(1, self._n_max + 1))
+        """The next `rows` draws, decoded from one read of the PCG64 words.
+
+        integers(1, n_max + 1) takes nothing at n_max = 1.  Otherwise it takes
+        32-bit halves, the low one of a fresh word first and the high one kept
+        for the next request (has_uint32, uinteger), until Lemire's test
+        (u n_max) mod 2^32 >= (2^32 - n_max) mod n_max keeps u; then
+        n = 1 + (u n_max >> 32).  random(4n) maps each of the next 4n words to
+        (word >> 11) 2^-53 and leaves the kept half alone.  The walk below
+        reads the sizes; the generator is then put where those calls leave it.
+        """
+        bits = self._rng.bit_generator
+        state = bits.state
+        n_max = self._n_max
+        has, half = state["has_uint32"], state["uinteger"]
+        reject = (2**32 - n_max) % n_max
+
+        def need(draws):
+            """A draw takes 2 n_max + 2 words on average and at most half a
+            word for its size; a block that needs more reads on."""
+            return draws * (2 * n_max + 3) + _WORD_SLACK
+
+        words = bits.random_raw(need(rows))
+        sizes, starts = [], []
+        pos = 0
+        for row in range(rows):
+            n = 1
+            while n_max > 1:
+                if has:
+                    u, has = half, 0
+                else:
+                    if pos >= words.size:
+                        words = _read_on(bits, words, pos + need(rows - row))
+                    word = words.item(pos)
+                    pos += 1
+                    u, half, has = word & 0xFFFFFFFF, word >> 32, 1
+                m = u * n_max
+                if m & 0xFFFFFFFF >= reject:
+                    n = 1 + (m >> 32)
+                    break
+            starts.append(pos)
             sizes.append(n)
-            draws.append(random(4 * n).reshape(4, n))
-        w_u, m_u, tie_u, zero_u = np.concatenate(draws, axis=1)
+            pos += 4 * n
+        words = _read_on(bits, words, pos)
+        bits.state = state
+        bits.advance(pos)
+        bits.state = {**bits.state, "has_uint32": has, "uinteger": half}
+
+        sizes = np.array(sizes)
+        col = np.arange(sizes.max())
+        inside = col < sizes[:, None]
+        # The word of atom j of each run k (weights, magnitudes, ties, zeros)
+        # of each row; a padded cell takes any word and is zeroed below.
+        at = (np.array(starts) + np.arange(4)[:, None] * sizes)[..., None] + col
+        w_u, m_u, tie_u, zero_u = (words.take(at, mode="clip") >> 11) * 2.0**-53
         mags = 0.05 + (5.0 - 0.05) * m_u
         tie_mask = tie_u < 0.25
         mags[tie_mask] = np.round(mags[tie_mask], 1)
-        mags[zero_u < 0.1] = 0.0
-        weights = 0.1 + (3.0 - 0.1) * w_u
-        _check_weights(weights)
+        mags[(zero_u < 0.1) | ~inside] = 0.0
+        weights = np.where(inside, 0.1 + (3.0 - 0.1) * w_u, 0.0)
+        _check_weights(weights[inside])
         _check_magnitudes(mags)
-        return _Block.pack(weights, mags, np.array(sizes))
+        return _Block(weights, mags, sizes, None)
 
 
 def indicator_sweep():

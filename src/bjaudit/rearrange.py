@@ -125,7 +125,8 @@ def lp_from_rearrangement(sf: StepFunction, p: float) -> float:
 
 
 def _log_space_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
-    # per-segment log contributions; segments below exp(-740) of the max drop out
+    # per-segment logs of the terms, divided by tau so that they keep to the
+    # float range at any s and tau; terms below exp(-740) of the max drop out
     st = s * tau
     hi = sf.breaks[1:]
     lo = sf.breaks[1:-1]
@@ -133,15 +134,20 @@ def _log_space_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
     # first segment (t_0 = 0) has no tail.  A tail of -inf (st log ratio
     # underflowing to 0) drops its segment.
     tail = np.zeros(hi.size)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         tail[1:] = np.log(-np.expm1(st * np.log(lo / hi[1:])))
-    logs = tau * np.log(sf.values) + st * np.log(hi) + tail - math.log(st)
-    m = logs.max()
-    keep = logs - m > -740.0
-    total = np.exp(logs[keep] - m).sum()
-    if (m + math.log(total)) / tau > _LOG_FLOAT_MAX:
+        logs = np.log(sf.values) + s * np.log(hi) + (tail - math.log(s) - math.log(tau)) / tau
+        m = logs.max()  # log Q >= m, and log Q = -inf where m is
+        if not m <= _LOG_FLOAT_MAX:
+            raise NumericError(_Q_OVERFLOW)
+        if m == -math.inf:
+            return 0.0
+        scaled = tau * (logs - m)
+    total = np.exp(scaled[scaled > -740.0]).sum()
+    log_q = m + math.log(total) / tau
+    if log_q > _LOG_FLOAT_MAX:
         raise NumericError(_Q_OVERFLOW)
-    return float(math.exp(m / tau) * total ** (1.0 / tau))
+    return math.exp(log_q)
 
 
 def approx_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
@@ -162,7 +168,8 @@ def approx_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
             vals = sf.values * sf.breaks[1:] ** s
         if np.all(np.isfinite(vals)):
             return float(vals.max())
-        logs = np.log(sf.values) + s * np.log(sf.breaks[1:])
+        with np.errstate(over="ignore"):
+            logs = np.log(sf.values) + s * np.log(sf.breaks[1:])
         if logs.max() > _LOG_FLOAT_MAX:
             raise NumericError(_Q_OVERFLOW)
         return float(math.exp(logs.max()))

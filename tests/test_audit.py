@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,9 +258,9 @@ def test_random_atoms_stream_at_block_edges(n_max, n_draws):
 
 
 def test_random_atoms_argument_errors():
-    for n_max, n_draws in ((0, 5), (3, -1)):
+    for n_max, seed, n_draws in ((0, 0, 5), (3, 0, -1), (3, -1, 5)):
         with pytest.raises(DomainError):
-            next(random_atoms(n_max, 0, n_draws))
+            next(random_atoms(n_max, seed, n_draws))
 
 
 # n_max values whose blocks of _SCREEN_CELLS // n_max draws are 1024, 341,
@@ -310,6 +311,117 @@ def test_search_after_pulled_pairs_matches_reference(pulled):
         want = _reference_search(p, provider, iter(want_draws[pulled:]))
         assert got.n_instances == 300 - pulled
         assert got.to_json_dict() == want.to_json_dict()
+
+
+def _state_after(n_max, state, n_draws):
+    """The PCG64 state after n_draws five-call draws from `state`, and those
+    draws."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    # default_rng hands a Generator back as it is, so the draws advance rng
+    draws = list(_draw_by_draw_random_atoms(n_max, rng, n_draws))
+    return rng.bit_generator.state, draws
+
+
+def _made(gen, n_draws):
+    return n_draws - gen._left
+
+
+@pytest.mark.parametrize("n_max", sorted({*BLOCK_N_MAX, 2, 1000}))
+def test_random_atoms_leaves_the_generator_where_the_five_calls_do(n_max):
+    # the state after each decoded block, has_uint32 and uinteger included,
+    # is the state after as many five-call draws
+    p = params_from_s_tau(1.0, 2.0)
+    provider = ConstantProvider("paper-c")
+    n_draws = 60 if n_max == 1000 else 300
+    seeded = np.random.default_rng(41).bit_generator.state
+    gen = random_atoms(n_max, 41, n_draws)
+    for _ in gen.blocks(None):
+        assert gen._rng.bit_generator.state == _state_after(n_max, seeded, _made(gen, n_draws))[0]
+    assert _made(gen, n_draws) == n_draws
+    for budget in (1, 24, 25, 129, n_draws - 1):
+        gen = random_atoms(n_max, 41, n_draws)
+        counterexample_search(p, provider, gen, budget=budget)
+        assert gen._rng.bit_generator.state == _state_after(n_max, seeded, _made(gen, n_draws))[0]
+    for pulled in (k for k in (1, 25, 129) if k + 10 < n_draws):
+        gen = random_atoms(n_max, 41, n_draws)
+        for _ in range(pulled):
+            next(gen)
+        assert gen._rng.bit_generator.state == _state_after(n_max, seeded, _made(gen, n_draws))[0]
+        # a budgeted search and a block read after the pulled pairs
+        counterexample_search(p, provider, gen, budget=7)
+        read = pulled + 7 + next(gen.blocks(3)).sizes.size
+        assert gen._rng.bit_generator.state == _state_after(n_max, seeded, _made(gen, n_draws))[0]
+        _assert_same_draws(list(gen), _state_after(n_max, seeded, n_draws)[1][read:])
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M64 = 2**64 - 1
+
+
+def _state_before_word(word, inc, hi=0x0123456789ABCDEF):
+    """A PCG64 128-bit state whose next output is `word`.  PCG64 steps its
+    state s to s * mult + inc and outputs rotr(hi ^ lo, hi >> 58) of the
+    stepped state: pick hi, solve for lo, and step back."""
+    rot = hi >> 58
+    lo = (((word << rot) | (word >> (64 - rot))) & _M64) ^ hi
+    return ((((hi << 64) | lo) - inc) * pow(_PCG64_MULT, -1, 2**128)) % 2**128
+
+
+def _rejected_halves(n_max):
+    """32-bit halves u that integers(1, n_max + 1) rejects by Lemire's test
+    (u n_max) mod 2^32 < (2^32 - n_max) mod n_max: u = ceil(k 2^32 / n_max)."""
+    floor = (2**32 - n_max) % n_max
+    halves = (-(-k * 2**32 // n_max) for k in range(n_max))
+    return [u for u in halves if u * n_max % 2**32 < floor]
+
+
+@pytest.mark.parametrize("n_max", [3, 13, 40])
+def test_random_atoms_decodes_rejected_halves(n_max):
+    # no seed reaches a rejection in practice, so the states are crafted: a
+    # kept high half rejected, a fresh low half rejected, both halves of a
+    # fresh word rejected, and all of these in a row
+    bad = _rejected_halves(n_max)
+    assert bad[0] == 0 and all(u < 2**32 for u in bad)
+    seeded = np.random.default_rng(7).bit_generator.state
+    inc = seeded["state"]["inc"]
+    good = 0x89ABCDEF
+    cases = []
+    for u in bad[:3]:
+        cases += [
+            {**seeded, "has_uint32": 1, "uinteger": u},
+            {**seeded, "state": {"state": _state_before_word(good << 32 | u, inc), "inc": inc}},
+            {**seeded, "state": {"state": _state_before_word(u << 32 | u, inc), "inc": inc}},
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": _state_before_word(u << 32 | bad[-1], inc), "inc": inc},
+                "has_uint32": 1,
+                "uinteger": bad[-1],
+            },
+        ]
+    n_draws = 2 * (1024 // n_max) + 5
+    for state in cases:
+        gen = random_atoms(n_max, 0, n_draws)
+        gen._rng.bit_generator.state = state
+        got = list(gen)
+        want_state, want = _state_after(n_max, state, n_draws)
+        _assert_same_draws(got, want)
+        assert gen._rng.bit_generator.state == want_state
+
+
+def test_random_atoms_reads_about_the_words_it_needs():
+    # a block reads its expected need plus a margin that does not grow with
+    # n_max, and reads on only when a draw needs more: at n_max = 1e5 (one
+    # draw per block, up to 4e5 words) the traced peak stays within 1.5x the
+    # 8.7 MB of the five-call loop, which made the doubles of one random(4n)
+    tracemalloc.start()
+    try:
+        blocks = list(random_atoms(10**5, 0, 3).blocks(None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [block.sizes.size for block in blocks] == [1, 1, 1]
+    assert peak < 1.5 * 8.7e6
 
 
 def test_search_zero_budget():

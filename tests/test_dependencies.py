@@ -54,6 +54,28 @@ def test_only_jsonutil_imports_csv():
     assert found == []
 
 
+def _is_draw_method(node):
+    """.integers, .random or .uniform, but not the module np.random."""
+    if not (isinstance(node, ast.Attribute) and node.attr in ("integers", "random", "uniform")):
+        return False
+    return not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def test_no_module_calls_a_generator_draw_method():
+    # random_atoms decodes its draws from the raw PCG64 words: a Generator
+    # draw method (integers, random, uniform), called or bound to a name to
+    # call later, anywhere in the package would be a second draw path beside
+    # the decode, and fails here
+    package = Path(bjaudit.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _is_draw_method(node)
+    ]
+    assert found == []
+
+
 def test_only_measures_calls_sorted_mass_profile():
     # every view of the distribution of |f| reads measures._tie_groups: a
     # second fold over the sorted profile elsewhere fails here (the re-export

@@ -7,13 +7,19 @@ that the CLI does not reach are held to the same rule: a typed
 NumericError or a finite value, never a warning.
 """
 
+import io
+import json
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bjaudit import (
+    PROVIDER_KINDS,
     DiscreteMeasureSpace,
     DomainError,
     NumericError,
@@ -132,6 +138,8 @@ CASES = [
             ["search", "--provider", "unit", "--s", "1", "--tau", "1", "--draws=1", "--n-max", n],
         )
     ),
+    # a negative seed is a domain error, not numpy's traceback
+    (None, ["search", "--provider", "paper-c", "--s", "1", "--tau", "2", "--seed", "-1"], 2),
 ]
 
 
@@ -240,3 +248,49 @@ def test_interp_k2_at_huge_q_is_numeric_error(theta, q):
             warnings.simplefilter("error")
             with pytest.raises(NumericError):
                 interp_quasinorm(f, sp, theta, q)
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of cli.main(argv), warnings raised as errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# s and tau from 0.001 up to inf, half of them below 10 so that most runs search
+_positive = st.floats(1e-3, 10.0) | st.floats(min_value=1e-3, allow_nan=False)
+
+
+@given(
+    provider=st.sampled_from(PROVIDER_KINDS),
+    n_max=st.integers(1, 64),
+    draws=st.integers(0, 300),
+    budget=st.none() | st.integers(-5, 400),
+    seed=st.integers() | st.integers(min_value=2**128, max_value=2**200),
+    s=_positive,
+    tau=_positive,
+)
+@example(provider="paper-c", n_max=6, draws=200, budget=None, seed=-1, s=1.0, tau=2.0)
+@settings(max_examples=40, deadline=None)
+def test_search_cli_keeps_the_exit_contract(provider, n_max, draws, budget, seed, s, tau):
+    argv = ["search", "--provider", provider, "--n-max", str(n_max), "--draws", str(draws)]
+    argv += ["--seed", str(seed), "--s", repr(s), "--tau", repr(tau)]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    code, out, err = _run(argv + ["--format", "json"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err and "Warning" not in err
+    assert err.count("\n") == (1 if code else 0)
+    csv_code, csv_out, csv_err = _run(argv + ["--format", "csv"])
+    assert (csv_code, csv_err) == (code, err)
+    if code:
+        assert out == csv_out == ""
+        return
+    # the CSV rows are the report's columns, or none where nothing was audited
+    report = json.loads(out)["report"] or {}
+    header, *rows = [line.split(",") for line in csv_out.splitlines()]
+    assert header == ["t", "lhs", "rhs", "margin"]
+    columns = [list(map(float, col)) for col in zip(*rows)] or [[]] * 4
+    assert columns == [report.get(key, []) for key in ("grid", "lhs", "rhs", "margin")]

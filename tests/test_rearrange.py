@@ -226,6 +226,44 @@ def test_quasinorm_matches_mpmath(case):
     assert worst <= rel
 
 
+def test_quasinorm_at_tau_near_the_float_maximum():
+    # tau log v_i alone passes the float range, yet Q is about max v_i t_i^s:
+    # no warning, and the value of the closed form summed in log space at 30
+    # digits (mpmath's powers are slow at such exponents)
+    mpmath = pytest.importorskip("mpmath")
+    for sp, f in random_atoms(8, 3, 20):
+        sf = decreasing_rearrangement(f, sp)
+        if sf.n_steps == 0:
+            continue
+        for s, tau in ((1e-3, 5e307), (0.5, 1e308), (1e-3, 1.7e308)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = approx_quasinorm(sf, s, tau)
+            with mpmath.workdps(30):
+                t = [mpmath.mpf(x) for x in sf.breaks.tolist()]
+                s_, tau_ = mpmath.mpf(s), mpmath.mpf(tau)
+                logs = [
+                    tau_ * mpmath.log(v) + s_ * tau_ * mpmath.log(t1)
+                    + (mpmath.log(-mpmath.expm1(s_ * tau_ * mpmath.log(t0 / t1))) if t0 else 0)
+                    for v, t0, t1 in zip(sf.values.tolist(), t, t[1:])
+                ]
+                top = max(logs)
+                log_q = (top + mpmath.log(sum(mpmath.exp(x - top) for x in logs))) / tau_
+                want = mpmath.exp(log_q - mpmath.log(s_ * tau_) / tau_)
+            assert abs(got - want) / want < 1e-14, (s, tau)
+    # s log t_i alone passes the float range: Q = 0.1^(1e308) underflows to 0,
+    # and Q = 10^(1e308) is past the float range
+    for t, want in ((0.1, 0.0), (10.0, None)):
+        sf = StepFunction(breaks=np.array([0.0, t]), values=np.array([1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is None:
+                with pytest.raises(NumericError):
+                    approx_quasinorm(sf, 1e308, 1.0)
+            else:
+                assert approx_quasinorm(sf, 1e308, 1.0) == want
+
+
 def test_quasinorm_rejects_bad_params():
     sf = StepFunction(breaks=np.array([0.0, 1.0]), values=np.array([1.0]))
     with pytest.raises(DomainError):
