@@ -7,9 +7,9 @@ The package is organized by subject rather than by call graph:
   that are deliberately kept side by side.
 - measures / rearrange: finite measure spaces, simple functions, exact
   decreasing rearrangements, and Lorentz-type approximation quasinorms.
-- functionals: best-approximation E-functionals (with a 2^n brute-force
-  oracle), K-functionals for the (L^0, L^inf) couple, and the interpolation
-  quasinorm.
+- functionals: best-approximation E-functionals and K-functionals for the
+  (L^0, L^inf) couple, one 2^n split enumeration that serves as the exact
+  oracle for E, K2 and K_inf, and the interpolation quasinorm.
 - audit: pointwise inequality audits with margins, plus counterexample
   search.  Violations are reported, never raised.
 - spectral / invgauss: the two worked applications at desk scale.
@@ -39,13 +39,10 @@ from .errors import (
     UsageError,
 )
 from .functionals import (
-    CoupleInstance,
     KEnvelope,
-    all_support_candidates,
+    e_exhaustive,
     e_functional_L0Linf,
-    e_functional_bruteforce,
     e_functional_trig,
-    e_profile_bruteforce,
     interp_quasinorm,
     k_envelope,
     k2_exhaustive,
@@ -53,7 +50,6 @@ from .functionals import (
     k2_scalar,
     kinf_exhaustive,
     kinf_functional,
-    l0_linf_couple,
     load_trig_csv,
     truncation_profile,
 )

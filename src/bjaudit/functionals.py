@@ -4,8 +4,9 @@ For the couple (L^0, L^inf) on a discrete space everything reduces to scans
 over hard truncations g_sigma (keep magnitudes above sigma, zero the rest):
 the L^0 norm of a split piece only sees its support, so given a support S the
 optimal remainder is f restricted to the complement, and optimizing over
-supports collapses to thresholds.  Exhaustive subset-split oracles are kept
-alongside the scans as an independent check at small atom counts.
+supports collapses to thresholds.  One 2^n enumeration of the subset splits
+(m, v) = (||f|_S||_0, ||f|_{S^c}||_inf) is kept beside the scans as an
+independent check at small atom counts: E, K2 and K_inf all read it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,12 +23,8 @@ from .measures import DiscreteMeasureSpace, SimpleFunction, _tie_groups
 from .rearrange import _LOG_FLOAT_MAX, decreasing_rearrangement, eval_step
 
 __all__ = [
-    "CoupleInstance",
-    "l0_linf_couple",
-    "all_support_candidates",
     "e_functional_L0Linf",
-    "e_functional_bruteforce",
-    "e_profile_bruteforce",
+    "e_exhaustive",
     "e_functional_trig",
     "load_trig_csv",
     "k2_functional",
@@ -43,66 +39,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoupleInstance:
-    """A compatible couple presented concretely: subtraction plus two quasinorms."""
-
-    subtract: Callable
-    norm0: Callable
-    norm1: Callable
-    kappa0: float = 1.0
-    kappa1: float = 1.0
-    label: str = ""
-
-    def check_triangle(self, elements) -> bool:
-        """Spot-check |a+b| <= kappa(|a|+|b|) on all pairs from `elements`."""
-        elems = list(elements)
-        for a in elems:
-            for b in elems:
-                s = self.subtract(a, self.subtract(np.zeros_like(b), b))  # a + b
-                if self.norm0(s) > self.kappa0 * (self.norm0(a) + self.norm0(b)) + 1e-9:
-                    return False
-                if self.norm1(s) > self.kappa1 * (self.norm1(a) + self.norm1(b)) + 1e-9:
-                    return False
-        return True
-
-
-def l0_linf_couple(sp: DiscreteMeasureSpace) -> CoupleInstance:
-    """The (L^0, L^inf) couple over `sp`; elements are magnitude vectors."""
-
-    def norm0(x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(sp.weights[np.abs(x) > 0.0].sum())
-
-    def norm1(x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.abs(x).max()) if x.size else 0.0
-
-    return CoupleInstance(
-        subtract=lambda a, b: np.asarray(a, dtype=float) - np.asarray(b, dtype=float),
-        norm0=norm0,
-        norm1=norm1,
-        label="(L0,Linf)",
-    )
-
-
-# The largest atom count the 2^n exhaustive oracles accept.
-_EXHAUSTIVE_N_MAX = 20
-
-
-def all_support_candidates(f: SimpleFunction, sp: DiscreteMeasureSpace) -> list[np.ndarray]:
-    """f restricted to every one of the 2^n atom subsets (small n only)."""
-    return [f.magnitudes * row for row in _subset_masks(f.magnitudes.size, "candidate set")]
-
-
-def _subset_masks(n: int, what: str) -> np.ndarray:
-    """The 2^n subsets of n atoms as 0/1 rows; n past _EXHAUSTIVE_N_MAX is refused."""
-    if n > _EXHAUSTIVE_N_MAX:
-        raise UsageError(f"exhaustive {what} requested for n={n} > {_EXHAUSTIVE_N_MAX}")
-    codes = np.arange(2**n, dtype=np.uint32)
-    return (codes[:, None] >> np.arange(n)) & 1
-
-
 def e_functional_L0Linf(
     f: SimpleFunction, sp: DiscreteMeasureSpace, t: float
 ) -> float:
@@ -110,36 +46,6 @@ def e_functional_L0Linf(
     if not t > 0:
         raise DomainError(f"t must be positive, got {t!r}")
     return eval_step(decreasing_rearrangement(f, sp), t)
-
-
-def e_functional_bruteforce(c: CoupleInstance, a, t: float, candidates) -> float | None:
-    """min over candidates a0 with norm0(a0) < t (strict) of norm1(a - a0).
-
-    Returns None when no candidate is feasible (the explicit infeasible
-    marker; never a float infinity).
-    """
-    vals = e_profile_bruteforce(c, a, candidates, [t])
-    return vals[0]
-
-
-def e_profile_bruteforce(c: CoupleInstance, a, candidates, ts) -> list[float | None]:
-    """Brute-force E at many t without re-evaluating norms per t."""
-    cands = list(candidates)
-    if not cands:
-        raise UsageError("candidate list must be nonempty")
-    for t in ts:
-        if not t > 0:
-            raise DomainError(f"t must be positive, got {t!r}")
-    n0 = np.array([c.norm0(a0) for a0 in cands])
-    n1 = np.array([c.norm1(c.subtract(a, a0)) for a0 in cands])
-    order = np.argsort(n0, kind="stable")
-    n0_sorted = n0[order]
-    prefix_min = np.minimum.accumulate(n1[order])
-    out: list[float | None] = []
-    for t in ts:
-        k = int(np.searchsorted(n0_sorted, t, side="left"))  # candidates with n0 < t
-        out.append(float(prefix_min[k - 1]) if k > 0 else None)
-    return out
 
 
 def e_functional_trig(coeffs: dict[int, complex], n: int) -> float:
@@ -243,15 +149,48 @@ def k2_scalar(t: float, z_magnitude: float = 1.0) -> float:
     return z_magnitude * t / math.sqrt(1.0 + t * t)
 
 
+# The largest atom count the 2^n exhaustive oracles accept.
+_EXHAUSTIVE_N_MAX = 20
+
+
+def _subset_masks(n: int) -> np.ndarray:
+    """The 2^n subsets of n atoms as 0/1 rows; n past _EXHAUSTIVE_N_MAX is refused."""
+    if n > _EXHAUSTIVE_N_MAX:
+        raise UsageError(f"exhaustive split oracle requested for n={n} > {_EXHAUSTIVE_N_MAX}")
+    codes = np.arange(2**n, dtype=np.uint32)
+    return (codes[:, None] >> np.arange(n)) & 1
+
+
 def _exhaustive_split_pairs(
     f: SimpleFunction, sp: DiscreteMeasureSpace
 ) -> tuple[np.ndarray, np.ndarray]:
+    """(m, v) of every split f = f|_S + f|_{S^c}, S one of the 2^n atom subsets:
+    m = ||f|_S||_0 and v = ||f|_{S^c}||_inf.  Row 0 is S empty, with m = 0.
+    """
     n = f.magnitudes.size
-    masks = _subset_masks(n, "split oracle").astype(float)
+    masks = _subset_masks(n).astype(float)
     support_w = np.where(f.magnitudes > 0.0, sp.weights, 0.0)
     m_vals = masks @ support_w
     v_vals = ((1.0 - masks) * f.magnitudes).max(axis=1) if n else np.zeros(1)
     return m_vals, v_vals
+
+
+def e_exhaustive(f: SimpleFunction, sp: DiscreteMeasureSpace, t):
+    """E oracle: min of v over the 2^n subset splits with m < t (strict).
+
+    The splits sorted by m give a prefix minimum of v, and searchsorted
+    counts those with m < t: at a break of f* E takes its left limit, where
+    the split's mass rounds to the same float as the break.
+    Accepts a scalar or an array of t > 0, as eval_step does; the empty
+    split (m = 0) is feasible at every such t.
+    """
+    ts = np.asarray(t, dtype=float)
+    if not (ts > 0).all():
+        raise DomainError(f"t must be positive, got {t!r}")
+    m, v = _exhaustive_split_pairs(f, sp)
+    order = np.argsort(m, kind="stable")
+    out = np.minimum.accumulate(v[order])[np.searchsorted(m[order], ts, side="left") - 1]
+    return float(out) if ts.ndim == 0 else out
 
 
 def k2_exhaustive(f: SimpleFunction, sp: DiscreteMeasureSpace, t: float) -> float:

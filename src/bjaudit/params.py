@@ -50,10 +50,7 @@ class ApproxParams:
         if not (0.0 < self.theta < 1.0):
             raise DomainError(f"theta must lie in (0,1), got {self.theta!r}")
         _check_finite_positive("s", self.s)
-        if self.tau == math.inf or self.q == math.inf:
-            if not (self.tau == math.inf and self.q == math.inf):
-                raise DomainError("tau is infinite iff q is infinite")
-        else:
+        if not self.tau == self.q == math.inf:  # tau is infinite iff q is
             _check_finite_positive("tau", self.tau)
             _check_finite_positive("q", self.q)
         if abs((self.s + 1.0) * self.theta - 1.0) > 4e-16:
@@ -71,7 +68,7 @@ def params_from_s_tau(s: float, tau: float) -> ApproxParams:
         _check_finite_positive("tau", tau)
     theta = 1.0 / (s + 1.0)
     q = math.inf if tau == math.inf else tau * (s + 1.0)
-    return ApproxParams(theta=theta, q=q, s=float(s), tau=float(tau))
+    return _converted(f"s = {s!r}, tau = {tau!r}", theta, q, float(s), float(tau))
 
 
 def params_from_theta_q(theta: float, q: float) -> ApproxParams:
@@ -82,7 +79,18 @@ def params_from_theta_q(theta: float, q: float) -> ApproxParams:
         _check_finite_positive("q", q)
     s = 1.0 / theta - 1.0
     tau = math.inf if q == math.inf else theta * q
-    return ApproxParams(theta=float(theta), q=float(q), s=s, tau=tau)
+    return _converted(f"theta = {theta!r}, q = {q!r}", float(theta), float(q), s, tau)
+
+
+def _converted(given: str, theta: float, q: float, s: float, tau: float) -> ApproxParams:
+    """The quadruple converted from the pair `given`; a value that rounds out
+    of its range (q past the float range, theta to 1, s to inf, tau to 0)
+    raises a DomainError that names `given` beside it.
+    """
+    try:
+        return ApproxParams(theta=theta, q=q, s=s, tau=tau)
+    except DomainError as exc:
+        raise DomainError(f"converting {given}: {exc}") from None
 
 
 def c_exact(p: ApproxParams) -> float:

@@ -14,7 +14,6 @@ from bjaudit import (
     ConstantProvider,
     DiscreteMeasureSpace,
     SimpleFunction,
-    all_support_candidates,
     approx_quasinorm,
     audit_jackson,
     audit_spectral_bound,
@@ -24,7 +23,7 @@ from bjaudit import (
     decreasing_rearrangement,
     demo_pipeline,
     distribution_function,
-    e_profile_bruteforce,
+    e_exhaustive,
     eval_step,
     interp_quasinorm,
     k2_exhaustive,
@@ -32,7 +31,6 @@ from bjaudit import (
     k2_scalar,
     kinf_exhaustive,
     kinf_functional,
-    l0_linf_couple,
     lp_from_rearrangement,
     lp_norm,
     n_factor_integral,
@@ -109,13 +107,8 @@ def test_criterion_03_e_functional_identity():
     ok = True
     for sp, f in random_atoms(n_max=10, seed=3, n_draws=200):
         sf = decreasing_rearrangement(f, sp)
-        couple = l0_linf_couple(sp)
-        cands = all_support_candidates(f, sp)
         ts = straddling_grid(sf)
-        brute = e_profile_bruteforce(couple, f.magnitudes, cands, ts)
-        direct = eval_step(sf, ts)
-        for b, d in zip(brute, direct):
-            ok = ok and (b is not None) and (b == d)
+        ok = ok and bool((e_exhaustive(f, sp, ts) == eval_step(sf, ts)).all())
         if not ok:
             break
     dt = time.perf_counter() - t0

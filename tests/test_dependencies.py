@@ -137,3 +137,19 @@ def test_every_traced_layer_resolves():
             missing.append(f"{module}.{attribute}")
     assert tracing.LAYERS
     assert missing == []
+
+
+def test_every_exported_name_resolves():
+    # a deletion that leaves its name in an __all__ fails here, not at the
+    # first `from bjaudit.<module> import *`
+    package = Path(bjaudit.__file__).resolve().parent
+    missing, exported = [], 0
+    for path in sorted(package.glob("*.py")):
+        name = "bjaudit" if path.stem == "__init__" else f"bjaudit.{path.stem}"
+        module = importlib.import_module(name)
+        for attribute in getattr(module, "__all__", ()):
+            exported += 1
+            if not hasattr(module, attribute):
+                missing.append(f"{name}.{attribute}")
+    assert exported
+    assert missing == []

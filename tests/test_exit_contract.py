@@ -9,6 +9,7 @@ NumericError or a finite value, never a warning.
 
 import io
 import json
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from bjaudit import (
     PROVIDER_KINDS,
+    WEAK_L1_VARIANTS,
     DiscreteMeasureSpace,
     DomainError,
     NumericError,
@@ -140,6 +142,43 @@ CASES = [
     ),
     # a negative seed is a domain error, not numpy's traceback
     (None, ["search", "--provider", "paper-c", "--s", "1", "--tau", "2", "--seed", "-1"], 2),
+    # a converted parameter that rounds out of its range is named beside the
+    # pair given: (exit code, stderr line)
+    *(
+        (None, argv, (2, f"error: converting {given}: {problem}\n"))
+        for argv, given, problem in (
+            (
+                ["constants", "--s", "1", "--tau", "1e308"],
+                "s = 1.0, tau = 1e+308",
+                "q must be a positive finite real, got inf",
+            ),
+            (
+                ["search", "--provider", "unit", "--s", "1", "--tau", "1e308", "--draws", "3"],
+                "s = 1.0, tau = 1e+308",
+                "q must be a positive finite real, got inf",
+            ),
+            (
+                ["constants", "--s", "1e-300", "--tau", "1"],
+                "s = 1e-300, tau = 1.0",
+                "theta must lie in (0,1), got 1.0",
+            ),
+            (
+                ["constants", "--theta", "1e-310", "--q", "2"],
+                "theta = 1e-310, q = 2.0",
+                "s must be a positive finite real, got inf",
+            ),
+            (
+                ["constants", "--theta", "1e-300", "--q", "1e-300"],
+                "theta = 1e-300, q = 1e-300",
+                "tau must be a positive finite real, got 0.0",
+            ),
+            (
+                ["constants", "--s", "1.4328128329040766e308", "--tau", "1"],
+                "s = 1.4328128329040766e+308, tau = 1.0",
+                "coupling s + 1 = 1/theta violated",
+            ),
+        )
+    ),
 ]
 
 
@@ -160,6 +199,9 @@ def test_exit_contract_without_warnings(capsys, tmp_path, name, argv, want, fmt)
         warnings.simplefilter("error")
         code = main(argv + ["--format", fmt])
     out, err = capsys.readouterr()
+    if isinstance(want, tuple):
+        want, want_err = want
+        assert err == want_err
     assert code in (0, 2, 3) if want is None else code == want
     assert "Traceback" not in err and "Warning" not in err
     if code:
@@ -294,3 +336,65 @@ def test_search_cli_keeps_the_exit_contract(provider, n_max, draws, budget, seed
     assert header == ["t", "lhs", "rhs", "margin"]
     columns = [list(map(float, col)) for col in zip(*rows)] or [[]] * 4
     assert columns == [report.get(key, []) for key in ("grid", "lhs", "rhs", "margin")]
+
+
+# weights and magnitudes over the whole float range, zero included
+_extent = st.floats(0.0, 1.7e308) | st.floats(1e-3, 1e3)
+_atoms = st.lists(st.tuples(_extent, _extent), min_size=1, max_size=5)
+
+
+@st.composite
+def _instance_argv(draw):
+    s, tau = repr(draw(_positive)), repr(draw(_positive))
+    return draw(st.sampled_from([
+        ["rearrange"],
+        ["quasinorm", "--s", s, "--tau", tau],
+        ["audit", "--name", "jackson", "--s", s, "--tau", tau,
+         "--provider", draw(st.sampled_from(PROVIDER_KINDS))],
+        ["audit", "--name", "bernstein-right", "--s", s, "--tau", tau],
+        ["audit", "--name", "weak-l1", "--variant", draw(st.sampled_from(WEAK_L1_VARIANTS))],
+        ["audit", "--name", "q2", "--theta",
+         repr(draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))],
+    ]))
+
+
+def _csv_columns(command, doc):
+    """The columns the CSV rendering of `command`'s JSON document `doc` holds."""
+    if command == "rearrange":  # one row per step and an end row; none for f = 0
+        return [doc["breaks"], doc["values"] + [0.0]] if doc["values"] else [[], []]
+    if command == "quasinorm":
+        return [list(doc), list(doc.values())]
+    return [doc[key] for key in ("grid", "lhs", "rhs", "margin")]
+
+
+def _cell(text):
+    """A CSV field as its JSON value: a float, None for an empty field, or text."""
+    if text == "":
+        return None
+    try:
+        return text if text == "inf" else float(text)
+    except ValueError:
+        return text
+
+
+@given(atoms=_atoms, argv=_instance_argv())
+@settings(max_examples=60, deadline=None)
+def test_instance_cli_keeps_the_exit_contract(atoms, argv):
+    text = "atom_id,weight,magnitude\n"
+    text += "".join(f"a{i},{w!r},{m!r}\n" for i, (w, m) in enumerate(atoms))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.csv"
+        path.write_text(text)
+        argv = argv + ["--input", str(path)]
+        code, out, err = _run(argv + ["--format", "json"])
+        csv_code, csv_out, csv_err = _run(argv + ["--format", "csv"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err and "Warning" not in err
+    assert err.count("\n") == (1 if code else 0)
+    assert (csv_code, csv_err) == (code, err)
+    if code:
+        assert out == csv_out == ""
+        return
+    header, *rows = [line.split(",") for line in csv_out.splitlines()]
+    columns = [[_cell(x) for x in col] for col in zip(*rows)] or [[]] * len(header)
+    assert columns == _csv_columns(argv[0], json.loads(out))

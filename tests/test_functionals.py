@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,12 +16,10 @@ from bjaudit import (
     QuadratureError,
     SimpleFunction,
     UsageError,
-    all_support_candidates,
     decreasing_rearrangement,
+    e_exhaustive,
     e_functional_L0Linf,
-    e_functional_bruteforce,
     e_functional_trig,
-    e_profile_bruteforce,
     eval_step,
     interp_quasinorm,
     k_envelope,
@@ -29,7 +28,6 @@ from bjaudit import (
     k2_scalar,
     kinf_exhaustive,
     kinf_functional,
-    l0_linf_couple,
     load_trig_csv,
     truncation_profile,
     approx_quasinorm,
@@ -57,31 +55,26 @@ def straddle_points(sf):
 
 
 def test_e_identity_small_instances():
-    # Brute force over all 2^n supports must reproduce f* exactly away from
-    # the breaks.
+    # The oracle over all 2^n splits must reproduce f* exactly away from the
+    # breaks.
     rng = np.random.default_rng(11)
     for _ in range(60):
         sp, f = rand_instance(rng, n_max=7)
-        couple = l0_linf_couple(sp)
-        cands = all_support_candidates(f, sp)
         sf = decreasing_rearrangement(f, sp)
         ts = straddle_points(sf) if sf.n_steps else [0.5, 1.0]
-        brute = e_profile_bruteforce(couple, f.magnitudes, cands, ts)
+        brute = e_exhaustive(f, sp, ts)
         for t, b in zip(ts, brute):
             direct = e_functional_L0Linf(f, sp, t)
-            assert b is not None
             assert b == direct  # exact float equality
 
 
 def test_e_strict_inequality_takes_left_limit_at_breaks():
-    # At t exactly equal to a break the strict constraint norm0 < t excludes
-    # the candidate of mass t, so the brute force lands on the previous step
-    # value while eval_step (right-continuous) gives the next one.
+    # At t exactly equal to a break the strict constraint ||g||_0 < t excludes
+    # the split of mass t, so the oracle lands on the previous step value
+    # while eval_step (right-continuous) gives the next one.
     sp = DiscreteMeasureSpace(weights=np.array([1.0, 1.0]))
     f = SimpleFunction(np.array([2.0, 1.0]))
-    couple = l0_linf_couple(sp)
-    cands = all_support_candidates(f, sp)
-    at_break = e_functional_bruteforce(couple, f.magnitudes, 1.0, cands)
+    at_break = e_exhaustive(f, sp, 1.0)
     assert at_break == 2.0
     sf = decreasing_rearrangement(f, sp)
     assert eval_step(sf, 1.0) == 1.0
@@ -90,21 +83,25 @@ def test_e_strict_inequality_takes_left_limit_at_breaks():
 def test_e_bruteforce_infeasible_marker():
     sp = DiscreteMeasureSpace(weights=np.array([1.0]))
     f = SimpleFunction(np.array([3.0]))
-    couple = l0_linf_couple(sp)
-    # candidate list without the empty support: nothing has norm0 < 0.5
-    cands = [f.magnitudes]
-    assert e_functional_bruteforce(couple, f.magnitudes, 0.5, cands) is None
-    with pytest.raises(UsageError):
-        e_functional_bruteforce(couple, f.magnitudes, 0.5, [])
     with pytest.raises(DomainError):
-        e_functional_bruteforce(couple, f.magnitudes, -1.0, cands)
+        e_exhaustive(f, sp, -1.0)
+    with pytest.raises(DomainError):
+        e_exhaustive(f, sp, [1.0, 0.0])
 
 
-def test_couple_triangle_spot_check():
-    sp = DiscreteMeasureSpace(weights=np.array([1.0, 2.0]))
-    couple = l0_linf_couple(sp)
-    elems = [np.array([1.0, 0.0]), np.array([0.5, 2.0]), np.array([0.0, 0.0])]
-    assert couple.check_triangle(elems)
+@pytest.mark.parametrize("oracle", [e_exhaustive, k2_exhaustive, kinf_exhaustive])
+def test_exhaustive_oracles_refuse_21_atoms_before_enumerating(oracle):
+    # 2^21 rows of any dtype take at least 2 MiB: the refusal comes first
+    sp = DiscreteMeasureSpace(weights=np.ones(21))
+    f = SimpleFunction(np.arange(1.0, 22.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match=r"n=21 > 20"):
+            oracle(f, sp, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_trig_tail_identity():
