@@ -24,7 +24,6 @@ from .measures import (
     SimpleFunction,
     _check_magnitudes,
     _check_weights,
-    _instances_from_block,
     instance_csv_text,
     lp_norm,
 )
@@ -312,23 +311,12 @@ class _Block(NamedTuple):
     sizes: np.ndarray
     pairs: list | None
 
-    @classmethod
-    def pack(cls, weights, mags, sizes, pairs=None) -> _Block:
-        """Flat weights and magnitudes laid out in rows of `sizes` atoms."""
-        inside = np.arange(max(int(sizes.max()), 1)) < sizes[:, None]
-        w = np.zeros(inside.shape)
-        m = np.zeros(inside.shape)
-        w[inside] = weights
-        m[inside] = mags
-        return cls(w, m, sizes, pairs)
-
-    def pairs_from(self, start: int, stop: int | None = None) -> list:
-        """The (sp, f) pairs of rows start:stop, built by _instances_from_block."""
+    def pair(self, r: int) -> tuple:
+        """Row r's (sp, f) pair: the one packed, or one built by the constructors."""
         if self.pairs is not None:
-            return self.pairs[start:stop]
-        w, m, sizes = (a[start:stop] for a in self[:3])
-        inside = np.arange(w.shape[1]) < sizes[:, None]
-        return _instances_from_block(w[inside], m[inside], sizes.tolist())
+            return self.pairs[r]
+        n = self.sizes[r]
+        return DiscreteMeasureSpace(self.weights[r, :n]), SimpleFunction(self.mags[r, :n])
 
 
 # Words a block reads past its draws' expected need, whatever its n_max.
@@ -355,8 +343,8 @@ def random_atoms(n_max: int, seed: int, n_draws: int = 200):
     generator state after each block, as those calls, however the draws are
     blocked.  counterexample_search screens such blocks as they are and
     builds (space, function) pairs only for the draws it audits.  Iterating
-    yields every draw's pair, frozen, and the two ways of reading may be
-    mixed.
+    yields every draw's pair, built by the two constructors as every pair
+    is, and the two ways of reading may be mixed.
     """
     if n_max < 1 or n_draws < 0:
         raise DomainError("need n_max >= 1 and n_draws >= 0")
@@ -380,14 +368,9 @@ class _RandomAtoms:
         return self
 
     def __next__(self):
-        if not self._unread():
-            raise StopIteration
-        block = self._block
-        if block.pairs is None:
-            # the rows before self._pos were read as arrays and need no pair
-            self._block = block._replace(pairs=[None] * self._pos + block.pairs_from(self._pos))
-        self._pos += 1
-        return self._block.pairs[self._pos - 1]
+        for block in self.blocks(1):
+            return block.pair(0)
+        raise StopIteration
 
     def blocks(self, limit: int | None):
         """The next `limit` draws (all when None) as padded blocks."""
@@ -635,14 +618,16 @@ def _chunks(pairs):
 
 
 def _pack_pairs(chunk: list) -> _Block:
-    """The block of a list of (sp, f) pairs; a misaligned pair gets size -1."""
+    """The block of a list of (sp, f) pairs, laid out in zero-padded rows; a
+    misaligned pair gets size -1 and an empty row."""
     sizes = np.array([sp.weights.size for sp, _ in chunk])
-    aligned = sizes == np.array([f.magnitudes.size for _, f in chunk])
-    sizes[~aligned] = -1
-    packed = [pair for pair, a in zip(chunk, aligned) if a]
-    weights = np.concatenate([np.zeros(0), *(sp.weights for sp, _ in packed)])
-    mags = np.concatenate([np.zeros(0), *(f.magnitudes for _, f in packed)])
-    return _Block.pack(weights, mags, sizes, chunk)
+    sizes[sizes != np.array([f.magnitudes.size for _, f in chunk])] = -1
+    packed = [pair for pair, n in zip(chunk, sizes) if n >= 0]
+    inside = np.arange(max(int(sizes.max()), 1)) < sizes[:, None]
+    w, m = np.zeros(inside.shape), np.zeros(inside.shape)
+    w[inside] = np.concatenate([np.zeros(0), *(sp.weights for sp, _ in packed)])
+    m[inside] = np.concatenate([np.zeros(0), *(f.magnitudes for _, f in packed)])
+    return _Block(w, m, sizes, chunk)
 
 
 def counterexample_search(
@@ -684,7 +669,7 @@ def counterexample_search(
         for r in np.flatnonzero(confirm):
             if ok[r] and worst is not None and not lo[r] < worst.min_margin:
                 continue
-            sp, f = block.pairs_from(r, r + 1)[0]
+            sp, f = block.pair(r)
             report = audit_jackson(f, sp, p, provider)
             if worst is None or report.min_margin < worst.min_margin:
                 worst = report

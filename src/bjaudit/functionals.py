@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, QuadratureError, UsageError
 from .jsonutil import read_csv, require_unique_keys
-from .measures import DiscreteMeasureSpace, SimpleFunction, _tie_groups
+from .measures import DiscreteMeasureSpace, SimpleFunction, _sorted_support, _tie_groups
 from .rearrange import _LOG_FLOAT_MAX, decreasing_rearrangement, eval_step
 
 __all__ = [
@@ -153,34 +153,33 @@ def k2_scalar(t: float, z_magnitude: float = 1.0) -> float:
 _EXHAUSTIVE_N_MAX = 20
 
 
-def _subset_masks(n: int) -> np.ndarray:
-    """The 2^n subsets of n atoms as 0/1 rows; n past _EXHAUSTIVE_N_MAX is refused."""
-    if n > _EXHAUSTIVE_N_MAX:
-        raise UsageError(f"exhaustive split oracle requested for n={n} > {_EXHAUSTIVE_N_MAX}")
-    codes = np.arange(2**n, dtype=np.uint32)
-    return (codes[:, None] >> np.arange(n)) & 1
-
-
 def _exhaustive_split_pairs(
     f: SimpleFunction, sp: DiscreteMeasureSpace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(m, v) of every split f = f|_S + f|_{S^c}, S one of the 2^n atom subsets:
-    m = ||f|_S||_0 and v = ||f|_{S^c}||_inf.  Row 0 is S empty, with m = 0.
+    """(m, v) of every split f = f|_S + f|_{S^c}, S one of the subsets of the
+    support: m = ||f|_S||_0 and v = ||f|_{S^c}||_inf.  Row 0 is S empty, with m = 0.
+
+    The subsets are built by doubling over the atoms in sorted_mass_profile's
+    order, each m summed in that order, so the top atoms' m equals a break of
+    f* bit for bit; memory is O(2^n).  n past _EXHAUSTIVE_N_MAX is refused.
     """
     n = f.magnitudes.size
-    masks = _subset_masks(n).astype(float)
-    support_w = np.where(f.magnitudes > 0.0, sp.weights, 0.0)
-    m_vals = masks @ support_w
-    v_vals = ((1.0 - masks) * f.magnitudes).max(axis=1) if n else np.zeros(1)
-    return m_vals, v_vals
+    if n > _EXHAUSTIVE_N_MAX:
+        raise UsageError(f"exhaustive split oracle requested for n={n} > {_EXHAUSTIVE_N_MAX}")
+    m = v = np.zeros(1)
+    with np.errstate(over="ignore"):  # a mass past the float range is inf
+        for mag, w in zip(*_sorted_support(f, sp)):  # a misaligned pair is a UsageError
+            m = np.concatenate([m, m + w])
+            v = np.concatenate([np.maximum(v, mag), v])
+    return m, v
 
 
 def e_exhaustive(f: SimpleFunction, sp: DiscreteMeasureSpace, t):
     """E oracle: min of v over the 2^n subset splits with m < t (strict).
 
     The splits sorted by m give a prefix minimum of v, and searchsorted
-    counts those with m < t: at a break of f* E takes its left limit, where
-    the split's mass rounds to the same float as the break.
+    counts those with m < t: at a break of f* E takes its left limit, as the
+    top atoms' mass is the break itself.
     Accepts a scalar or an array of t > 0, as eval_step does; the empty
     split (m = 0) is feasible at every such t.
     """

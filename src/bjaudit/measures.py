@@ -2,7 +2,10 @@
 
 Everything downstream (rearrangements, E/K-functionals, audits) depends on a
 function only through its magnitudes |f(x)|, so a function is just a
-nonnegative vector aligned with a weighted atom list.
+nonnegative vector aligned with a weighted atom list.  Every space and
+function, the random draws included, is built by the two constructors,
+which validate and freeze their arrays: no code builds them without
+__post_init__.
 """
 
 from __future__ import annotations
@@ -32,14 +35,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_ID_PREFIX = tuple(f"a{i}" for i in range(256))
-
-
-def _default_ids(n: int) -> tuple[str, ...]:
-    """The atom ids a0, ..., a{n-1}; those of up to 256 atoms are built once."""
-    return _ID_PREFIX[:n] if n <= len(_ID_PREFIX) else tuple(f"a{i}" for i in range(n))
-
-
 def _check_weights(w: np.ndarray) -> None:
     if w.size and (not np.isfinite(w).all() or (w <= 0.0).any()):
         raise DomainError("every weight must be a positive finite real")
@@ -63,7 +58,7 @@ class DiscreteMeasureSpace:
             raise UsageError("weights must be a 1-d sequence")
         _check_weights(w)
         object.__setattr__(self, "weights", _freeze(w))
-        ids = tuple(self.atom_ids) if self.atom_ids else _default_ids(w.size)
+        ids = tuple(self.atom_ids) if self.atom_ids else tuple(f"a{i}" for i in range(w.size))
         if len(ids) != w.size:
             raise UsageError(
                 f"atom_ids length {len(ids)} does not match weight count {w.size}"
@@ -93,34 +88,6 @@ class SimpleFunction:
         object.__setattr__(self, "magnitudes", _freeze(m))
 
 
-def _instances_from_block(
-    weights: np.ndarray, mags: np.ndarray, sizes: list[int]
-) -> list[tuple[DiscreteMeasureSpace, SimpleFunction]]:
-    """(space, function) pairs over consecutive runs of `sizes` atoms.
-
-    The flat weight and magnitude arrays are checked once, with the
-    constructors' own predicates, and frozen; each pair holds read-only
-    slices of them and default atom ids.  This is the only code that builds
-    the two classes without __post_init__.
-    """
-    weights, mags = _freeze(weights), _freeze(mags)
-    if not weights.shape == mags.shape == (sum(sizes),):
-        raise UsageError("a block needs 1-d weights and magnitudes covering its sizes")
-    _check_weights(weights)
-    _check_magnitudes(mags)
-    pairs = []
-    stop = 0
-    for n in sizes:
-        start, stop = stop, stop + n
-        sp = object.__new__(DiscreteMeasureSpace)
-        object.__setattr__(sp, "weights", weights[start:stop])
-        object.__setattr__(sp, "atom_ids", _default_ids(n))
-        f = object.__new__(SimpleFunction)
-        object.__setattr__(f, "magnitudes", mags[start:stop])
-        pairs.append((sp, f))
-    return pairs
-
-
 def _check_aligned(f: SimpleFunction, sp: DiscreteMeasureSpace) -> None:
     if f.magnitudes.size != sp.n_atoms:
         raise UsageError(
@@ -139,13 +106,19 @@ def sorted_mass_profile(
     not just up to rounding.  Weights that sum past the float range give inf
     without a warning; the callers that need a finite mass raise NumericError.
     """
+    mags, w = _sorted_support(f, sp)
+    with np.errstate(over="ignore"):
+        return mags, np.cumsum(w)
+
+
+def _sorted_support(
+    f: SimpleFunction, sp: DiscreteMeasureSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The magnitudes > 0 of f, stable descending, and their atoms' weights."""
     _check_aligned(f, sp)
     pos = f.magnitudes > 0.0
-    mags = f.magnitudes[pos]
-    w = sp.weights[pos]
-    order = np.argsort(-mags, kind="stable")
-    with np.errstate(over="ignore"):
-        return mags[order], np.cumsum(w[order])
+    order = np.argsort(-f.magnitudes[pos], kind="stable")
+    return f.magnitudes[pos][order], sp.weights[pos][order]
 
 
 def _tie_groups(

@@ -134,7 +134,10 @@ def _log_space_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
     # first segment (t_0 = 0) has no tail.  A tail of -inf (st log ratio
     # underflowing to 0) drops its segment.
     tail = np.zeros(hi.size)
-    with np.errstate(divide="ignore", over="ignore"):
+    # s log t_i and the next term overflow with opposite signs (a nan) only at s
+    # above 1e305 and tau below about 1e-305, where the closed form falls back only
+    # for a Q past the float range; the nan max raises that below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         tail[1:] = np.log(-np.expm1(st * np.log(lo / hi[1:])))
         logs = np.log(sf.values) + s * np.log(hi) + (tail - math.log(s) - math.log(tau)) / tau
         m = logs.max()  # log Q >= m, and log Q = -inf where m is
@@ -187,8 +190,9 @@ def approx_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
 def step_csv(breaks: list, values: list) -> tuple[tuple[str, str], list]:
     """The CSV header t_break,value and columns of a step function's breaks and
     values: each value holds on [t_break, next break), and a final row (the
-    last break, 0.0) marks where the function falls to zero."""
-    return ("t_break", "value"), [breaks, values + [0.0]] if values else [[], []]
+    last break, 0.0) marks where the function falls to zero; the zero
+    function's one row is 0.0,0.0."""
+    return ("t_break", "value"), [breaks, values + [0.0]]
 
 
 def step_csv_text(sf: StepFunction) -> str:

@@ -112,6 +112,15 @@ def test_rearrange_golden(capsys, tmp_path):
     assert out == "t_break,value\n0.0,5.0\n0.5,3.0\n1.5,1.0\n3.5,0.0\n"
 
 
+def test_rearrange_of_the_zero_function_keeps_its_break(capsys, tmp_path):
+    path = tmp_path / "zero.csv"
+    path.write_text("atom_id,weight,magnitude\na0,1.0,0.0\na1,2.0,0.0\n")
+    code, out, err = run(capsys, ["rearrange", "--input", str(path), "--format", "csv"])
+    assert (code, out, err) == (0, "t_break,value\n0.0,0.0\n", "")
+    code, out, err = run(capsys, ["rearrange", "--input", str(path), "--format", "json"])
+    assert code == 0 and json.loads(out)["breaks"] == [0]
+
+
 def test_rearrange_malformed_input(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,w,m\na0,1.0,1.0\n")

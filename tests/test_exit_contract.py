@@ -57,6 +57,13 @@ INPUTS = {
     "trig_sum_overflow": "k,re,im\n1,1.3e154,0\n2,1.3e154,0\n",
     "ref_matrix": "row,col,re,im\n0,0,1,0\n",
     "ref_state": "index,re,im\n0,1,0\n",
+    # spectral inputs whose checks overflow: A - A^H, ||psi||, |A_ij| and the residual
+    "huge_imaginary_diagonal": "row,col,re,im\n0,0,0,8.98846567431158e307\n",
+    "huge_state": "index,re,im\n0,0,1.3407807929942597e154\n",
+    "huge_modulus": "row,col,re,im\n0,0,0,0\n0,1,1.3e308,1.3e308\n1,0,5,0\n1,1,0,0\n",
+    "huge_hermitian": "row,col,re,im\n0,0,1e200,0\n0,1,1e200,0\n1,0,1e200,0\n1,1,0,0\n",
+    "huge_imaginary_pair": "row,col,re,im\n0,0,0,0\n0,1,0,9e307\n1,0,0,-9e307\n1,1,0,0\n",
+    "unit_state_2": "index,re,im\n0,1,0\n1,0,0\n",
     # keys past the int64 range
     "huge_matrix_key": "row,col,re,im\n99999999999999999999999,0,1,0\n",
     "huge_state_index": "index,re,im\n99999999999999999999999,1,0\n",
@@ -179,6 +186,12 @@ CASES = [
             ),
         )
     ),
+    # spectral checks that overflow fail, without a warning
+    (None, ["spectral", "--matrix", "@huge_imaginary_diagonal", "--state", "@ref_state"], 2),
+    (None, ["spectral", "--matrix", "@ref_matrix", "--state", "@huge_state"], 2),
+    (None, ["spectral", "--matrix", "@huge_modulus", "--state", "@unit_state_2"], 2),
+    (None, ["spectral", "--matrix", "@huge_hermitian", "--state", "@unit_state_2"], 3),
+    (None, ["spectral", "--matrix", "@huge_imaginary_pair", "--state", "@unit_state_2"], 0),
 ]
 
 
@@ -360,10 +373,14 @@ def _instance_argv(draw):
 
 def _csv_columns(command, doc):
     """The columns the CSV rendering of `command`'s JSON document `doc` holds."""
-    if command == "rearrange":  # one row per step and an end row; none for f = 0
-        return [doc["breaks"], doc["values"] + [0.0]] if doc["values"] else [[], []]
+    if command == "rearrange":  # one row per step and an end row, 0.0,0.0 for f = 0
+        return [doc["breaks"], doc["values"] + [0.0]]
     if command == "quasinorm":
         return [list(doc), list(doc.values())]
+    if command == "trig":
+        return [doc["n"], doc["e_value"]]
+    if command == "demo-invgauss":
+        return list(doc["table"].values())
     return [doc[key] for key in ("grid", "lhs", "rhs", "margin")]
 
 
@@ -377,15 +394,14 @@ def _cell(text):
         return text
 
 
-@given(atoms=_atoms, argv=_instance_argv())
-@settings(max_examples=60, deadline=None)
-def test_instance_cli_keeps_the_exit_contract(atoms, argv):
-    text = "atom_id,weight,magnitude\n"
-    text += "".join(f"a{i},{w!r},{m!r}\n" for i, (w, m) in enumerate(atoms))
+def _check_contract(argv, files):
+    """Run argv, whose "@key" arguments stand for files holding files[key], in
+    JSON and in CSV: each exits 0, 2 or 3 with at most one stderr line and no
+    traceback, and the CSV columns are the JSON document's."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "instance.csv"
-        path.write_text(text)
-        argv = argv + ["--input", str(path)]
+        for key, text in files.items():
+            (Path(tmp) / f"{key}.csv").write_text(text)
+        argv = [str(Path(tmp) / f"{a[1:]}.csv") if a.startswith("@") else a for a in argv]
         code, out, err = _run(argv + ["--format", "json"])
         csv_code, csv_out, csv_err = _run(argv + ["--format", "csv"])
     assert code in (0, 2, 3)
@@ -398,3 +414,84 @@ def test_instance_cli_keeps_the_exit_contract(atoms, argv):
     header, *rows = [line.split(",") for line in csv_out.splitlines()]
     columns = [[_cell(x) for x in col] for col in zip(*rows)] or [[]] * len(header)
     assert columns == _csv_columns(argv[0], json.loads(out))
+
+
+@given(atoms=_atoms, argv=_instance_argv())
+@example(atoms=[(1.0, 0.0), (2.0, 0.0)], argv=["rearrange"])
+@settings(max_examples=60, deadline=None)
+def test_instance_cli_keeps_the_exit_contract(atoms, argv):
+    text = "atom_id,weight,magnitude\n"
+    text += "".join(f"a{i},{w!r},{m!r}\n" for i, (w, m) in enumerate(atoms))
+    _check_contract(argv + ["--input", "@instance"], {"instance": text})
+
+
+# entries of either sign over the whole float range, zero included
+_signed = _extent | _extent.map(lambda x: -x)
+_grid = st.one_of(
+    st.none(),
+    _signed.map(repr),
+    st.builds("{!r}:{!r}:{}".format, _signed, _signed, st.integers(-1, 5)),
+    st.builds("log:{!r}:{!r}:{}".format, _signed, _signed, st.integers(1, 5)),
+)
+
+
+def _with_option(argv, flag, value):
+    # flag=value, as argparse reads a separate "-1e+16" as an option
+    return argv if value is None else argv + [f"{flag}={value}"]
+
+
+@st.composite
+def _spectral_case(draw):
+    """A matrix of dimension 1-3, Hermitian or not, and a state, unit or not."""
+    n = draw(st.integers(1, 3))
+    hermitian = draw(st.booleans())
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            if hermitian and j < i:
+                re, im = entries[j, i]
+                entries[i, j] = (re, -im)
+            else:
+                entries[i, j] = (draw(_signed), 0.0 if hermitian and i == j else draw(_signed))
+    psi = np.array([complex(draw(_signed), draw(_signed)) for _ in range(n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(psi)
+        if draw(st.booleans()) and 0.0 < norm < np.inf:
+            psi = psi / norm
+    files = {
+        "matrix": "row,col,re,im\n"
+        + "".join(f"{i},{j},{re!r},{im!r}\n" for (i, j), (re, im) in entries.items()),
+        "state": "index,re,im\n"
+        + "".join(f"{i},{x.real!r},{x.imag!r}\n" for i, x in enumerate(psi.tolist())),
+    }
+    argv = ["spectral", "--matrix", "@matrix", "--state", "@state",
+            "--g", draw(st.sampled_from(["identity", "square", "zero"])),
+            "--variant", draw(st.sampled_from(WEAK_L1_VARIANTS))]
+    return _with_option(argv, "--grid", draw(_grid)), files
+
+
+@st.composite
+def _trig_case(draw):
+    """Up to four coefficients, keys repeated at times, and --n-max or not."""
+    rows = draw(st.lists(st.tuples(st.integers(-60, 60), _signed, _signed), max_size=4))
+    text = "k,re,im\n" + "".join(f"{k},{re!r},{im!r}\n" for k, re, im in rows)
+    n_max = draw(st.none() | st.integers(-1, 60))
+    argv = ["trig", "--input", "@coefficients"]
+    return _with_option(argv, "--n-max", n_max), {"coefficients": text}
+
+
+@st.composite
+def _demo_case(draw):
+    argv = ["demo-invgauss", "--n-cells", str(draw(st.integers(-1, 200)))]
+    for flag in ("--C", "--m", "--l", "--s", "--tau", "--t-max"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.floats(1e-3, 1e3) | _signed)!r}")
+    return _with_option(argv, "--u-grid", draw(_grid)), {}
+
+
+@given(case=_spectral_case() | _trig_case() | _demo_case())
+@example(case=(["demo-invgauss", "--C", "1e10", "--m", "0.001", "--l", "0.001", "--s",
+                "1.7e308", "--tau", "5e-324", "--t-max", "0.001", "--n-cells", "2"], {}))
+@settings(max_examples=60, deadline=None)
+def test_spectral_trig_and_demo_cli_keep_the_exit_contract(case):
+    _check_contract(*case)

@@ -80,6 +80,17 @@ def test_e_strict_inequality_takes_left_limit_at_breaks():
     assert eval_step(sf, 1.0) == 1.0
 
 
+def test_e_oracle_takes_the_left_limit_at_every_break():
+    # each split's mass is summed in f*'s cumulative order, so the top atoms'
+    # split has m equal to the break and E there is f*(t-) exactly
+    n_breaks = 0
+    for sp, f in random_atoms(n_max=10, seed=3, n_draws=200):
+        sf = decreasing_rearrangement(f, sp)
+        assert e_exhaustive(f, sp, sf.breaks[1:]).tolist() == sf.values.tolist()
+        n_breaks += sf.n_steps
+    assert n_breaks == 934
+
+
 def test_e_bruteforce_infeasible_marker():
     sp = DiscreteMeasureSpace(weights=np.array([1.0]))
     f = SimpleFunction(np.array([3.0]))
@@ -102,6 +113,23 @@ def test_exhaustive_oracles_refuse_21_atoms_before_enumerating(oracle):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("oracle", [e_exhaustive, k2_exhaustive, kinf_exhaustive])
+def test_exhaustive_oracles_hold_o_2n_memory(oracle):
+    # 2^16 splits in a few arrays of 2^16 floats, not of 2^16 x 16
+    rng = np.random.default_rng(16)
+    sp = DiscreteMeasureSpace(weights=rng.uniform(0.1, 3.0, 16))
+    f = SimpleFunction(rng.uniform(0.05, 5.0, 16))
+    tracemalloc.start()
+    try:
+        oracle(f, sp, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    with pytest.raises(UsageError, match="15 atoms"):
+        oracle(f, DiscreteMeasureSpace(weights=np.ones(15)), 1.0)
 
 
 def test_trig_tail_identity():

@@ -22,7 +22,6 @@ from bjaudit import (
     sorted_mass_profile,
     truncation_profile,
 )
-from bjaudit.measures import _instances_from_block
 
 # Shared instance strategy: small positive weights, magnitudes with
 # deliberate ties (rounding) and zeros.
@@ -55,6 +54,9 @@ def test_space_validation():
         DiscreteMeasureSpace(weights=np.array([np.inf]))
     with pytest.raises(UsageError):
         DiscreteMeasureSpace(weights=np.array([1.0, 1.0]), atom_ids=("a",))
+    for bad in ([1.0, -1.0], [math.nan, 1.0]):
+        with pytest.raises(DomainError, match="magnitudes must be nonnegative finite reals"):
+            SimpleFunction(np.array(bad))
 
 
 def test_default_atom_ids_and_total_mass():
@@ -189,30 +191,16 @@ def test_lp_norm_rejects_bad_p():
         lp_norm(f, sp, -1.0)
 
 
-def test_instances_from_block_checks_like_the_constructors():
-    pairs = _instances_from_block(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.0]), [1, 2])
-    assert [sp.weights.tolist() for sp, _ in pairs] == [[1.0], [2.0, 3.0]]
-    assert [f.magnitudes.tolist() for _, f in pairs] == [[0.0], [1.0, 2.0]]
-    assert [sp.atom_ids for sp, _ in pairs] == [("a0",), ("a0", "a1")]
-    for bad_w, bad_m in (
-        ([1.0, 0.0], [1.0, 1.0]),
-        ([1.0, math.inf], [1.0, 1.0]),
-        ([1.0, 1.0], [1.0, -1.0]),
-        ([1.0, 1.0], [math.nan, 1.0]),
-    ):
-        with pytest.raises(DomainError) as block_err:
-            _instances_from_block(np.array(bad_w), np.array(bad_m), [1, 1])
-        with pytest.raises(DomainError) as ctor_err:
-            DiscreteMeasureSpace(weights=np.array(bad_w)), SimpleFunction(np.array(bad_m))
-        assert str(block_err.value) == str(ctor_err.value)
-    with pytest.raises(UsageError):
-        _instances_from_block(np.ones(3), np.ones(3), [1, 1])
-
-
 def test_default_atom_ids():
     assert DiscreteMeasureSpace(weights=np.ones(3)).atom_ids == ("a0", "a1", "a2")
     big = DiscreteMeasureSpace(weights=np.ones(300)).atom_ids
     assert big == tuple(f"a{i}" for i in range(300))
+    # iterated random draws are built by the same constructors
+    for sp, f in random_atoms(8, 41, 300):
+        assert sp.atom_ids == tuple(f"a{i}" for i in range(sp.n_atoms))
+        assert not sp.weights.flags.writeable and not f.magnitudes.flags.writeable
+        assert DiscreteMeasureSpace(sp.weights).weights.tobytes() == sp.weights.tobytes()
+        assert SimpleFunction(f.magnitudes).magnitudes.tobytes() == f.magnitudes.tobytes()
 
 
 # measured worst errors over these 200 draws: 1.0e-15, 2.3e-16 and 2.0e-16
