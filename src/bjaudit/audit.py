@@ -291,11 +291,10 @@ def straddling_grid(sf: StepFunction) -> np.ndarray:
 
 
 # Draws are made and screened in blocks of padded (rows x width) arrays of
-# about this many cells.  A block keeps its draws and about a dozen arrays of
-# its size alive at once, so it stays small: blocks of 128 eight-atom draws ran
-# as fast as 256 or 4096, and each doubling added memory (4096 draws: 8 MB more
-# peak RSS than 256).
-_SCREEN_CELLS = 1024
+# about this many cells, with about a dozen arrays of a block's size alive at
+# once.  In bench/run.py search_small, blocks of 256 eight-atom draws took 0.2 MB
+# more peak RSS than 128, and blocks of 512, 15 % faster again, took 0.6-1 MB more.
+_SCREEN_CELLS = 2048
 
 
 class _Block(NamedTuple):
@@ -493,10 +492,12 @@ def _screen(block: _Block, p: ApproxParams, const: float):
     """Brackets of the Jackson min_margin of a block's rows at once.
 
     Returns arrays (lo, hi, ok).  Where ok, lo <= m <= hi for the min_margin
-    m that audit_jackson reports on the default grid.  A row is not certified
-    when it is misaligned, when a cumulative weight stalls (an absorbed
-    weight), or when an intermediate leaves the range of _normal, which also
-    keeps the audit on the direct closed form.  Q_{s,tau} is summed per atom:
+    m that audit_jackson reports on the default grid, with f* at each point
+    read off _straddle's runs, unsorted.  A row is not certified when it is
+    misaligned, when a break lies within _REL of the one before, when a
+    cumulative weight stalls (an absorbed weight), or when an intermediate
+    leaves the range of _normal, which also keeps the audit on the direct
+    closed form.  Q_{s,tau} is summed per atom:
     the terms m_i^tau (c_i^{s tau} - c_{i-1}^{s tau}) of a tie group telescope
     to the group's term, so only the rounding differs from the audit, and the
     bracket covers that rounding on both sides.  The zero padding is never
@@ -527,19 +528,17 @@ def _screen(block: _Block, p: ApproxParams, const: float):
         b = np.full((n_rows, int(n_groups.max()) + 1), np.inf)
         b[:, 0] = 0.0
         b[rr, kk] = c[rr, ii]
-        values = np.zeros(b.shape)
+        values = np.zeros(b.shape)  # f* on [b_k, b_{k+1}); the last column stays 0
         values[rr, kk - 1] = mag[rr, ii]
-        # The breaks, then straddling_grid's points; each run ascends, so the
-        # sort below merges runs.  A padded b_k is inf, and so are its points.
+        # straddling_grid's points by run: f* is values[k-1] at b_k (1 - _REL) and the
+        # midpoint, values[k] at b_k (1 + _REL), 0 past b_K, where b_k (1 - _REL) >= b_{k-1}
+        # (so b_{k-1} (1 + _REL) < b_k); other rows are not certified.  Padded points are inf.
         last = np.where(n_groups > 0, b[np.arange(n_rows), n_groups], np.inf)
-        keys = np.concatenate([b[:, 1:], _straddle(b, last[:, None])], axis=1)
-        # One stable sort per row puts each break before equal points, so the
-        # running count of breaks is the step index of right-continuous f*.
-        by_t = np.argsort(keys, axis=1, kind="stable")
-        ts = np.take_along_axis(keys, by_t, axis=1)
-        is_break = by_t < b.shape[1] - 1
-        point = ~is_break & (ts < np.inf)
-        lhs = np.take_along_axis(values, np.cumsum(is_break, axis=1), axis=1)
+        ts = _straddle(b, last[:, None])
+        point = ts < np.inf
+        ok &= (ts[:, : b.shape[1] - 1] >= b[:, :-1]).all(axis=1)
+        step, after = values[:, :-1], values[:, 1:]
+        lhs = np.concatenate([step, after, step, values[:, -1:]], axis=1)
 
         if p.tau == math.inf:
             c_pow = c**p.s

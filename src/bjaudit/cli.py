@@ -268,8 +268,16 @@ def cmd_trig(args):
     return {"n": ns, "e_value": es}, ("n", "e_value"), [ns, es]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one `error: <message>` line
+    and exit 2, as every other usage error is; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bjaudit",
         description=(
             "Decreasing rearrangements, E/K-functionals, and numerical audits "

@@ -31,7 +31,7 @@ from bjaudit import (
     random_atoms,
     straddling_grid,
 )
-from bjaudit.audit import _chunks, _screen
+from bjaudit.audit import _SCREEN_CELLS, _chunks, _screen
 
 REF_SPACE = DiscreteMeasureSpace(weights=np.array([0.5, 1.0, 2.0]))
 REF_F = SimpleFunction(np.array([5.0, 3.0, 1.0]))
@@ -245,9 +245,31 @@ def test_random_atoms_blocks_keep_the_draw_by_draw_stream(n_max, seed, n_draws):
                 arr[0] = 1.0
 
 
-@pytest.mark.parametrize("n_draws", [127, 128, 129, 256, 257])
+# Draws in a block of eight-atom draws: 128 at _SCREEN_CELLS = 1024, where
+# the counts 127, 128, 129, 256 and 257 below were pinned.  Those stay beside
+# the counts derived from the constant.
+ROWS_8 = _SCREEN_CELLS // 8
+
+
+def _block_rows(n_max):
+    """Draws in one of random_atoms' blocks at this n_max."""
+    return max(_SCREEN_CELLS // n_max, 1)
+
+
+# (whole blocks, extra draws): n_draws = blocks * _block_rows(n_max) + extra
+@pytest.mark.parametrize(
+    "blocks, extra",
+    [
+        *(pytest.param(0, n, id=str(n)) for n in (127, 128, 129, 256, 257)),
+        *(
+            pytest.param(k, d, id=f"{k}blocks{d:+d}")
+            for k, d in ((1, -1), (1, 0), (1, 1), (2, 0), (2, 1))
+        ),
+    ],
+)
 @pytest.mark.parametrize("n_max", [1, 40])
-def test_random_atoms_stream_at_block_edges(n_max, n_draws):
+def test_random_atoms_stream_at_block_edges(n_max, blocks, extra):
+    n_draws = blocks * _block_rows(n_max) + extra
     for seed in (0, 1, 17, 2024):
         got = list(random_atoms(n_max, seed, n_draws))
         want = list(_draw_by_draw_random_atoms(n_max, seed, n_draws))
@@ -263,8 +285,8 @@ def test_random_atoms_argument_errors():
             next(random_atoms(n_max, seed, n_draws))
 
 
-# n_max values whose blocks of _SCREEN_CELLS // n_max draws are 1024, 341,
-# 128, 78 and 25 draws long
+# n_max values whose blocks of _SCREEN_CELLS // n_max draws are 2048, 682,
+# 256, 157 and 51 draws long (1024, 341, 128, 78 and 25 at 1024 cells)
 BLOCK_N_MAX = (1, 3, 8, 13, 40)
 
 
@@ -275,7 +297,7 @@ def _assert_same_draws(got, want):
         assert f.magnitudes.tobytes() == f_want.magnitudes.tobytes()
 
 
-@pytest.mark.parametrize("budget", [1, 127, 128, 129, 299])
+@pytest.mark.parametrize("budget", [1, 127, 128, 129, ROWS_8 - 1, ROWS_8, ROWS_8 + 1, 299])
 def test_search_budget_inside_a_draw_block(budget):
     p = params_from_s_tau(1.0, 2.0)
     provider = ConstantProvider("paper-c")
@@ -288,7 +310,9 @@ def test_search_budget_inside_a_draw_block(budget):
         assert got.to_json_dict() == want.to_json_dict()
 
 
-@pytest.mark.parametrize("budget", [0, 1, 24, 25, 127, 128, 129, 299, 300, 400])
+@pytest.mark.parametrize(
+    "budget", [0, 1, 24, 25, 127, 128, 129, ROWS_8 - 1, ROWS_8, ROWS_8 + 1, 299, 300, 400]
+)
 def test_next_after_a_budgeted_search_is_the_next_draw(budget):
     p = params_from_s_tau(1.0, 2.0)
     for n_max in BLOCK_N_MAX:
@@ -298,7 +322,9 @@ def test_next_after_a_budgeted_search_is_the_next_draw(budget):
         _assert_same_draws(list(gen), want)
 
 
-@pytest.mark.parametrize("pulled", [1, 24, 25, 127, 128, 129, 299])
+@pytest.mark.parametrize(
+    "pulled", [1, 24, 25, 127, 128, 129, ROWS_8 - 1, ROWS_8, ROWS_8 + 1, 299]
+)
 def test_search_after_pulled_pairs_matches_reference(pulled):
     p = params_from_s_tau(1.0, 2.0)
     provider = ConstantProvider("paper-c")
@@ -339,11 +365,11 @@ def test_random_atoms_leaves_the_generator_where_the_five_calls_do(n_max):
     for _ in gen.blocks(None):
         assert gen._rng.bit_generator.state == _state_after(n_max, seeded, _made(gen, n_draws))[0]
     assert _made(gen, n_draws) == n_draws
-    for budget in (1, 24, 25, 129, n_draws - 1):
+    for budget in (1, 24, 25, 129, ROWS_8 + 1, n_draws - 1):
         gen = random_atoms(n_max, 41, n_draws)
         counterexample_search(p, provider, gen, budget=budget)
         assert gen._rng.bit_generator.state == _state_after(n_max, seeded, _made(gen, n_draws))[0]
-    for pulled in (k for k in (1, 25, 129) if k + 10 < n_draws):
+    for pulled in (k for k in (1, 25, 129, ROWS_8 + 1) if k + 10 < n_draws):
         gen = random_atoms(n_max, 41, n_draws)
         for _ in range(pulled):
             next(gen)
@@ -399,8 +425,9 @@ def test_random_atoms_decodes_rejected_halves(n_max):
                 "uinteger": bad[-1],
             },
         ]
-    n_draws = 2 * (1024 // n_max) + 5
-    for state in cases:
+    # two full blocks and five draws, at the current size and at 1024 cells
+    for state, cells in itertools.product(cases, sorted({1024, _SCREEN_CELLS})):
+        n_draws = 2 * (cells // n_max) + 5
         gen = random_atoms(n_max, 0, n_draws)
         gen._rng.bit_generator.state = state
         got = list(gen)
@@ -597,18 +624,56 @@ def test_screen_brackets_the_audited_margin():
             lo, hi, ok = _screen_pairs(rows, p, provider.value(p))
             assert ok[: len(CLOSE_TIES)].all()
             # ordinary draws are all certified, so none needs the scalar audit
-            plain = _screen_pairs(list(random_atoms(8, 41, 256)), p, provider.value(p))
+            plain = _screen_pairs(list(random_atoms(8, 41, 2 * ROWS_8)), p, provider.value(p))
             assert plain[2].all()
             # and so are the blocks random_atoms hands the search, bracket for bracket
-            blocks = list(random_atoms(8, 41, 256).blocks(None))
+            blocks = list(random_atoms(8, 41, 2 * ROWS_8).blocks(None))
             direct = [_screen(block, p, provider.value(p)) for block in blocks]
-            assert [block.sizes.size for block in blocks] == [128, 128]
+            assert [block.sizes.size for block in blocks] == [ROWS_8, ROWS_8]
             for got, want in zip(zip(*direct), plain):
                 assert np.concatenate(got).tobytes() == want.tobytes()
             for (sp, f), lo_r, hi_r, ok_r in zip(rows, lo, hi, ok):
                 if ok_r:
                     margin = audit_jackson(f, sp, p, provider).min_margin
                     assert lo_r <= margin <= hi_r
+
+
+def test_screen_certifies_every_random_atoms_row():
+    # the screen's fast path runs on every ordinary draw: none is left to the
+    # scalar audit
+    for n_max in BLOCK_N_MAX:
+        blocks = list(random_atoms(n_max, 41, 2000).blocks(None))
+        for s, tau in SEARCH_PARAMS[:4]:
+            p = params_from_s_tau(s, tau)
+            for kind in PROVIDER_KINDS:
+                const = ConstantProvider(kind).value(p)
+                assert all(_screen(block, p, const)[2].all() for block in blocks)
+
+
+# Breaks 1.0 and 1.0001, within _REL = 1e-3 of each other: b_1 (1 + _REL)
+# passes b_2, so f* there is not the screen's values[1].
+CLOSE_BREAKS = (
+    DiscreteMeasureSpace(weights=np.array([1.0, 1e-4])),
+    SimpleFunction(np.array([2.0, 1.0])),
+)
+
+
+def test_screen_leaves_close_breaks_uncertified():
+    assert decreasing_rearrangement(CLOSE_BREAKS[1], CLOSE_BREAKS[0]).breaks.tolist() == [
+        0.0, 1.0, 1.0001
+    ]
+    rows = [*random_atoms(8, 41, 20), CLOSE_BREAKS, *random_atoms(8, 42, 20)]
+    for s, tau in SEARCH_PARAMS:
+        p = params_from_s_tau(s, tau)
+        for kind in PROVIDER_KINDS:
+            provider = ConstantProvider(kind)
+            ok = _screen_pairs(rows, p, provider.value(p))[2]
+            assert ok.tolist() == [True] * 20 + [False] + [True] * 20
+            # the search audits the uncertified row and keeps the reference's result
+            for draws in (rows, [CLOSE_BREAKS] * 3, rows[:20] + [CLOSE_BREAKS]):
+                got = counterexample_search(p, provider, iter(draws))
+                want = _reference_search(p, provider, iter(draws))
+                assert got.to_json_dict() == want.to_json_dict()
 
 
 def _single(weight, magnitude):

@@ -186,12 +186,33 @@ CASES = [
             ),
         )
     ),
-    # spectral checks that overflow fail, without a warning
+    # spectral checks that overflow fail, without a warning; the state's norm
+    # is reported as it is, not as the overflowed sum of squares
     (None, ["spectral", "--matrix", "@huge_imaginary_diagonal", "--state", "@ref_state"], 2),
-    (None, ["spectral", "--matrix", "@ref_matrix", "--state", "@huge_state"], 2),
+    (
+        None,
+        ["spectral", "--matrix", "@ref_matrix", "--state", "@huge_state"],
+        (2, "error: state must be unit norm, got ||psi|| = 1.3407807929942597e+154\n"),
+    ),
     (None, ["spectral", "--matrix", "@huge_modulus", "--state", "@unit_state_2"], 2),
     (None, ["spectral", "--matrix", "@huge_hermitian", "--state", "@unit_state_2"], 3),
     (None, ["spectral", "--matrix", "@huge_imaginary_pair", "--state", "@unit_state_2"], 0),
+    # an argparse error is one line, like every other usage error
+    (
+        None,
+        ["constants", "--s", "-1e+16", "--tau", "1"],
+        (2, "error: argument --s: expected one argument\n"),
+    ),
+    # u^-s = inf times Q = 0: the NaN bound is named where it arises
+    (
+        None,
+        ["demo-invgauss", "--n-cells", "199", "--s", "4.4691023859347256e16"],
+        (
+            3,
+            "numeric error: the Jackson bound u^-s c Q is NaN at u = 0.5, where u^-s = inf, "
+            "c = 3.344836163107243e-09 and Q = 0.0\n",
+        ),
+    ),
 ]
 
 
