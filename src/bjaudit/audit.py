@@ -493,15 +493,16 @@ def _screen(block: _Block, p: ApproxParams, const: float):
 
     Returns arrays (lo, hi, ok).  Where ok, lo <= m <= hi for the min_margin
     m that audit_jackson reports on the default grid, with f* at each point
-    read off _straddle's runs, unsorted.  A row is not certified when it is
-    misaligned, when a break lies within _REL of the one before, when a
-    cumulative weight stalls (an absorbed weight), or when an intermediate
-    leaves the range of _normal, which also keeps the audit on the direct
-    closed form.  Q_{s,tau} is summed per atom:
-    the terms m_i^tau (c_i^{s tau} - c_{i-1}^{s tau}) of a tie group telescope
-    to the group's term, so only the rounding differs from the audit, and the
-    bracket covers that rounding on both sides.  The zero padding is never
-    kept, so a row's bracket does not depend on the block's width.
+    read off _straddle's runs, unsorted (looked up over the breaks in a row
+    where a break lies within _REL of the one before).  A row is not
+    certified when it is misaligned, when a cumulative weight stalls (an
+    absorbed weight), or when an intermediate leaves the range of _normal,
+    which also keeps the audit on the direct closed form.  Q_{s,tau} is
+    summed per atom: the terms m_i^tau (c_i^{s tau} - c_{i-1}^{s tau}) of a
+    tie group telescope to the group's term, so only the rounding differs
+    from the audit, and the bracket covers that rounding on both sides.  The
+    zero padding is never kept: the block's width changes a row's bracket
+    only through the grouping of numpy's sums, whose rounding it covers.
     """
     w, mag = block.weights, block.mags
     n_rows = block.sizes.size
@@ -531,14 +532,14 @@ def _screen(block: _Block, p: ApproxParams, const: float):
         values = np.zeros(b.shape)  # f* on [b_k, b_{k+1}); the last column stays 0
         values[rr, kk - 1] = mag[rr, ii]
         # straddling_grid's points by run: f* is values[k-1] at b_k (1 - _REL) and the
-        # midpoint, values[k] at b_k (1 + _REL), 0 past b_K, where b_k (1 - _REL) >= b_{k-1}
-        # (so b_{k-1} (1 + _REL) < b_k); other rows are not certified.  Padded points are inf.
+        # midpoint, values[k] at b_k (1 + _REL), 0 past b_K, where every b_k (1 - _REL) >=
+        # b_{k-1}; in other rows as eval_step finds it.  Padded points are inf.
         last = np.where(n_groups > 0, b[np.arange(n_rows), n_groups], np.inf)
         ts = _straddle(b, last[:, None])
         point = ts < np.inf
-        ok &= (ts[:, : b.shape[1] - 1] >= b[:, :-1]).all(axis=1)
-        step, after = values[:, :-1], values[:, 1:]
-        lhs = np.concatenate([step, after, step, values[:, -1:]], axis=1)
+        lhs = np.concatenate([values[:, :-1], values[:, 1:], values[:, :-1], values[:, -1:]], 1)
+        for r in np.flatnonzero(~(ts[:, : b.shape[1] - 1] >= b[:, :-1]).all(axis=1)):
+            lhs[r] = values[r, np.searchsorted(b[r], ts[r], side="right") - 1]
 
         if p.tau == math.inf:
             c_pow = c**p.s

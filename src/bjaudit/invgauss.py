@@ -220,16 +220,6 @@ def demo_pipeline(
     c_val = c_exact(params)
     echo = {"s": params.s, "tau": params.tau, "provider": "paper-c", "constant": c_val}
     report = _jackson_report("jackson", echo, sf, q_val, params.s, c_val, us)
-    # u^-s = inf (or 0) times c Q = 0 (or inf): name the bound, not the writer's NaN
-    nan_at = np.flatnonzero(np.isnan(report.rhs))
-    if nan_at.size:
-        u = report.grid[nan_at[0]]
-        with np.errstate(over="ignore"):
-            u_pow = float(np.float64(u) ** -params.s)
-        raise NumericError(
-            f"the Jackson bound u^-s c Q is NaN at u = {u!r}, "
-            f"where u^-s = {u_pow!r}, c = {c_val!r} and Q = {q_val!r}"
-        )
     metadata = {
         "density": {"amplitude": p.amplitude, "mean": p.mean, "shape": p.shape},
         "s": params.s,

@@ -8,7 +8,8 @@ CSV float is written with repr and read back with float(), so a finite float
 survives a CSV round trip bit for bit.
 
 Reports carry finite numbers only, in JSON and CSV alike: a NaN or infinity
-raises NumericError, which the CLI turns into exit code 3.  The one exception
+raises NumericError, naming the JSON key or CSV column that holds it, which
+the CLI turns into exit code 3.  The one exception
 is an echoed parameter (theta, q, s or tau): q = tau = inf is the sup end of
 the scale, so an infinite parameter is written as the string "inf" in JSON,
 and its caller passes the string "inf" to csv_text.  An input's header is
@@ -44,13 +45,18 @@ def infinite_param(key: str, value) -> bool:
     return key in _PARAM_KEYS and value == math.inf
 
 
-def require_finite(values) -> None:
-    """Raise NumericError unless every value in the iterable is finite."""
+def require_finite(values, name: str | None = None) -> None:
+    """Raise NumericError unless every value in the iterable is finite; the
+    message names the key or column `name` and its first such value."""
     if not all(map(math.isfinite, values)):
-        raise NumericError(_NON_FINITE)
+        if name is None:
+            raise NumericError(_NON_FINITE)
+        bad = next(v for v in values if not math.isfinite(v))
+        raise NumericError(f"{_NON_FINITE}: {name} holds {float(bad)!r}")
 
 
-def _encode(obj, out: list[str], indent: int) -> None:
+def _encode(obj, out: list[str], indent: int, key: str | None = None) -> None:
+    """Append obj's JSON to out; key is the innermost dict key holding obj."""
     pad = "  " * indent
     if obj is None:
         out.append("null")
@@ -61,7 +67,7 @@ def _encode(obj, out: list[str], indent: int) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        require_finite((obj,))
+        require_finite((obj,), key)
         out.append(format(obj, ".17g"))
     elif isinstance(obj, str):
         out.append(
@@ -81,7 +87,7 @@ def _encode(obj, out: list[str], indent: int) -> None:
             if infinite_param(k, v):
                 out.append('"inf"')
             else:
-                _encode(v, out, indent + 1)
+                _encode(v, out, indent + 1, k)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -91,12 +97,12 @@ def _encode(obj, out: list[str], indent: int) -> None:
         if set(map(type, obj)) == {float}:
             # A column of plain floats is rendered in one pass, byte for byte
             # as the per-item path below would.
-            require_finite(obj)
+            require_finite(obj, key)
             out.append("[" + ("%.17g, " * len(obj) % tuple(obj))[:-2] + "]")
             return
         out.append("[")
         for i, v in enumerate(obj):
-            _encode(v, out, indent)
+            _encode(v, out, indent, key)
             if i < len(obj) - 1:
                 out.append(", ")
         out.append("]")
@@ -110,11 +116,11 @@ def dumps17(obj) -> str:
     return "".join(out)
 
 
-def _csv_cell(v) -> str:
+def _csv_cell(v, name: str) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        require_finite((v,))
+        require_finite((v,), name)
         return repr(float(v))
     return str(v)
 
@@ -131,15 +137,15 @@ def csv_text(header, columns) -> str:
     None as an empty field, anything else with str, quoted as csv.writer's
     QUOTE_MINIMAL would (and also on a CR)."""
     specs, cells = [], []
-    for col in columns:
+    for name, col in zip(header, columns, strict=True):
         if set(map(type, col)) == {float}:
             # A column of plain floats is checked and rendered in one pass.
-            require_finite(col)
+            require_finite(col, name)
             specs.append("%r")
             cells.append(col)
         else:
             specs.append("%s")
-            cells.append(_csv_quoted([_csv_cell(v) for v in col]))
+            cells.append(_csv_quoted([_csv_cell(v, name) for v in col]))
     rows = zip(*cells, strict=True)
     line = ",".join(specs) + "\n"
     out = [",".join(header) + "\n"]

@@ -109,11 +109,7 @@ def spectral_measure(matrix, psi) -> SpectralModel:
         raise DomainError(f"state has length {v.size}, matrix has dimension {n}")
     if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
         raise DomainError("state entries must be finite")
-    # The norm of v scaled by the power of two of its largest component (kept
-    # where 2^-exp is a float), so that the squares neither overflow nor
-    # underflow and the scaling is exact.
-    exp = min(max(int(np.frexp(np.max(np.abs([v.real, v.imag])))[1]), -1021), 1024)
-    nrm = float(np.ldexp(np.linalg.norm(v * 2.0**-exp), exp))
+    nrm = math.hypot(*v.real.tolist(), *v.imag.tolist())
     if abs(nrm - 1.0) > 1e-10:
         raise DomainError(f"state must be unit norm, got ||psi|| = {nrm!r}")
 

@@ -617,6 +617,9 @@ def test_screen_brackets_the_audited_margin():
     rows = [(DiscreteMeasureSpace(weights=w), SimpleFunction(m)) for w, m in CLOSE_TIES]
     for _ in range(60):
         rows.append(_draw_instance(rng, {"ties", "zeros", "close"}, rows))
+    # ordinary draws, as random_atoms hands them to the search; at n_max = 256
+    # about half of the rows have breaks within _REL of each other
+    blocks = {n: list(random_atoms(n, 41, 2000).blocks(None)) for n in (*BLOCK_N_MAX, 256)}
     for s, tau in SEARCH_PARAMS:
         p = params_from_s_tau(s, tau)
         for kind in PROVIDER_KINDS:
@@ -624,12 +627,14 @@ def test_screen_brackets_the_audited_margin():
             lo, hi, ok = _screen_pairs(rows, p, provider.value(p))
             assert ok[: len(CLOSE_TIES)].all()
             # ordinary draws are all certified, so none needs the scalar audit
+            for n_max, n_blocks in blocks.items():
+                if (s, tau) in SEARCH_PARAMS[:4]:
+                    assert all(_screen(b, p, provider.value(p))[2].all() for b in n_blocks)
             plain = _screen_pairs(list(random_atoms(8, 41, 2 * ROWS_8)), p, provider.value(p))
             assert plain[2].all()
             # and so are the blocks random_atoms hands the search, bracket for bracket
-            blocks = list(random_atoms(8, 41, 2 * ROWS_8).blocks(None))
-            direct = [_screen(block, p, provider.value(p)) for block in blocks]
-            assert [block.sizes.size for block in blocks] == [ROWS_8, ROWS_8]
+            direct = [_screen(block, p, provider.value(p)) for block in blocks[8][:2]]
+            assert [block.sizes.size for block in blocks[8][:2]] == [ROWS_8, ROWS_8]
             for got, want in zip(zip(*direct), plain):
                 assert np.concatenate(got).tobytes() == want.tobytes()
             for (sp, f), lo_r, hi_r, ok_r in zip(rows, lo, hi, ok):
@@ -638,39 +643,30 @@ def test_screen_brackets_the_audited_margin():
                     assert lo_r <= margin <= hi_r
 
 
-def test_screen_certifies_every_random_atoms_row():
-    # the screen's fast path runs on every ordinary draw: none is left to the
-    # scalar audit
-    for n_max in BLOCK_N_MAX:
-        blocks = list(random_atoms(n_max, 41, 2000).blocks(None))
-        for s, tau in SEARCH_PARAMS[:4]:
-            p = params_from_s_tau(s, tau)
-            for kind in PROVIDER_KINDS:
-                const = ConstantProvider(kind).value(p)
-                assert all(_screen(block, p, const)[2].all() for block in blocks)
-
-
 # Breaks 1.0 and 1.0001, within _REL = 1e-3 of each other: b_1 (1 + _REL)
-# passes b_2, so f* there is not the screen's values[1].
+# passes b_2, so f* there is not read off the straddle runs but looked up.
 CLOSE_BREAKS = (
     DiscreteMeasureSpace(weights=np.array([1.0, 1e-4])),
     SimpleFunction(np.array([2.0, 1.0])),
 )
 
 
-def test_screen_leaves_close_breaks_uncertified():
+def test_screen_certifies_close_breaks():
     assert decreasing_rearrangement(CLOSE_BREAKS[1], CLOSE_BREAKS[0]).breaks.tolist() == [
         0.0, 1.0, 1.0001
     ]
     rows = [*random_atoms(8, 41, 20), CLOSE_BREAKS, *random_atoms(8, 42, 20)]
+    big = list(random_atoms(256, 43, 12))
     for s, tau in SEARCH_PARAMS:
         p = params_from_s_tau(s, tau)
         for kind in PROVIDER_KINDS:
             provider = ConstantProvider(kind)
-            ok = _screen_pairs(rows, p, provider.value(p))[2]
-            assert ok.tolist() == [True] * 20 + [False] + [True] * 20
-            # the search audits the uncertified row and keeps the reference's result
-            for draws in (rows, [CLOSE_BREAKS] * 3, rows[:20] + [CLOSE_BREAKS]):
+            for draws in (rows, big):
+                lo, hi, ok = _screen_pairs(draws, p, provider.value(p))
+                assert ok.all()
+                for (sp, f), lo_r, hi_r in zip(draws, lo, hi):
+                    assert lo_r <= audit_jackson(f, sp, p, provider).min_margin <= hi_r
+            for draws in (rows, [CLOSE_BREAKS] * 3, rows[:20] + [CLOSE_BREAKS], big):
                 got = counterexample_search(p, provider, iter(draws))
                 want = _reference_search(p, provider, iter(draws))
                 assert got.to_json_dict() == want.to_json_dict()

@@ -47,6 +47,8 @@ INPUTS = {
     "huge_q": "atom_id,weight,magnitude\na0,1e10,1e300\n",
     "huge_support": "atom_id,weight,magnitude\na0,1e160,1e-100\n",
     "small_mass": "atom_id,weight,magnitude\na0,0.5,2.0\na1,0.25,1.0\n",
+    # t^-s = inf at the grid's t < 1 while Q_{s,tau} underflows to 0
+    "light_atom": "atom_id,weight,magnitude\na0,0.05,1.0\n",
     # one atom whose grid point b (1 + 1e-3) passes the float range
     "max_weight": "atom_id,weight,magnitude\na0,1.7e308,1.0\n",
     # ||f||_1 = 3e150 over t near 5e-324: the weak-L1 right-hand side overflows
@@ -203,15 +205,16 @@ CASES = [
         ["constants", "--s", "-1e+16", "--tau", "1"],
         (2, "error: argument --s: expected one argument\n"),
     ),
-    # u^-s = inf times Q = 0: the NaN bound is named where it arises
+    # t^-s = inf times Q = 0: the report writer names the NaN column
     (
         None,
         ["demo-invgauss", "--n-cells", "199", "--s", "4.4691023859347256e16"],
-        (
-            3,
-            "numeric error: the Jackson bound u^-s c Q is NaN at u = 0.5, where u^-s = inf, "
-            "c = 3.344836163107243e-09 and Q = 0.0\n",
-        ),
+        (3, "numeric error: reports must not contain NaN or infinity: jackson_bound holds nan\n"),
+    ),
+    (
+        "light_atom",
+        ["audit", "--name", "jackson", "--s", "300", "--tau", "2", "--provider", "sharp-oracle"],
+        (3, "numeric error: reports must not contain NaN or infinity: rhs holds nan\n"),
     ),
 ]
 

@@ -39,13 +39,13 @@ NON_FINITE = "reports must not contain NaN or infinity"
 # -- reference implementations: one Python call per item ------------------------
 
 
-def _ref_fmt_float(x):
+def _ref_fmt_float(x, key):
     if not math.isfinite(x):
-        raise NumericError(NON_FINITE)
+        raise NumericError(NON_FINITE if key is None else f"{NON_FINITE}: {key} holds {x!r}")
     return format(x, ".17g")
 
 
-def _ref_encode(obj, out, indent):
+def _ref_encode(obj, out, indent, key=None):
     pad = "  " * indent
     if obj is None:
         out.append("null")
@@ -56,7 +56,7 @@ def _ref_encode(obj, out, indent):
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(_ref_fmt_float(obj))
+        out.append(_ref_fmt_float(float(obj), key))
     elif isinstance(obj, str):
         out.append(
             '"'
@@ -75,7 +75,7 @@ def _ref_encode(obj, out, indent):
             if infinite_param(k, v):
                 out.append('"inf"')
             else:
-                _ref_encode(v, out, indent + 1)
+                _ref_encode(v, out, indent + 1, k)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -84,7 +84,7 @@ def _ref_encode(obj, out, indent):
             return
         out.append("[")
         for i, v in enumerate(obj):
-            _ref_encode(v, out, indent)
+            _ref_encode(v, out, indent, key)
             if i < len(obj) - 1:
                 out.append(", ")
         out.append("]")
@@ -213,6 +213,10 @@ def test_dumps17_rejects_non_finite_anywhere_in_a_float_column(col, bad, data):
     for doc in (col, tuple(col), {"margin": col}, {"tau": col}, [col]):
         with pytest.raises(NumericError, match=NON_FINITE):
             dumps17(doc)
+    # under a key, the message names the key and the value
+    with pytest.raises(NumericError) as got:
+        dumps17({"report": {"margin": col}})
+    assert str(got.value) == f"{NON_FINITE}: margin holds {bad!r}"
 
 
 def test_dumps17_float_column_forms():
@@ -262,6 +266,10 @@ def test_csv_text_forms():
     assert csv_text(("t", "v"), ([None, 0.1], ["inf", 5e-324])) == "t,v\n,inf\n0.1,5e-324\n"
     with pytest.raises(ValueError):
         csv_text(("a", "b"), ([1.0], [1.0, 2.0]))
+    for b_col in ([3.0, math.inf], [None, math.inf]):
+        with pytest.raises(NumericError) as got:
+            csv_text(("a", "b"), ([1.0, 2.0], b_col))
+        assert str(got.value) == f"{NON_FINITE}: b holds inf"
 
 
 def _stdlib_csv_text(header, columns):
