@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -179,13 +179,6 @@ def _pointwise_audit(name: str, params: dict, sf: StepFunction, grid, rhs_of) ->
     return _build_report(name, params, ts.tolist(), eval_step(sf, ts), rhs)
 
 
-def _jackson_report(
-    name: str, params: dict, sf: StepFunction, q_val: float, s: float, const: float, grid
-) -> AuditReport:
-    """f*(t) <= t^-s * const * Q pointwise on the grid, with Q = Q_{s,tau}(f) given."""
-    return _pointwise_audit(name, params, sf, grid, lambda ts: ts ** (-s) * const * q_val)
-
-
 def audit_jackson(
     f: SimpleFunction,
     sp: DiscreteMeasureSpace,
@@ -198,7 +191,7 @@ def audit_jackson(
     q_val = approx_quasinorm(sf, p.s, p.tau)
     const = provider.value(p)
     params = {"s": p.s, "tau": p.tau, "provider": provider.kind, "constant": const}
-    return _jackson_report("jackson", params, sf, q_val, p.s, const, grid)
+    return _pointwise_audit("jackson", params, sf, grid, lambda ts: ts ** (-p.s) * const * q_val)
 
 
 def audit_bernstein_right(
@@ -252,10 +245,9 @@ def audit_q2(
     the weak-L1 claim with constant 2/pi.
     """
     p = params_from_theta_q(theta, 2.0)
-    const = ConstantProvider("paper-bigc-table").value(p)
-    sf = decreasing_rearrangement(f, sp)
-    params = {"theta": theta, "s": p.s, "tau": p.tau, "constant": const}
-    return _jackson_report("q2", params, sf, approx_quasinorm(sf, p.s, p.tau), p.s, const, grid)
+    report = audit_jackson(f, sp, p, ConstantProvider("paper-bigc-table"), grid)
+    params = {"theta": theta, "s": p.s, "tau": p.tau, "constant": report.params["constant"]}
+    return replace(report, inequality_name="q2", params=params)
 
 
 _REL, _EXTEND = 1e-3, 1.5
@@ -298,22 +290,15 @@ _SCREEN_CELLS = 2048
 
 
 class _Block(NamedTuple):
-    """Draws as zero-padded (rows x width) weights and magnitudes.
-
-    sizes[r] is row r's atom count, or -1 for a pair whose function and space
-    do not align, which the screen never certifies.  pairs holds the rows'
-    (sp, f) pairs, or is None where they are built from the arrays on demand.
-    """
+    """random_atoms' draws as zero-padded (rows x width) weights and
+    magnitudes; sizes[r] is row r's atom count.  The screen's only input."""
 
     weights: np.ndarray
     mags: np.ndarray
     sizes: np.ndarray
-    pairs: list | None
 
     def pair(self, r: int) -> tuple:
-        """Row r's (sp, f) pair: the one packed, or one built by the constructors."""
-        if self.pairs is not None:
-            return self.pairs[r]
+        """Row r's (sp, f) pair, built by the two constructors."""
         n = self.sizes[r]
         return DiscreteMeasureSpace(self.weights[r, :n]), SimpleFunction(self.mags[r, :n])
 
@@ -360,7 +345,7 @@ class _RandomAtoms:
         self._rng = np.random.default_rng(seed)
         self._n_max = n_max
         self._left = n_draws  # draws not yet made
-        self._block = _Block(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, dtype=int), None)
+        self._block = _Block(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, dtype=int))
         self._pos = 0
 
     def __iter__(self):
@@ -379,7 +364,7 @@ class _RandomAtoms:
             self._pos = stop
             if limit is not None:
                 limit -= stop - start
-            yield _Block(*(a[start:stop] for a in block[:3]), None)
+            yield _Block(*(a[start:stop] for a in block))
 
     def _unread(self) -> bool:
         """Whether a draw is left, making the next block when the kept one is read."""
@@ -451,7 +436,7 @@ class _RandomAtoms:
         weights = np.where(inside, 0.1 + (3.0 - 0.1) * w_u, 0.0)
         _check_weights(weights[inside])
         _check_magnitudes(mags)
-        return _Block(weights, mags, sizes, None)
+        return _Block(weights, mags, sizes)
 
 
 def indicator_sweep():
@@ -494,15 +479,16 @@ def _screen(block: _Block, p: ApproxParams, const: float):
     Returns arrays (lo, hi, ok).  Where ok, lo <= m <= hi for the min_margin
     m that audit_jackson reports on the default grid, with f* at each point
     read off _straddle's runs, unsorted (looked up over the breaks in a row
-    where a break lies within _REL of the one before).  A row is not
-    certified when it is misaligned, when a cumulative weight stalls (an
-    absorbed weight), or when an intermediate leaves the range of _normal,
-    which also keeps the audit on the direct closed form.  Q_{s,tau} is
-    summed per atom: the terms m_i^tau (c_i^{s tau} - c_{i-1}^{s tau}) of a
-    tie group telescope to the group's term, so only the rounding differs
-    from the audit, and the bracket covers that rounding on both sides.  The
-    zero padding is never kept: the block's width changes a row's bracket
-    only through the grouping of numpy's sums, whose rounding it covers.
+    where a break lies within _REL of the one before).  Every row is one of
+    random_atoms' draws, so its weights and magnitudes align.  A row is not
+    certified when a cumulative weight stalls (an absorbed weight), or when
+    an intermediate leaves the range of _normal, which also keeps the audit
+    on the direct closed form.  Q_{s,tau} is summed per atom: the terms
+    m_i^tau (c_i^{s tau} - c_{i-1}^{s tau}) of a tie group telescope to the
+    group's term, so only the rounding differs from the audit, and the
+    bracket covers that rounding on both sides.  The zero padding is never
+    kept: the block's width changes a row's bracket only through the
+    grouping of numpy's sums, whose rounding it covers.
     """
     w, mag = block.weights, block.mags
     n_rows = block.sizes.size
@@ -519,7 +505,7 @@ def _screen(block: _Block, p: ApproxParams, const: float):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         c = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
         c_prev = np.concatenate([np.zeros((n_rows, 1)), c[:, :-1]], axis=1)
-        ok = (block.sizes >= 0) & each_kept((c > c_prev) & _normal(c))
+        ok = each_kept((c > c_prev) & _normal(c))
 
         # The group ends b_1 < ... < b_K (the audit's breaks), one row each.
         end = kept & (mag != np.concatenate([mag[:, 1:], np.zeros((n_rows, 1))], axis=1))
@@ -595,41 +581,6 @@ def _screen(block: _Block, p: ApproxParams, const: float):
     return lo, hi, ok
 
 
-def _chunks(pairs):
-    """Consecutive (sp, f) pairs packed into blocks of at most _SCREEN_CELLS
-    padded cells (more only for a single pair that is larger)."""
-    chunk, width = [], 0
-    try:
-        for sp, f in pairs:
-            size = sp.weights.size
-            if chunk and (len(chunk) + 1) * max(width, size) > _SCREEN_CELLS:
-                yield _pack_pairs(chunk)
-                chunk, width = [], 0
-            chunk.append((sp, f))
-            width = max(width, size)
-    except Exception:
-        # The draws before a failing draw are audited first, so that their
-        # own errors surface in draw order, as in a draw-by-draw loop.
-        if chunk:
-            yield _pack_pairs(chunk)
-        raise
-    if chunk:
-        yield _pack_pairs(chunk)
-
-
-def _pack_pairs(chunk: list) -> _Block:
-    """The block of a list of (sp, f) pairs, laid out in zero-padded rows; a
-    misaligned pair gets size -1 and an empty row."""
-    sizes = np.array([sp.weights.size for sp, _ in chunk])
-    sizes[sizes != np.array([f.magnitudes.size for _, f in chunk])] = -1
-    packed = [pair for pair, n in zip(chunk, sizes) if n >= 0]
-    inside = np.arange(max(int(sizes.max()), 1)) < sizes[:, None]
-    w, m = np.zeros(inside.shape), np.zeros(inside.shape)
-    w[inside] = np.concatenate([np.zeros(0), *(sp.weights for sp, _ in packed)])
-    m[inside] = np.concatenate([np.zeros(0), *(f.magnitudes for _, f in packed)])
-    return _Block(w, m, sizes, chunk)
-
-
 def counterexample_search(
     p: ApproxParams,
     provider: ConstantProvider,
@@ -639,28 +590,36 @@ def counterexample_search(
     """Audit the Jackson claim over generated instances; keep the worst report.
 
     The worst report is the first in draw order whose min_margin is strictly
-    below every earlier one.  Draws are screened in padded blocks (_screen):
-    random_atoms hands over its own, any other generator's pairs are packed
-    by _chunks.  audit_jackson runs only on the draws whose bracket can still
-    reach the running minimum, and only they become pairs, so the result
-    equals that of auditing every draw.  Exactly
-    `budget` draws are taken from the generator (all when None); a zero budget
-    or an empty generator returns an empty result claiming nothing.
-    Deterministic whenever the generator is.
+    below every earlier one.  A random_atoms generator hands over its draws
+    as padded blocks, which are screened as they are (_screen):
+    audit_jackson runs only on the draws whose bracket can still reach the
+    running minimum, and only they become pairs, so the result equals that
+    of auditing every draw.  Any other iterable's pairs are audited one by
+    one, in draw order.  Exactly `budget` draws are taken from the generator
+    (all when None); a zero budget or an empty generator returns an empty
+    result claiming nothing.  Deterministic whenever the generator is.
     """
+    worst: AuditReport | None = None
+    worst_instance: str | None = None
+    count = 0
+
+    def audit(sp, f):
+        nonlocal worst, worst_instance
+        report = audit_jackson(f, sp, p, provider)
+        if worst is None or report.min_margin < worst.min_margin:
+            worst, worst_instance = report, instance_csv_text(sp, f)
+
+    limit = None if budget is None else max(budget, 0)
+    if not isinstance(generator, _RandomAtoms):
+        for sp, f in itertools.islice(generator, limit):
+            count += 1
+            audit(sp, f)
+        return SearchResult(report=worst, instance_csv=worst_instance, n_instances=count)
     try:
         const = provider.value(p)
     except NumericError:
         const = math.nan  # nothing is certified: the audit raises it in draw order
-    worst: AuditReport | None = None
-    worst_instance: str | None = None
-    count = 0
-    limit = None if budget is None else max(budget, 0)
-    if isinstance(generator, _RandomAtoms):
-        blocks = generator.blocks(limit)
-    else:
-        blocks = _chunks(itertools.islice(generator, limit))
-    for block in blocks:
+    for block in generator.blocks(limit):
         count += block.sizes.size
         lo, hi, ok = _screen(block, p, const)
         cut = hi[ok].min(initial=math.inf)
@@ -669,9 +628,5 @@ def counterexample_search(
         for r in np.flatnonzero(confirm):
             if ok[r] and worst is not None and not lo[r] < worst.min_margin:
                 continue
-            sp, f = block.pair(r)
-            report = audit_jackson(f, sp, p, provider)
-            if worst is None or report.min_margin < worst.min_margin:
-                worst = report
-                worst_instance = instance_csv_text(sp, f)
+            audit(*block.pair(r))
     return SearchResult(report=worst, instance_csv=worst_instance, n_instances=count)

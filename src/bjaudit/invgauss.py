@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audit import _jackson_report
+from .audit import ConstantProvider, audit_jackson
 from .errors import DomainError, NumericError
 from .jsonutil import csv_text, dumps17
 from .measures import DiscreteMeasureSpace, SimpleFunction, lp_norm
-from .params import _float_pow, c_exact, params_from_s_tau
+from .params import _float_pow, params_from_s_tau
 from .rearrange import StepFunction, approx_quasinorm, decreasing_rearrangement
 
 __all__ = [
@@ -217,16 +217,14 @@ def demo_pipeline(
     # On a compiled discrete space the best-approximation error at budget u
     # is exactly the rearrangement at u, so the E column is f* itself rather
     # than the 2^n brute force; the bound column is the Jackson audit's rhs.
-    c_val = c_exact(params)
-    echo = {"s": params.s, "tau": params.tau, "provider": "paper-c", "constant": c_val}
-    report = _jackson_report("jackson", echo, sf, q_val, params.s, c_val, us)
+    report = audit_jackson(f, sp, params, ConstantProvider("paper-c"), us)
     metadata = {
         "density": {"amplitude": p.amplitude, "mean": p.mean, "shape": p.shape},
         "s": params.s,
         "tau": params.tau,
         "theta": params.theta,
         "q": params.q,
-        "c_constant": c_val,
+        "c_constant": report.params["constant"],
         "t_lo": t_lo,
         "t_max": t_max,
         "n_cells": n_cells,

@@ -31,7 +31,7 @@ from bjaudit import (
     random_atoms,
     straddling_grid,
 )
-from bjaudit.audit import _SCREEN_CELLS, _chunks, _screen
+from bjaudit.audit import _SCREEN_CELLS, _Block, _screen
 
 REF_SPACE = DiscreteMeasureSpace(weights=np.array([0.5, 1.0, 2.0]))
 REF_F = SimpleFunction(np.array([5.0, 3.0, 1.0]))
@@ -595,6 +595,61 @@ def test_search_matches_reference_on_random_atoms():
                 assert got.to_json_dict() == want.to_json_dict()
 
 
+# (s, tau, n_max, seed, n_draws) of random_atoms searches that reach the
+# screened loop's edge cases, with the sharp-oracle screen's uncertified rows
+# and min_margins: most rows uncertified; equal zero margins and a NaN row;
+# two NaN rows between finite ones
+SCREEN_EDGES = (
+    ((200.0, 2.0, 8, 41, 2000), 1225, None),
+    ((1100.0, 2.0, 1, 16, 4), 4, [0.0, 0.0, math.nan, 6.924438565733569e-194]),
+    (
+        (1200.0, 2.0, 1, 25, 4),
+        4,
+        [4.903307536940995e-213, math.nan, math.nan, 1.912289939406816e-211],
+    ),
+)
+
+
+@pytest.mark.parametrize("case, uncertified, margins", SCREEN_EDGES)
+def test_search_matches_reference_at_the_screen_edges(case, uncertified, margins):
+    s, tau, n_max, seed, n_draws = case
+    p = params_from_s_tau(s, tau)
+    oracle = ConstantProvider("sharp-oracle")
+
+    def draws():
+        return random_atoms(n_max, seed, n_draws)
+
+    with np.errstate(all="ignore"):
+        ok = np.concatenate([_screen(b, p, oracle.value(p))[2] for b in draws().blocks(None)])
+        assert (~ok).sum() == uncertified
+        if margins is not None:
+            got = [audit_jackson(f, sp, p, oracle).min_margin for sp, f in draws()]
+            assert repr(got) == repr(margins)
+        for kind in PROVIDER_KINDS:
+            provider = ConstantProvider(kind)
+            got = _outcome(counterexample_search, p, provider, draws())
+            assert got == _outcome(_reference_search, p, provider, draws())
+
+
+def test_search_over_pairs_keeps_their_atom_ids():
+    # an iterable of pairs is audited as it is: the worst instance is written
+    # with the caller's atom ids, quoted where the CSV needs it
+    p = params_from_s_tau(1.0, 1.0)
+    draws = [
+        (DiscreteMeasureSpace(weights=np.array([0.5]), atom_ids=("x",)), SimpleFunction([1.0])),
+        (
+            DiscreteMeasureSpace(weights=np.array([0.5, 0.25]), atom_ids=("y,z", "w")),
+            SimpleFunction([2.0, 2.0]),
+        ),
+    ]
+    provider = ConstantProvider("paper-with-factor")
+    res = counterexample_search(p, provider, iter(draws))
+    assert res.n_instances == 2
+    assert res.instance_csv.splitlines()[1:] == ['"y,z",0.5,2.0', "w,0.25,2.0"]
+    res = counterexample_search(p, provider, iter(draws[:1]))
+    assert res.instance_csv.splitlines()[1:] == ["x,0.5,1.0"]
+
+
 # Tie groups whose last atom is light: a point inside the group (an atom's
 # cumulative weight times 1 + rel, or the midpoint of the group's last two
 # atoms) would sit right of the group end's b (1 - rel), where the margin is
@@ -606,9 +661,21 @@ CLOSE_TIES = [
 ]
 
 
+def _padded(pairs):
+    """(sp, f) pairs as one block of zero-padded rows, laid out as random_atoms
+    lays out its draws."""
+    sizes = np.array([sp.n_atoms for sp, _ in pairs])
+    weights, mags = np.zeros((sizes.size, sizes.max())), np.zeros((sizes.size, sizes.max()))
+    for r, (sp, f) in enumerate(pairs):
+        weights[r, : sizes[r]] = sp.weights
+        mags[r, : sizes[r]] = f.magnitudes
+    return _Block(weights, mags, sizes)
+
+
 def _screen_pairs(rows, p, const):
-    """_screen over (sp, f) pairs, packed into blocks by _chunks as the search packs them."""
-    brackets = [_screen(block, p, const) for block in _chunks(iter(rows))]
+    """_screen over (sp, f) pairs, padded into blocks of ROWS_8 rows."""
+    blocks = (_padded(rows[i : i + ROWS_8]) for i in range(0, len(rows), ROWS_8))
+    brackets = [_screen(block, p, const) for block in blocks]
     return tuple(np.concatenate(parts) for parts in zip(*brackets))
 
 

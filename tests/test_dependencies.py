@@ -91,6 +91,30 @@ def test_only_measures_calls_sorted_mass_profile():
     assert found == []
 
 
+def _builds_block(node):
+    """A call of _Block, or of anything reached through it (_Block._make)."""
+    return isinstance(node, ast.Call) and any(
+        "_Block" in _names_used(part) for part in ast.walk(node.func)
+    )
+
+
+def test_only_random_atoms_builds_screen_blocks():
+    # the block screen reads random_atoms' decoded draws and nothing else: a
+    # _Block built anywhere outside audit._RandomAtoms (a packer of other
+    # pairs) fails here
+    package = Path(bjaudit.__file__).resolve().parent
+    found, inside = [], 0
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            calls = [node.lineno for node in ast.walk(top) if _builds_block(node)]
+            if path.name == "audit.py" and getattr(top, "name", None) == "_RandomAtoms":
+                inside += len(calls)
+            else:
+                found += [f"{path.name}:{lineno}" for lineno in calls]
+    assert inside > 0
+    assert found == []
+
+
 def test_runtime_needs_no_scipy():
     # numpy is the only runtime dependency: no module imports scipy, at the
     # top or inside a function, and the package metadata does not ask for it
