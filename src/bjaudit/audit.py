@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -28,7 +29,13 @@ from .measures import (
     lp_norm,
 )
 from .params import ApproxParams, _float_pow, c_big, c_exact, params_from_theta_q
-from .rearrange import StepFunction, approx_quasinorm, decreasing_rearrangement, eval_step
+from .rearrange import (
+    StepFunction,
+    _log_approx_quasinorm,
+    approx_quasinorm,
+    decreasing_rearrangement,
+    eval_step,
+)
 
 __all__ = [
     "ConstantProvider",
@@ -140,7 +147,10 @@ def report_csv(doc: dict | None) -> tuple[tuple[str, ...], list]:
 def _build_report(name: str, params: dict, grid, lhs, rhs) -> AuditReport:
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    margin = (rhs - lhs).tolist()
+    margin = rhs - lhs
+    if np.isnan(margin).any():
+        raise NumericError(f"a {name} margin is NaN, so the claim has no verdict")
+    margin = margin.tolist()
     min_margin = min(margin)
     violated = min_margin < -_ABS_TOL
     witness = None
@@ -174,7 +184,7 @@ def _pointwise_audit(name: str, params: dict, sf: StepFunction, grid, rhs_of) ->
     ts = _check_grid(straddling_grid(sf) if grid is None else grid)
     # A right-hand side past the float range is reported by the writers
     # (NumericError), so its overflow is no warning here.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rhs = rhs_of(ts)
     return _build_report(name, params, ts.tolist(), eval_step(sf, ts), rhs)
 
@@ -186,12 +196,26 @@ def audit_jackson(
     provider: ConstantProvider,
     grid=None,
 ) -> AuditReport:
-    """f*(t) <= t^-s * const * Q_{s,tau}(f) pointwise on the grid."""
+    """f*(t) <= t^-s * const * Q_{s,tau}(f) pointwise on the grid.
+
+    Where that product is not a normal float (t^-s past the float range, or Q
+    underflowed), the right-hand side is exp(-s log t + log const + log Q)
+    instead, with log Q formed in log space; past the float range it is inf.
+    """
     sf = decreasing_rearrangement(f, sp)
     q_val = approx_quasinorm(sf, p.s, p.tau)
     const = provider.value(p)
     params = {"s": p.s, "tau": p.tau, "provider": provider.kind, "constant": const}
-    return _pointwise_audit("jackson", params, sf, grid, lambda ts: ts ** (-p.s) * const * q_val)
+
+    def rhs_of(ts):
+        rhs = ts ** (-p.s) * const * q_val
+        odd = ~((rhs >= sys.float_info.min) & (rhs <= sys.float_info.max))
+        if odd.any():
+            log_scale = np.log(const) + _log_approx_quasinorm(sf, p.s, p.tau)
+            rhs[odd] = np.exp(log_scale - p.s * np.log(ts[odd]))
+        return rhs
+
+    return _pointwise_audit("jackson", params, sf, grid, rhs_of)
 
 
 def audit_bernstein_right(
@@ -253,16 +277,30 @@ def audit_q2(
 _REL, _EXTEND = 1e-3, 1.5
 
 
-def _straddle(b: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """The points around breaks b = (0, b_1, ..., b_K) along the last axis:
-    b_k (1 -+ _REL) and (b_{k-1} + b_k)/2 for each k, then _EXTEND * last,
-    where last holds b_K with the axis kept.  straddling_grid and _screen
-    both build their points here: the screen's brackets hold only for the
-    audit's own points."""
+def _straddle(b: np.ndarray, last: np.ndarray) -> tuple:
+    """The points around breaks b = (0, b_1, ..., b_K) along the last axis, in
+    four runs: b_k (1 - _REL), b_k (1 + _REL) and (b_{k-1} + b_k)/2 for each
+    k, then _EXTEND * last, where last holds b_K with the axis kept.
+    straddling_grid and _screen both build their points here: the screen's
+    brackets hold only for the audit's own points."""
     bk = b[..., 1:]
-    return np.concatenate(
-        [bk * (1.0 - _REL), bk * (1.0 + _REL), (b[..., :-1] + bk) / 2.0, last * _EXTEND], axis=-1
-    )
+    return bk * (1.0 - _REL), bk * (1.0 + _REL), (b[..., :-1] + bk) / 2.0, last * _EXTEND
+
+
+def _decisive(b: np.ndarray, last: np.ndarray) -> tuple:
+    """(points, close): the decisive points of the rows of breaks b (padded
+    with inf) and whether a row has close breaks, some b_k (1 - _REL) < b_{k-1}.
+
+    In a row without close breaks, _straddle's points on the step
+    [b_{k-1}, b_k) are b_k (1 - _REL), the midpoint and b_{k-1} (1 + _REL), and
+    column k-1 holds the largest of them, where f* = v_k; the last column
+    holds _EXTEND * b_K, the largest point past b_K, where f* = 0.  A padded
+    step's point is inf."""
+    below, above, mid, tail = _straddle(b, last)
+    close = ~(below >= b[..., :-1]).all(axis=-1)
+    points = np.maximum(below, mid)
+    points[..., 1:] = np.maximum(points[..., 1:], above[..., :-1])
+    return np.concatenate([points, tail], axis=-1), close
 
 
 def straddling_grid(sf: StepFunction) -> np.ndarray:
@@ -276,7 +314,7 @@ def straddling_grid(sf: StepFunction) -> np.ndarray:
     if sf.n_steps == 0:
         return np.array([1.0])
     with np.errstate(over="ignore"):
-        pts = _straddle(sf.breaks, sf.breaks[-1:])
+        pts = np.concatenate(_straddle(sf.breaks, sf.breaks[-1:]))
     if not np.isfinite(pts).all():
         raise NumericError("the t-grid around the breaks of f* passes the float range")
     return np.unique(pts[pts > 0])
@@ -284,9 +322,11 @@ def straddling_grid(sf: StepFunction) -> np.ndarray:
 
 # Draws are made and screened in blocks of padded (rows x width) arrays of
 # about this many cells, with about a dozen arrays of a block's size alive at
-# once.  In bench/run.py search_small, blocks of 256 eight-atom draws took 0.2 MB
-# more peak RSS than 128, and blocks of 512, 15 % faster again, took 0.6-1 MB more.
-_SCREEN_CELLS = 2048
+# once.  In bench/run.py search_small (8 s runs, seeds 201-203, 2-vCPU Xeon),
+# blocks of 512 eight-atom draws took 43.15-43.42 MB peak RSS and 7.6-8.2 ms
+# per op, blocks of 256 43.05-43.14 MB and 8.9-9.7 ms, and blocks of 256
+# screened at every straddling point 43.10-43.41 MB and 10.0-10.4 ms.
+_SCREEN_CELLS = 4096
 
 
 class _Block(NamedTuple):
@@ -384,6 +424,8 @@ class _RandomAtoms:
         n = 1 + (u n_max >> 32).  random(4n) maps each of the next 4n words to
         (word >> 11) 2^-53 and leaves the kept half alone.  The walk below
         reads the sizes; the generator is then put where those calls leave it.
+        A one-draw block reads its size words one at a time, then exactly its
+        4n words, and slices them.
         """
         bits = self._rng.bit_generator
         state = bits.state
@@ -393,10 +435,11 @@ class _RandomAtoms:
 
         def need(draws):
             """A draw takes 2 n_max + 2 words on average and at most half a
-            word for its size; a block that needs more reads on."""
-            return draws * (2 * n_max + 3) + _WORD_SLACK
+            word for its size; a block that needs more reads on.  A one-draw
+            block reads each word as it needs it."""
+            return draws * (2 * n_max + 3) + _WORD_SLACK if rows > 1 else 1
 
-        words = bits.random_raw(need(rows))
+        words = bits.random_raw(need(rows) if rows > 1 else 0)
         sizes, starts = [], []
         pos = 0
         for row in range(rows):
@@ -417,18 +460,25 @@ class _RandomAtoms:
             starts.append(pos)
             sizes.append(n)
             pos += 4 * n
-        words = _read_on(bits, words, pos)
-        bits.state = state
-        bits.advance(pos)
-        bits.state = {**bits.state, "has_uint32": has, "uinteger": half}
-
         sizes = np.array(sizes)
         col = np.arange(sizes.max())
         inside = col < sizes[:, None]
-        # The word of atom j of each run k (weights, magnitudes, ties, zeros)
-        # of each row; a padded cell takes any word and is zeroed below.
-        at = (np.array(starts) + np.arange(4)[:, None] * sizes)[..., None] + col
-        w_u, m_u, tie_u, zero_u = (words.take(at, mode="clip") >> 11) * 2.0**-53
+        if rows == 1:
+            # the size words are read, so the generator stands at the 4n words
+            raw = bits.random_raw(4 * n).reshape(4, 1, n)
+        else:
+            words = _read_on(bits, words, pos)
+            bits.state = state
+            bits.advance(pos)
+            # The word of atom j of each run k (weights, magnitudes, ties, zeros)
+            # of each row; a padded cell takes any word and is zeroed below.
+            at = (np.array(starts) + np.arange(4)[:, None] * sizes)[..., None] + col
+            raw = words.take(at, mode="clip")
+            del at, words  # block-sized: freed before the uniforms are made
+        bits.state = {**bits.state, "has_uint32": has, "uinteger": half}
+        raw >>= 11
+        w_u, m_u, tie_u, zero_u = raw * 2.0**-53
+        del raw  # likewise, before the maps below
         mags = 0.05 + (5.0 - 0.05) * m_u
         tie_mask = tie_u < 0.25
         mags[tie_mask] = np.round(mags[tie_mask], 1)
@@ -473,13 +523,69 @@ def _normal(x):
     return (x >= 1e-280) & (x <= 1e280)
 
 
+def _step_lookup(b: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """values[r, k] where b[r, k] <= ts[r, j] < b[r, k+1], as eval_step finds
+    f*, for every row r at once: one searchsorted over keys r + i x, which
+    numpy orders by row first and x within a row."""
+    rows = np.arange(b.shape[0])[:, None]
+
+    def keys(x):
+        key = np.empty(x.shape, dtype=complex)
+        key.real, key.imag = rows, x
+        return key.ravel()
+
+    at = np.searchsorted(keys(b), keys(ts), side="right").reshape(ts.shape)
+    return np.take_along_axis(values, at - rows * b.shape[1] - 1, axis=1)
+
+
+def _each_kept(cond: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Whether cond holds at every kept cell of each row."""
+    return (cond | ~kept).all(axis=1)
+
+
+def _row_quasinorms(mag, c, c_prev, kept, p: ApproxParams) -> tuple:
+    """(q_val, rel_q, ok): Q_{s,tau} of each row of sorted magnitudes and
+    cumulative weights, summed per atom, and where ok, a relative distance
+    rel_q within which the audit's Q lies."""
+    n_kept = kept.sum(axis=1)
+    if p.tau == math.inf:
+        c_pow = c**p.s
+        vals = np.where(kept, mag * c_pow, 0.0)
+        ok = _each_kept(_normal(mag) & _normal(c_pow) & _normal(vals), kept)
+        return vals.max(axis=1), np.full(n_kept.size, 2.0 * (_POW_ULPS + 1.0) * _ULP), ok
+    st = p.s * p.tau
+    m_pow = mag**p.tau
+    c_pow = c**st
+    c_pow_prev = c_prev**st
+    terms = np.where(kept, m_pow * (c_pow - c_pow_prev) / st, 0.0)
+    total = terms.sum(axis=1)
+    bulk = np.where(kept, m_pow * (c_pow + c_pow_prev) / st, 0.0).sum(axis=1)
+    ok = _each_kept(_normal(m_pow) & _normal(c_pow) & _normal(m_pow * c_pow), kept)
+    ok &= (_normal(bulk) & _normal(total)) | (n_kept == 0)
+    # Both sums (the screen's per atom, the audit's per group) lie within
+    # this relative distance of the same exact sum: the powers' errors
+    # scale with bulk, rounding and summation with the terms, and
+    # 2^-1070 per term covers a term that underflows.
+    eps = (
+        2.0
+        * (
+            (2.0 * _POW_ULPS + 6.0) * _ULP * bulk
+            + (n_kept + 2.0) * _ULP * np.abs(terms).sum(axis=1)
+            + n_kept * 2.0**-1070 * (1.0 + 1.0 / st)
+        )
+        / total
+    )
+    ok &= (eps < 1e-3) | (n_kept == 0)
+    a = 1.0 / p.tau
+    rel_q = np.maximum(np.expm1(a * np.log1p(eps)), -np.expm1(a * np.log1p(-eps)))
+    return total ** (1.0 / p.tau), 2.0 * rel_q + 2.0 * _POW_ULPS * _ULP, ok
+
+
 def _screen(block: _Block, p: ApproxParams, const: float):
     """Brackets of the Jackson min_margin of a block's rows at once.
 
     Returns arrays (lo, hi, ok).  Where ok, lo <= m <= hi for the min_margin
-    m that audit_jackson reports on the default grid, with f* at each point
-    read off _straddle's runs, unsorted (looked up over the breaks in a row
-    where a break lies within _REL of the one before).  Every row is one of
+    m that audit_jackson reports on the default grid.  Every row is one of
     random_atoms' draws, so its weights and magnitudes align.  A row is not
     certified when a cumulative weight stalls (an absorbed weight), or when
     an intermediate leaves the range of _normal, which also keeps the audit
@@ -489,6 +595,21 @@ def _screen(block: _Block, p: ApproxParams, const: float):
     bracket covers that rounding on both sides.  The zero padding is never
     kept: the block's width changes a row's bracket only through the
     grouping of numpy's sums, whose rounding it covers.
+
+    A row is screened at its decisive points only (_decisive), K + 1 of the
+    audit's 3K + 1: on each step, the largest point, and _EXTEND * b_K past
+    the last.  They are _straddle's floats, so the audit evaluates each of
+    them as the screen does, within err.  Every other point t shares its
+    step's f* = v with the decisive point d > t, and t^-s > d^-s, so its
+    exact margin is no lower.  The audit's margin at t is fl(fl(fl(t^-s)
+    const) Q) - v: each rounding is monotone, and the power's error
+    (_POW_ULPS) lets fl(t^-s) fall below fl(d^-s) by at most 2 _POW_ULPS ulp,
+    so it is at least the audit's margin at d less (2 _POW_ULPS + 4) ulp of
+    rhs and an ulp of each margin, which err at d covers.  So lo takes err
+    twice (margin - 2 err at d) and hi once.  A row with close breaks, some
+    b_k (1 - _REL) < b_{k-1}, is screened at all of _straddle's points, with
+    f* looked up over its breaks (_step_lookup); both point sets go through
+    the same bracket.
     """
     w, mag = block.weights, block.mags
     n_rows = block.sizes.size
@@ -499,13 +620,10 @@ def _screen(block: _Block, p: ApproxParams, const: float):
     kept = mag > 0.0
     n_kept = kept.sum(axis=1)
 
-    def each_kept(cond):
-        return (cond | ~kept).all(axis=1)
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         c = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
         c_prev = np.concatenate([np.zeros((n_rows, 1)), c[:, :-1]], axis=1)
-        ok = each_kept((c > c_prev) & _normal(c))
+        ok = _each_kept((c > c_prev) & _normal(c), kept)
 
         # The group ends b_1 < ... < b_K (the audit's breaks), one row each.
         end = kept & (mag != np.concatenate([mag[:, 1:], np.zeros((n_rows, 1))], axis=1))
@@ -515,65 +633,39 @@ def _screen(block: _Block, p: ApproxParams, const: float):
         b = np.full((n_rows, int(n_groups.max()) + 1), np.inf)
         b[:, 0] = 0.0
         b[rr, kk] = c[rr, ii]
-        values = np.zeros(b.shape)  # f* on [b_k, b_{k+1}); the last column stays 0
+        # f* on [b_k, b_{k+1}), so at the decisive points; the last column stays 0
+        values = np.zeros(b.shape)
         values[rr, kk - 1] = mag[rr, ii]
-        # straddling_grid's points by run: f* is values[k-1] at b_k (1 - _REL) and the
-        # midpoint, values[k] at b_k (1 + _REL), 0 past b_K, where every b_k (1 - _REL) >=
-        # b_{k-1}; in other rows as eval_step finds it.  Padded points are inf.
         last = np.where(n_groups > 0, b[np.arange(n_rows), n_groups], np.inf)
-        ts = _straddle(b, last[:, None])
-        point = ts < np.inf
-        lhs = np.concatenate([values[:, :-1], values[:, 1:], values[:, :-1], values[:, -1:]], 1)
-        for r in np.flatnonzero(~(ts[:, : b.shape[1] - 1] >= b[:, :-1]).all(axis=1)):
-            lhs[r] = values[r, np.searchsorted(b[r], ts[r], side="right") - 1]
+        ts, close = _decisive(b, last[:, None])
 
-        if p.tau == math.inf:
-            c_pow = c**p.s
-            vals = np.where(kept, mag * c_pow, 0.0)
-            q_val = vals.max(axis=1)
-            ok &= each_kept(_normal(mag) & _normal(c_pow) & _normal(vals))
-            rel_q = np.full(n_rows, 2.0 * (_POW_ULPS + 1.0) * _ULP)
-        else:
-            st = p.s * p.tau
-            m_pow = mag**p.tau
-            c_pow = c**st
-            c_pow_prev = c_prev**st
-            terms = np.where(kept, m_pow * (c_pow - c_pow_prev) / st, 0.0)
-            total = terms.sum(axis=1)
-            bulk = np.where(kept, m_pow * (c_pow + c_pow_prev) / st, 0.0).sum(axis=1)
-            q_val = total ** (1.0 / p.tau)
-            ok &= each_kept(_normal(m_pow) & _normal(c_pow) & _normal(m_pow * c_pow))
-            ok &= (_normal(bulk) & _normal(total)) | (n_kept == 0)
-            # Both sums (the screen's per atom, the audit's per group) lie within
-            # this relative distance of the same exact sum: the powers' errors
-            # scale with bulk, rounding and summation with the terms, and
-            # 2^-1070 per term covers a term that underflows.
-            eps = (
-                2.0
-                * (
-                    (2.0 * _POW_ULPS + 6.0) * _ULP * bulk
-                    + (n_kept + 2.0) * _ULP * np.abs(terms).sum(axis=1)
-                    + n_kept * 2.0**-1070 * (1.0 + 1.0 / st)
-                )
-                / total
-            )
-            ok &= (eps < 1e-3) | (n_kept == 0)
-            a = 1.0 / p.tau
-            rel_q = np.maximum(np.expm1(a * np.log1p(eps)), -np.expm1(a * np.log1p(-eps)))
-            rel_q = 2.0 * rel_q + 2.0 * _POW_ULPS * _ULP
-
-        t_pow = ts ** (-p.s)
-        scale = t_pow * const
-        rhs = scale * q_val[:, None]
-        margin = rhs - lhs
-        rhs_ok = _normal(t_pow) & _normal(scale) & _normal(rhs)
-        ok &= (_normal(q_val) & (rhs_ok | ~point).all(axis=1)) | (n_kept == 0)
-        # Each audited margin lies within err of the screened one, so the
-        # audit's minimum lies between the minima of the two pointwise bounds.
+        q_val, rel_q, q_ok = _row_quasinorms(mag, c, c_prev, kept, p)
+        ok &= q_ok
         beta = rel_q + (2.0 * _POW_ULPS + 6.0) * _ULP
-        err = 2.0 * (beta[:, None] * rhs + 3.0 * _ULP * np.abs(margin))
-        lo = np.where(point, margin - err, np.inf).min(axis=1)
-        hi = np.where(point, margin + err, np.inf).min(axis=1)
+
+        def bracket(ts, lhs, rows):
+            """lo and hi over the points ts of the rows, and whether every
+            right-hand side there is normal; padded points are inf."""
+            point = ts < np.inf
+            t_pow = ts ** (-p.s)
+            scale = t_pow * const
+            rhs = scale * q_val[rows, None]
+            margin = rhs - lhs
+            # Each audited margin lies within err of the screened one, so the
+            # audit's minimum lies between the minima of the two pointwise bounds.
+            err = 2.0 * (beta[rows, None] * rhs + 3.0 * _ULP * np.abs(margin))
+            lo = np.where(point, margin - 2.0 * err, np.inf).min(axis=1)
+            hi = np.where(point, margin + err, np.inf).min(axis=1)
+            rhs_ok = ((_normal(t_pow) & _normal(scale) & _normal(rhs)) | ~point).all(axis=1)
+            return lo, hi, rhs_ok
+
+        lo, hi, rhs_ok = bracket(ts, values, slice(None))
+        if close.any():
+            rows = np.flatnonzero(close)
+            ts = np.concatenate(_straddle(b[rows], last[rows, None]), axis=1)
+            lhs = _step_lookup(b[rows], values[rows], ts)
+            lo[rows], hi[rows], rhs_ok[rows] = bracket(ts, lhs, rows)
+        ok &= (_normal(q_val) & rhs_ok) | (n_kept == 0)
     # An empty row is audited on the grid [1.0], where both sides are exactly 0.
     lo = np.where(n_kept == 0, 0.0, lo)
     hi = np.where(n_kept == 0, 0.0, hi)

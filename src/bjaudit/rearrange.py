@@ -124,7 +124,15 @@ def lp_from_rearrangement(sf: StepFunction, p: float) -> float:
     return _lp_root(np.diff(sf.breaks), sf.values, p)
 
 
-def _log_space_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
+def _log_approx_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
+    """log Q_{s,tau}(f*), formed in log space so that it keeps to the float
+    range at any s and tau: -inf for the zero function.  Raises NumericError
+    where the largest term alone passes the float range."""
+    if sf.n_steps == 0:
+        return -math.inf
+    if tau == math.inf:
+        with np.errstate(over="ignore"):
+            return float((np.log(sf.values) + s * np.log(sf.breaks[1:])).max())
     # per-segment logs of the terms, divided by tau so that they keep to the
     # float range at any s and tau; terms below exp(-740) of the max drop out
     st = s * tau
@@ -144,13 +152,10 @@ def _log_space_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
         if not m <= _LOG_FLOAT_MAX:
             raise NumericError(_Q_OVERFLOW)
         if m == -math.inf:
-            return 0.0
+            return -math.inf
         scaled = tau * (logs - m)
     total = np.exp(scaled[scaled > -740.0]).sum()
-    log_q = m + math.log(total) / tau
-    if log_q > _LOG_FLOAT_MAX:
-        raise NumericError(_Q_OVERFLOW)
-    return math.exp(log_q)
+    return float(m + math.log(total) / tau)
 
 
 def approx_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
@@ -171,20 +176,19 @@ def approx_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
             vals = sf.values * sf.breaks[1:] ** s
         if np.all(np.isfinite(vals)):
             return float(vals.max())
-        with np.errstate(over="ignore"):
-            logs = np.log(sf.values) + s * np.log(sf.breaks[1:])
-        if logs.max() > _LOG_FLOAT_MAX:
-            raise NumericError(_Q_OVERFLOW)
-        return float(math.exp(logs.max()))
-    st = s * tau
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = sf.breaks**st
-        terms = sf.values**tau * np.diff(powers) / st
-        total = terms.sum()
-        q = total ** (1.0 / tau)
-    if np.all(np.isfinite(terms)) and math.isfinite(q) and total > 0.0:
-        return float(q)
-    return _log_space_quasinorm(sf, s, tau)
+    else:
+        st = s * tau
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = sf.breaks**st
+            terms = sf.values**tau * np.diff(powers) / st
+            total = terms.sum()
+            q = total ** (1.0 / tau)
+        if np.all(np.isfinite(terms)) and math.isfinite(q) and total > 0.0:
+            return float(q)
+    log_q = _log_approx_quasinorm(sf, s, tau)
+    if log_q > _LOG_FLOAT_MAX:
+        raise NumericError(_Q_OVERFLOW)
+    return math.exp(log_q)
 
 
 def step_csv(breaks: list, values: list) -> tuple[tuple[str, str], list]:

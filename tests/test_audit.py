@@ -1,8 +1,10 @@
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from bjaudit import (
     random_atoms,
     straddling_grid,
 )
-from bjaudit.audit import _SCREEN_CELLS, _Block, _screen
+from bjaudit.audit import _REL, _SCREEN_CELLS, _Block, _decisive, _screen
 
 REF_SPACE = DiscreteMeasureSpace(weights=np.array([0.5, 1.0, 2.0]))
 REF_F = SimpleFunction(np.array([5.0, 3.0, 1.0]))
@@ -285,9 +287,21 @@ def test_random_atoms_argument_errors():
             next(random_atoms(n_max, seed, n_draws))
 
 
-# n_max values whose blocks of _SCREEN_CELLS // n_max draws are 2048, 682,
-# 256, 157 and 51 draws long (1024, 341, 128, 78 and 25 at 1024 cells)
+# n_max values whose blocks of _SCREEN_CELLS // n_max draws are 4096, 1365,
+# 512, 315 and 102 draws long (1024, 341, 128, 78 and 25 at 1024 cells)
 BLOCK_N_MAX = (1, 3, 8, 13, 40)
+
+
+# The draws of the budget and pull tests below: 300 when blocks of eight-atom
+# draws were 128 and 256 long, now past ROWS_8 + 1 with room after it.
+DRAWS = max(300, ROWS_8 + 88)
+
+
+def _edges(*extra):
+    """Budgets and pulls at the block edges of eight-atom draws: the counts
+    pinned at 1024 and 2048 cells, those derived from _SCREEN_CELLS, and
+    `extra`."""
+    return sorted({1, 127, 128, 129, 255, 256, 257, ROWS_8 - 1, ROWS_8, ROWS_8 + 1, 299, *extra})
 
 
 def _assert_same_draws(got, want):
@@ -297,45 +311,41 @@ def _assert_same_draws(got, want):
         assert f.magnitudes.tobytes() == f_want.magnitudes.tobytes()
 
 
-@pytest.mark.parametrize("budget", [1, 127, 128, 129, ROWS_8 - 1, ROWS_8, ROWS_8 + 1, 299])
+@pytest.mark.parametrize("budget", _edges())
 def test_search_budget_inside_a_draw_block(budget):
     p = params_from_s_tau(1.0, 2.0)
     provider = ConstantProvider("paper-c")
     for n_max in BLOCK_N_MAX:
-        got = counterexample_search(p, provider, random_atoms(n_max, 41, 300), budget=budget)
+        got = counterexample_search(p, provider, random_atoms(n_max, 41, DRAWS), budget=budget)
         want = counterexample_search(
-            p, provider, _draw_by_draw_random_atoms(n_max, 41, 300), budget=budget
+            p, provider, _draw_by_draw_random_atoms(n_max, 41, DRAWS), budget=budget
         )
         assert got.n_instances == budget
         assert got.to_json_dict() == want.to_json_dict()
 
 
-@pytest.mark.parametrize(
-    "budget", [0, 1, 24, 25, 127, 128, 129, ROWS_8 - 1, ROWS_8, ROWS_8 + 1, 299, 300, 400]
-)
+@pytest.mark.parametrize("budget", _edges(0, 24, 25, 300, 400, DRAWS - 1, DRAWS, DRAWS + 100))
 def test_next_after_a_budgeted_search_is_the_next_draw(budget):
     p = params_from_s_tau(1.0, 2.0)
     for n_max in BLOCK_N_MAX:
-        gen = random_atoms(n_max, 41, 300)
+        gen = random_atoms(n_max, 41, DRAWS)
         counterexample_search(p, ConstantProvider("paper-c"), gen, budget=budget)
-        want = list(_draw_by_draw_random_atoms(n_max, 41, 300))[budget:]
+        want = list(_draw_by_draw_random_atoms(n_max, 41, DRAWS))[budget:]
         _assert_same_draws(list(gen), want)
 
 
-@pytest.mark.parametrize(
-    "pulled", [1, 24, 25, 127, 128, 129, ROWS_8 - 1, ROWS_8, ROWS_8 + 1, 299]
-)
+@pytest.mark.parametrize("pulled", _edges(24, 25))
 def test_search_after_pulled_pairs_matches_reference(pulled):
     p = params_from_s_tau(1.0, 2.0)
     provider = ConstantProvider("paper-c")
     for n_max in BLOCK_N_MAX:
-        gen = random_atoms(n_max, 41, 300)
+        gen = random_atoms(n_max, 41, DRAWS)
         head = [next(gen) for _ in range(pulled)]
-        want_draws = list(_draw_by_draw_random_atoms(n_max, 41, 300))
+        want_draws = list(_draw_by_draw_random_atoms(n_max, 41, DRAWS))
         _assert_same_draws(head, want_draws[:pulled])
         got = counterexample_search(p, provider, gen)
         want = _reference_search(p, provider, iter(want_draws[pulled:]))
-        assert got.n_instances == 300 - pulled
+        assert got.n_instances == DRAWS - pulled
         assert got.to_json_dict() == want.to_json_dict()
 
 
@@ -353,13 +363,14 @@ def _made(gen, n_draws):
     return n_draws - gen._left
 
 
-@pytest.mark.parametrize("n_max", sorted({*BLOCK_N_MAX, 2, 1000}))
+@pytest.mark.parametrize("n_max", sorted({*BLOCK_N_MAX, 2, 1000, 5000}))
 def test_random_atoms_leaves_the_generator_where_the_five_calls_do(n_max):
     # the state after each decoded block, has_uint32 and uinteger included,
-    # is the state after as many five-call draws
+    # is the state after as many five-call draws; a block holds one draw at
+    # n_max = 5000
     p = params_from_s_tau(1.0, 2.0)
     provider = ConstantProvider("paper-c")
-    n_draws = 60 if n_max == 1000 else 300
+    n_draws = 60 if n_max >= 1000 else DRAWS
     seeded = np.random.default_rng(41).bit_generator.state
     gen = random_atoms(n_max, 41, n_draws)
     for _ in gen.blocks(None):
@@ -597,15 +608,33 @@ def test_search_matches_reference_on_random_atoms():
 
 # (s, tau, n_max, seed, n_draws) of random_atoms searches that reach the
 # screened loop's edge cases, with the sharp-oracle screen's uncertified rows
-# and min_margins: most rows uncertified; equal zero margins and a NaN row;
-# two NaN rows between finite ones
+# and min_margins: most rows uncertified; one-atom rows whose direct
+# right-hand side under- or overflows, so that it is formed in log space.
+# Screened at all of its points, the first case left 1225 rows uncertified:
+# 18 more, each only for a dominated point's t^-s past 1e280.  The second
+# and third cases had the margins 0.0, 0.0, nan and nan, nan in their middle
+# rows while the right-hand side was only formed directly.
 SCREEN_EDGES = (
-    ((200.0, 2.0, 8, 41, 2000), 1225, None),
-    ((1100.0, 2.0, 1, 16, 4), 4, [0.0, 0.0, math.nan, 6.924438565733569e-194]),
+    ((200.0, 2.0, 8, 41, 2000), 1207, None),
+    (
+        (1100.0, 2.0, 1, 16, 4),
+        4,
+        [
+            4.3856878692787596e-194,
+            3.133619150289156e-195,
+            7.973977944143859e-194,
+            6.924438565733569e-194,
+        ],
+    ),
     (
         (1200.0, 2.0, 1, 25, 4),
-        4,
-        [4.903307536940995e-213, math.nan, math.nan, 1.912289939406816e-211],
+        3,
+        [
+            4.903307536940995e-213,
+            4.931551852520822e-212,
+            5.724945024746778e-212,
+            1.912289939406816e-211,
+        ],
     ),
 )
 
@@ -625,6 +654,12 @@ def test_search_matches_reference_at_the_screen_edges(case, uncertified, margins
         if margins is not None:
             got = [audit_jackson(f, sp, p, oracle).min_margin for sp, f in draws()]
             assert repr(got) == repr(margins)
+            # one atom (w, m): C Q t^-s = m (w/t)^s, least at t = 1.5 w, past the atom
+            for (sp, f), margin in zip(draws(), margins):
+                w, m = mpmath.mpf(sp.weights[0]), mpmath.mpf(f.magnitudes[0])
+                with mpmath.workdps(40):
+                    want = m * (w / mpmath.mpf(sp.weights[0] * 1.5)) ** int(s)
+                    assert abs(margin - want) <= 1e-12 * want
         for kind in PROVIDER_KINDS:
             provider = ConstantProvider(kind)
             got = _outcome(counterexample_search, p, provider, draws())
@@ -686,7 +721,9 @@ def test_screen_brackets_the_audited_margin():
         rows.append(_draw_instance(rng, {"ties", "zeros", "close"}, rows))
     # ordinary draws, as random_atoms hands them to the search; at n_max = 256
     # about half of the rows have breaks within _REL of each other
-    blocks = {n: list(random_atoms(n, 41, 2000).blocks(None)) for n in (*BLOCK_N_MAX, 256)}
+    blocks = {
+        n: list(random_atoms(n, 41, 2000).blocks(None)) for n in (*BLOCK_N_MAX, 64, 128, 256)
+    }
     for s, tau in SEARCH_PARAMS:
         p = params_from_s_tau(s, tau)
         for kind in PROVIDER_KINDS:
@@ -708,6 +745,109 @@ def test_screen_brackets_the_audited_margin():
                 if ok_r:
                     margin = audit_jackson(f, sp, p, provider).min_margin
                     assert lo_r <= margin <= hi_r
+
+
+# Ratios b_k / b_{k-1} where b_k (1 - _REL) >= b_{k-1} and the largest point
+# of step k is b_{k-1} (1 + _REL) (below 1 + 2 _REL) or the midpoint (up to
+# 1 / (1 - 2 _REL)): the band where the decisive point is not b_k (1 - _REL).
+ABOVE_BAND = (1.0 / (1.0 - _REL), 1.0 + 2.0 * _REL)
+MID_BAND = (1.0 + 2.0 * _REL, 1.0 / (1.0 - 2.0 * _REL))
+
+
+@st.composite
+def screen_rows(draw):
+    """(sp, f): tie groups of strictly decreasing magnitudes, often close
+    together (so that a step in a band can hold the least margin), each
+    group's weight ordinary, absorbed (1e-17 of the mass before it) or
+    setting the ratio of its break to the one before inside a band, zeros,
+    a 1e+-300 scale on the weights or the magnitudes, in a drawn order."""
+    mags = [draw(st.floats(0.05, 5.0))]
+    for _ in range(draw(st.integers(0, 5))):
+        drop = draw(st.floats(1e-6, 1e-2) | st.floats(1e-2, 0.9))
+        mags.append(mags[-1] * (1.0 - drop))
+    weights, magnitudes, mass = [], [], 0.0
+    for v in mags:
+        kind = draw(st.sampled_from(["plain", "above", "mid", "absorbed"])) if mass else "plain"
+        if kind == "plain":
+            total = draw(st.floats(0.1, 3.0))
+        elif kind == "absorbed":
+            total = mass * 1e-17
+        else:
+            lo, hi = ABOVE_BAND if kind == "above" else MID_BAND
+            total = mass * (draw(st.floats(lo, hi, exclude_min=True, exclude_max=True)) - 1.0)
+        ties = draw(st.integers(1, 3))
+        weights += [total / ties] * ties
+        magnitudes += [v] * ties
+        mass += total
+    zeros = draw(st.integers(0, 2))
+    weights += [1.0] * zeros
+    magnitudes += [0.0] * zeros
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-300, 1e300]))
+    weights, magnitudes = np.array(weights), np.array(magnitudes)
+    if draw(st.booleans()):
+        weights = weights * scale
+    else:
+        magnitudes = magnitudes * scale
+    perm = draw(st.permutations(range(weights.size)))
+    return DiscreteMeasureSpace(weights=weights[perm]), SimpleFunction(magnitudes[perm])
+
+
+@given(
+    rows=st.lists(screen_rows(), min_size=1, max_size=4),
+    s=st.sampled_from([0.5, 1.0, 3.0, 40.0, 300.0]),
+    tau=st.sampled_from([0.3, 1.0, 2.0, math.inf]),
+    kind=st.sampled_from(PROVIDER_KINDS),
+)
+@settings(max_examples=300, deadline=None)
+def test_screen_at_decisive_points_brackets_the_audited_margin(rows, s, tau, kind):
+    p = params_from_s_tau(s, tau)
+    provider = ConstantProvider(kind)
+    with np.errstate(all="ignore"):
+        lo, hi, ok = _screen(_padded(rows), p, provider.value(p))
+        for (sp, f), lo_r, hi_r, ok_r in zip(rows, lo, hi, ok):
+            if ok_r:
+                assert lo_r <= audit_jackson(f, sp, p, provider).min_margin <= hi_r
+
+
+def _decisive_of(sf, pad=3):
+    """_decisive over a StepFunction's breaks, padded with `pad` infs as the
+    screen pads a row."""
+    b = np.concatenate([sf.breaks, np.full(pad, np.inf)])[None]
+    points, close = _decisive(b, sf.breaks[-1:][None])
+    return points[0], bool(close[0])
+
+
+def test_decisive_points_are_straddling_grid_points():
+    # a break ratio in each band: step 2 is decided by b_1 (1 + _REL), step 3
+    # by its midpoint, steps 1 and 4 by b_k (1 - _REL)
+    b1 = 1.0
+    b2 = b1 * 1.0015
+    b3 = b2 * 1.002003
+    band = DiscreteMeasureSpace(weights=np.array([b1, b2 - b1, b3 - b2, 2.0])), SimpleFunction(
+        np.array([4.0, 3.0, 2.0, 1.0])
+    )
+    sf = decreasing_rearrangement(band[1], band[0])
+    b = sf.breaks
+    points, close = _decisive_of(sf)
+    assert not close
+    assert points.tolist() == [
+        b[1] * (1.0 - _REL), b[1] * (1.0 + _REL), (b[2] + b[3]) / 2.0, b[4] * (1.0 - _REL),
+        np.inf, np.inf, np.inf, b[4] * 1.5,
+    ]
+    rows = [band, *random_atoms(8, 41, 300), *random_atoms(40, 7, 100)]
+    n_close = 0
+    for sp, f in rows:
+        sf = decreasing_rearrangement(f, sp)
+        if sf.n_steps == 0:
+            continue
+        points, close = _decisive_of(sf)
+        n_close += close
+        if not close:
+            # a padded step's point is inf; the last column is _EXTEND b_K
+            assert (points[sf.n_steps : -1] == np.inf).all()
+            decisive = [*points[: sf.n_steps].tolist(), points[-1]]
+            assert set(decisive) <= set(straddling_grid(sf).tolist())
+    assert n_close == 0
 
 
 # Breaks 1.0 and 1.0001, within _REL = 1e-3 of each other: b_1 (1 + _REL)
@@ -826,13 +966,97 @@ def test_search_raises_the_first_error_in_draw_order():
 
 def test_search_nan_margin_never_replaces_the_worst():
     # At s = 300 a 0.05-weight atom gives t^-s = inf and a quasinorm that
-    # underflows to 0, so its margin is nan.  It comes after the first draw,
-    # which the screen would prune (the third draw is lower), and before the
-    # winner; as in the draw-by-draw loop it must never become the worst.
+    # underflows to 0, where the direct product is nan; its right-hand side is
+    # formed in log space instead, and its min_margin is mpmath's (w/t)^s at
+    # t = 1.5 w.  It comes after the first draw, which the screen would prune
+    # (the third draw is lower), and before the winner, which it must not
+    # replace, as in the draw-by-draw loop.
     draws = [_single(1.0, 1.0), _single(0.05, 1.0), _single(1.0, 0.5)]
     p = params_from_s_tau(300.0, 2.0)
     provider = ConstantProvider("sharp-oracle")
     with np.errstate(all="ignore"):
-        assert math.isnan(audit_jackson(draws[1][1], draws[1][0], p, provider).min_margin)
+        margin = audit_jackson(draws[1][1], draws[1][0], p, provider).min_margin
         res = counterexample_search(p, provider, iter(draws))
+    assert margin == pytest.approx(1.4880663064956452e-53, rel=1e-12)
     assert res.instance_csv == instance_csv_text(*draws[2])
+
+
+def test_jackson_rhs_in_log_space_matches_mpmath():
+    # One atom (w, 1) at (s, tau) = (300, 2): C Q t^-s = (w/t)^s exactly, but
+    # t^-s overflows at t = w/2 and Q = w^s / sqrt(600) underflows to 0, so the
+    # direct product was nan at every point and the audit had no verdict.
+    sp, f = _single(0.05, 1.0)
+    p = params_from_s_tau(300.0, 2.0)
+    rep = audit_jackson(f, sp, p, ConstantProvider("sharp-oracle"))
+    assert rep.lhs == (1.0, 1.0, 0.0, 0.0)
+    with mpmath.workdps(40):
+        for t, rhs in zip(rep.grid, rep.rhs):
+            want = (mpmath.mpf(0.05) / mpmath.mpf(t)) ** 300
+            assert abs(rhs - want) <= 1e-12 * want
+    assert rep.min_margin == rep.rhs[3] > 0.0 and not rep.violated
+    # past the float range the right-hand side is inf, which the writers refuse
+    rep = audit_jackson(f, sp, p, ConstantProvider("sharp-oracle"), [1e-5, 0.025])
+    assert rep.rhs[0] == math.inf and rep.rhs[1] == pytest.approx(2.0**300, rel=1e-12)
+
+
+def _mp_jackson_rhs(sf, s, tau, const, t):
+    """C Q_{s,tau} t^-s at 40 digits, Q over the rearrangement's float breaks."""
+    with mpmath.workdps(40):
+        s_, v = mpmath.mpf(s), [mpmath.mpf(x) for x in sf.values]
+        b = [mpmath.mpf(x) for x in sf.breaks]
+        if tau == math.inf:
+            q = max(vi * bi**s_ for vi, bi in zip(v, b[1:]))
+        else:
+            st = s_ * mpmath.mpf(tau)
+            q_tau = sum(vi**tau * (hi**st - lo**st) for vi, lo, hi in zip(v, b, b[1:])) / st
+            q = q_tau ** (1 / mpmath.mpf(tau))
+        return mpmath.mpf(const) * q * mpmath.mpf(t) ** -s_
+
+
+@given(
+    weights=st.lists(st.floats(1e-9, 3.0), min_size=1, max_size=5),
+    s=st.floats(0.5, 1e3),
+    tau=st.floats(0.5, 4.0) | st.just(math.inf),
+    kind=st.sampled_from(PROVIDER_KINDS),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_jackson_rhs_is_finite_or_numeric_error(weights, s, tau, kind, data):
+    # s up to 1e3 and weights down to 1e-9 drive t^-s and Q out of the float
+    # range; each rhs is then inf (the writers refuse it) or agrees with mpmath
+    mags = data.draw(st.lists(st.floats(0.05, 5.0), min_size=len(weights), max_size=len(weights)))
+    sp, f = DiscreteMeasureSpace(weights=np.array(weights)), SimpleFunction(np.array(mags))
+    p = params_from_s_tau(s, tau)
+    provider = ConstantProvider(kind)
+    try:
+        rep = audit_jackson(f, sp, p, provider)
+    except NumericError:
+        return
+    sf = decreasing_rearrangement(f, sp)
+    for t, rhs in zip(rep.grid, rep.rhs):
+        assert not math.isnan(rhs)
+        want = _mp_jackson_rhs(sf, s, tau, rep.params["constant"], t)
+        if rhs == math.inf:
+            assert want > sys.float_info.max * (1 - 1e-9)
+        else:
+            assert abs(rhs - want) <= 1e-9 * want + 1e-300
+
+
+def test_search_verdict_does_not_depend_on_draw_order():
+    # The light atom's min margin is about -0.945 with the unit constant; the
+    # heavy one's, -1.89, is the worst in both orders.  While the light atom's
+    # margin was nan, it stayed the worst report when drawn first.
+    light, heavy = _single(0.05, 1.0), _single(1.0, 2.0)
+    p = params_from_s_tau(300.0, 2.0)
+    provider = ConstantProvider("unit")
+    with mpmath.workdps(40):
+        t = mpmath.mpf(1.0 * (1.0 - 1e-3))
+        want = 2 / mpmath.sqrt(600) * t**-300 - 2
+    for draws in ([light, heavy], [heavy, light]):
+        res = counterexample_search(p, provider, iter(draws))
+        assert res.report.violated and res.instance_csv == instance_csv_text(*heavy)
+        assert abs(res.report.min_margin - want) <= 1e-12 * abs(want)
+        assert res.report.min_margin == pytest.approx(-1.8897679452899194, rel=1e-12)
+    assert audit_jackson(light[1], light[0], p, provider).min_margin == pytest.approx(
+        -0.9448839726449546, rel=1e-12
+    )

@@ -458,8 +458,10 @@ SMALL_MASS = "atom_id,weight,magnitude\na0,0.5,2.0\na1,0.25,1.0\n"
         ("k,re,im\n0,1,0\n1,1e200,0\n", ["trig"]),
         # each |c_k|^2 is finite, their sum is not
         ("k,re,im\n1,1.3e154,0\n2,1.3e154,0\n", ["trig"]),
-        # u^-s overflows to inf and the quasinorm underflows to 0: the bound is nan
-        (None, ["demo-invgauss", "--s", "2000", "--tau", "2", "--u-grid", "0.5:1:2"]),
+        # u^-s overflows to inf and the quasinorm underflows to 0: the bound,
+        # formed in log space, is about 1e554 at u = 0.25 (at u = 0.5 it is
+        # 1.0e-48, see test_invgauss; both were nan while it was formed directly)
+        (None, ["demo-invgauss", "--s", "2000", "--tau", "2", "--u-grid", "0.25:1:2"]),
         # the overflowing break of f* also stops the Jackson audit
         (OVERFLOWING_MASS, ["audit", "--name", "jackson", "--s", "1", "--tau", "2"]),
     ],
@@ -494,7 +496,7 @@ def _subprocess_cli(argv):
 @pytest.mark.parametrize(
     "input_text, argv",
     [
-        (None, ["demo-invgauss", "--s", "2000", "--tau", "2", "--u-grid", "0.5:1:2"]),
+        (None, ["demo-invgauss", "--s", "2000", "--tau", "2", "--u-grid", "0.25:1:2"]),
         (OVERFLOWING_MASS, ["audit", "--name", "jackson", "--s", "1", "--tau", "2"]),
         (OVERFLOWING_MASS, ["rearrange"]),
         # the L^1 sum of the two 1e308 weights overflows

@@ -190,3 +190,30 @@ def test_demo_csv_and_metadata_serialization():
     doc = json.loads(res.metadata_json_text())
     assert doc["n_cells"] == 200
     assert isinstance(doc["warnings"], list)
+
+
+@pytest.mark.parametrize(
+    "s, u_grid",
+    [(2000.0, np.array([0.5, 1.0])), (4.4691023859347256e16, np.arange(0.5, 11.05, 0.1))],
+)
+def test_demo_bound_where_the_quasinorm_underflows(s, u_grid):
+    # Q underflows to 0 and u^-s overflows (or vanishes), so the direct product
+    # u^-s c Q was nan.  The bound is formed in log space; against mpmath's
+    # c Q u^-s over the same rearrangement it is 1.0e-48 at s = 2000, u = 0.5
+    # and rounds to 0.0 elsewhere.
+    n_cells = 4000 if s == 2000.0 else 199
+    res = demo_pipeline(n_cells=n_cells, s=s, u_grid=u_grid)
+    sf, md = res.rearrangement, res.metadata
+    assert md["quasinorm"] == 0.0
+    with mpmath.workdps(30):
+        st = mpmath.mpf(s) * 2
+        powers = [mpmath.mpf(b) ** st for b in sf.breaks]
+        q_tau = sum(
+            mpmath.mpf(v) ** 2 * (hi - lo) for v, lo, hi in zip(sf.values, powers, powers[1:])
+        )
+        q = mpmath.sqrt(q_tau / st)
+        for u, bound in zip(u_grid, res.jackson_bound):
+            want = mpmath.mpf(md["c_constant"]) * q * mpmath.mpf(u) ** -mpmath.mpf(s)
+            assert abs(bound - want) <= 1e-12 * want + 1e-320
+    assert res.jackson_bound[0] == (pytest.approx(1.0e-48, rel=0.02) if s == 2000.0 else 0.0)
+
