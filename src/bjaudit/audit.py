@@ -189,6 +189,11 @@ def _pointwise_audit(name: str, params: dict, sf: StepFunction, grid, rhs_of) ->
     return _build_report(name, params, ts.tolist(), eval_step(sf, ts), rhs)
 
 
+def _float_normal(x):
+    """Where x is a normal float: neither past the float range nor subnormal."""
+    return (x >= sys.float_info.min) & (x <= sys.float_info.max)
+
+
 def audit_jackson(
     f: SimpleFunction,
     sp: DiscreteMeasureSpace,
@@ -198,9 +203,11 @@ def audit_jackson(
 ) -> AuditReport:
     """f*(t) <= t^-s * const * Q_{s,tau}(f) pointwise on the grid.
 
-    Where that product is not a normal float (t^-s past the float range, or Q
-    underflowed), the right-hand side is exp(-s log t + log const + log Q)
-    instead, with log Q formed in log space; past the float range it is inf.
+    Where Q, t^-s, t^-s const or the product is not a normal float (t^-s
+    past the float range, or a factor subnormal, whose lost digits a normal
+    product would hide), the right-hand side is
+    exp(-s log t + log const + log Q) instead, with log Q formed in log space;
+    past the float range it is inf.
     """
     sf = decreasing_rearrangement(f, sp)
     q_val = approx_quasinorm(sf, p.s, p.tau)
@@ -208,8 +215,11 @@ def audit_jackson(
     params = {"s": p.s, "tau": p.tau, "provider": provider.kind, "constant": const}
 
     def rhs_of(ts):
-        rhs = ts ** (-p.s) * const * q_val
-        odd = ~((rhs >= sys.float_info.min) & (rhs <= sys.float_info.max))
+        t_pow = ts ** (-p.s)
+        scale = t_pow * const
+        rhs = scale * q_val
+        odd = ~(_float_normal(t_pow) & _float_normal(scale) & _float_normal(rhs))
+        odd |= not _float_normal(q_val)
         if odd.any():
             log_scale = np.log(const) + _log_approx_quasinorm(sf, p.s, p.tau)
             rhs[odd] = np.exp(log_scale - p.s * np.log(ts[odd]))
@@ -278,29 +288,30 @@ _REL, _EXTEND = 1e-3, 1.5
 
 
 def _straddle(b: np.ndarray, last: np.ndarray) -> tuple:
-    """The points around breaks b = (0, b_1, ..., b_K) along the last axis, in
-    four runs: b_k (1 - _REL), b_k (1 + _REL) and (b_{k-1} + b_k)/2 for each
-    k, then _EXTEND * last, where last holds b_K with the axis kept.
+    """The points around breaks b = (0, b_1, ..., b_K) along the first axis,
+    in four runs: b_k (1 - _REL), b_k (1 + _REL) and (b_{k-1} + b_k)/2 for
+    each k, then _EXTEND * last, where last holds b_K with the axis kept.
     straddling_grid and _screen both build their points here: the screen's
     brackets hold only for the audit's own points."""
-    bk = b[..., 1:]
-    return bk * (1.0 - _REL), bk * (1.0 + _REL), (b[..., :-1] + bk) / 2.0, last * _EXTEND
+    bk = b[1:]
+    return bk * (1.0 - _REL), bk * (1.0 + _REL), (b[:-1] + bk) / 2.0, last * _EXTEND
 
 
 def _decisive(b: np.ndarray, last: np.ndarray) -> tuple:
-    """(points, close): the decisive points of the rows of breaks b (padded
-    with inf) and whether a row has close breaks, some b_k (1 - _REL) < b_{k-1}.
+    """(points, close): the decisive points of the columns of breaks b
+    (padded with inf) and whether a column has close breaks, some
+    b_k (1 - _REL) < b_{k-1}.
 
-    In a row without close breaks, _straddle's points on the step
+    In a column without close breaks, _straddle's points on the step
     [b_{k-1}, b_k) are b_k (1 - _REL), the midpoint and b_{k-1} (1 + _REL), and
-    column k-1 holds the largest of them, where f* = v_k; the last column
-    holds _EXTEND * b_K, the largest point past b_K, where f* = 0.  A padded
-    step's point is inf."""
+    row k-1 holds the largest of them, where f* = v_k; the last row holds
+    _EXTEND * b_K, the largest point past b_K, where f* = 0.  A padded step's
+    point is inf."""
     below, above, mid, tail = _straddle(b, last)
-    close = ~(below >= b[..., :-1]).all(axis=-1)
+    close = ~(below >= b[:-1]).all(axis=0)
     points = np.maximum(below, mid)
-    points[..., 1:] = np.maximum(points[..., 1:], above[..., :-1])
-    return np.concatenate([points, tail], axis=-1), close
+    points[1:] = np.maximum(points[1:], above[:-1])
+    return np.concatenate([points, tail]), close
 
 
 def straddling_grid(sf: StepFunction) -> np.ndarray:
@@ -320,27 +331,29 @@ def straddling_grid(sf: StepFunction) -> np.ndarray:
     return np.unique(pts[pts > 0])
 
 
-# Draws are made and screened in blocks of padded (rows x width) arrays of
+# Draws are made and screened in blocks of padded (width x draws) arrays of
 # about this many cells, with about a dozen arrays of a block's size alive at
 # once.  In bench/run.py search_small (8 s runs, seeds 201-203, 2-vCPU Xeon),
-# blocks of 512 eight-atom draws took 43.15-43.42 MB peak RSS and 7.6-8.2 ms
-# per op, blocks of 256 43.05-43.14 MB and 8.9-9.7 ms, and blocks of 256
-# screened at every straddling point 43.10-43.41 MB and 10.0-10.4 ms.
+# blocks of 512 eight-atom draws took 43.18-43.24 MB peak RSS and 6.4-6.7 ms
+# per op, blocks of 256 42.86-42.98 MB and 7.6-8.5 ms, and blocks of 1024
+# 43.16-43.91 MB and 6.0-6.2 ms.
 _SCREEN_CELLS = 4096
 
 
 class _Block(NamedTuple):
-    """random_atoms' draws as zero-padded (rows x width) weights and
-    magnitudes; sizes[r] is row r's atom count.  The screen's only input."""
+    """random_atoms' draws as zero-padded (width x rows) weights and
+    magnitudes, one draw per column, so that each per-draw reduction runs
+    along axis 0 across all draws at once; sizes[r] is draw r's atom count.
+    The screen's only input."""
 
     weights: np.ndarray
     mags: np.ndarray
     sizes: np.ndarray
 
     def pair(self, r: int) -> tuple:
-        """Row r's (sp, f) pair, built by the two constructors."""
+        """Draw r's (sp, f) pair, built by the two constructors."""
         n = self.sizes[r]
-        return DiscreteMeasureSpace(self.weights[r, :n]), SimpleFunction(self.mags[r, :n])
+        return DiscreteMeasureSpace(self.weights[:n, r]), SimpleFunction(self.mags[:n, r])
 
 
 # Words a block reads past its draws' expected need, whatever its n_max.
@@ -379,7 +392,7 @@ def random_atoms(n_max: int, seed: int, n_draws: int = 200):
 
 class _RandomAtoms:
     """The iterator random_atoms returns: draws made and not yet read are kept
-    in one padded block, rows self._pos onwards."""
+    in one padded block, columns self._pos onwards."""
 
     def __init__(self, n_max: int, seed: int, n_draws: int):
         self._rng = np.random.default_rng(seed)
@@ -404,7 +417,8 @@ class _RandomAtoms:
             self._pos = stop
             if limit is not None:
                 limit -= stop - start
-            yield _Block(*(a[start:stop] for a in block))
+            cols = slice(start, stop)
+            yield _Block(block.weights[:, cols], block.mags[:, cols], block.sizes[cols])
 
     def _unread(self) -> bool:
         """Whether a draw is left, making the next block when the kept one is read."""
@@ -461,18 +475,19 @@ class _RandomAtoms:
             sizes.append(n)
             pos += 4 * n
         sizes = np.array(sizes)
-        col = np.arange(sizes.max())
-        inside = col < sizes[:, None]
+        col = np.arange(sizes.max())[:, None]
+        inside = col < sizes
         if rows == 1:
             # the size words are read, so the generator stands at the 4n words
-            raw = bits.random_raw(4 * n).reshape(4, 1, n)
+            raw = bits.random_raw(4 * n).reshape(4, n, 1)
         else:
             words = _read_on(bits, words, pos)
             bits.state = state
             bits.advance(pos)
-            # The word of atom j of each run k (weights, magnitudes, ties, zeros)
-            # of each row; a padded cell takes any word and is zeroed below.
-            at = (np.array(starts) + np.arange(4)[:, None] * sizes)[..., None] + col
+            # The word of atom j (axis 1) of each run k (axis 0: weights,
+            # magnitudes, ties, zeros) of each draw (axis 2); a padded cell
+            # takes any word and is zeroed below.
+            at = (np.array(starts) + np.arange(4)[:, None] * sizes)[:, None] + col
             raw = words.take(at, mode="clip")
             del at, words  # block-sized: freed before the uniforms are made
         bits.state = {**bits.state, "has_uint32": has, "uinteger": half}
@@ -480,13 +495,13 @@ class _RandomAtoms:
         w_u, m_u, tie_u, zero_u = raw * 2.0**-53
         del raw  # likewise, before the maps below
         mags = 0.05 + (5.0 - 0.05) * m_u
-        tie_mask = tie_u < 0.25
-        mags[tie_mask] = np.round(mags[tie_mask], 1)
-        mags[(zero_u < 0.1) | ~inside] = 0.0
-        weights = np.where(inside, 0.1 + (3.0 - 0.1) * w_u, 0.0)
-        _check_weights(weights[inside])
+        mags = np.where(tie_u < 0.25, np.round(mags, 1), mags)
+        mags = np.where((zero_u < 0.1) | ~inside, 0.0, mags)
+        # every cell, padded ones included, is mapped into [0.1, 3)
+        weights = 0.1 + (3.0 - 0.1) * w_u
+        _check_weights(weights)
         _check_magnitudes(mags)
-        return _Block(weights, mags, sizes)
+        return _Block(np.where(inside, weights, 0.0), mags, sizes)
 
 
 def indicator_sweep():
@@ -524,42 +539,46 @@ def _normal(x):
 
 
 def _step_lookup(b: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """values[r, k] where b[r, k] <= ts[r, j] < b[r, k+1], as eval_step finds
-    f*, for every row r at once: one searchsorted over keys r + i x, which
-    numpy orders by row first and x within a row."""
-    rows = np.arange(b.shape[0])[:, None]
+    """values[k, r] where b[k, r] <= ts[j, r] < b[k+1, r], as eval_step finds
+    f*, for every column r at once: one searchsorted over keys r + i x, which
+    numpy orders by column first and x within a column.  Keys and queries are
+    both written column by column: searchsorted narrows each search by the
+    one before while the queries increase, as they mostly do within a
+    column."""
+    n, cols = b.shape[0], np.arange(b.shape[1])[:, None]
 
     def keys(x):
-        key = np.empty(x.shape, dtype=complex)
-        key.real, key.imag = rows, x
-        return key.ravel()
+        key = np.empty(x.shape[::-1], dtype=complex)
+        key.real, key.imag = cols, x.T
+        return key
 
-    at = np.searchsorted(keys(b), keys(ts), side="right").reshape(ts.shape)
-    return np.take_along_axis(values, at - rows * b.shape[1] - 1, axis=1)
+    at = np.searchsorted(keys(b).ravel(), keys(ts), side="right")
+    return values.ravel()[((at - cols * n - 1) * b.shape[1] + cols).T]
 
 
 def _each_kept(cond: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Whether cond holds at every kept cell of each row."""
-    return (cond | ~kept).all(axis=1)
+    """Whether cond holds at every kept cell of each column."""
+    return (cond | ~kept).all(axis=0)
 
 
-def _row_quasinorms(mag, c, c_prev, kept, p: ApproxParams) -> tuple:
-    """(q_val, rel_q, ok): Q_{s,tau} of each row of sorted magnitudes and
+def _row_quasinorms(mag, c, kept, n_kept, p: ApproxParams) -> tuple:
+    """(q_val, rel_q, ok): Q_{s,tau} of each column of sorted magnitudes and
     cumulative weights, summed per atom, and where ok, a relative distance
-    rel_q within which the audit's Q lies."""
-    n_kept = kept.sum(axis=1)
+    rel_q within which the audit's Q lies; n_kept counts each column's kept
+    cells."""
     if p.tau == math.inf:
         c_pow = c**p.s
         vals = np.where(kept, mag * c_pow, 0.0)
         ok = _each_kept(_normal(mag) & _normal(c_pow) & _normal(vals), kept)
-        return vals.max(axis=1), np.full(n_kept.size, 2.0 * (_POW_ULPS + 1.0) * _ULP), ok
+        return vals.max(axis=0), np.full(n_kept.size, 2.0 * (_POW_ULPS + 1.0) * _ULP), ok
     st = p.s * p.tau
     m_pow = mag**p.tau
     c_pow = c**st
-    c_pow_prev = c_prev**st
+    # c_prev**st: each column of c_pow moved down one cell, under 0**st = 0
+    c_pow_prev = np.concatenate([np.zeros((1, c.shape[1])), c_pow[:-1]])
     terms = np.where(kept, m_pow * (c_pow - c_pow_prev) / st, 0.0)
-    total = terms.sum(axis=1)
-    bulk = np.where(kept, m_pow * (c_pow + c_pow_prev) / st, 0.0).sum(axis=1)
+    total = terms.sum(axis=0)
+    bulk = np.where(kept, m_pow * (c_pow + c_pow_prev) / st, 0.0).sum(axis=0)
     ok = _each_kept(_normal(m_pow) & _normal(c_pow) & _normal(m_pow * c_pow), kept)
     ok &= (_normal(bulk) & _normal(total)) | (n_kept == 0)
     # Both sums (the screen's per atom, the audit's per group) lie within
@@ -570,7 +589,7 @@ def _row_quasinorms(mag, c, c_prev, kept, p: ApproxParams) -> tuple:
         2.0
         * (
             (2.0 * _POW_ULPS + 6.0) * _ULP * bulk
-            + (n_kept + 2.0) * _ULP * np.abs(terms).sum(axis=1)
+            + (n_kept + 2.0) * _ULP * np.abs(terms).sum(axis=0)
             + n_kept * 2.0**-1070 * (1.0 + 1.0 / st)
         )
         / total
@@ -582,21 +601,22 @@ def _row_quasinorms(mag, c, c_prev, kept, p: ApproxParams) -> tuple:
 
 
 def _screen(block: _Block, p: ApproxParams, const: float):
-    """Brackets of the Jackson min_margin of a block's rows at once.
+    """Brackets of the Jackson min_margin of a block's draws (its columns) at
+    once, each per-draw reduction taken along axis 0.
 
     Returns arrays (lo, hi, ok).  Where ok, lo <= m <= hi for the min_margin
-    m that audit_jackson reports on the default grid.  Every row is one of
-    random_atoms' draws, so its weights and magnitudes align.  A row is not
+    m that audit_jackson reports on the default grid.  Every column is one of
+    random_atoms' draws, so its weights and magnitudes align.  A draw is not
     certified when a cumulative weight stalls (an absorbed weight), or when
     an intermediate leaves the range of _normal, which also keeps the audit
     on the direct closed form.  Q_{s,tau} is summed per atom: the terms
     m_i^tau (c_i^{s tau} - c_{i-1}^{s tau}) of a tie group telescope to the
     group's term, so only the rounding differs from the audit, and the
     bracket covers that rounding on both sides.  The zero padding is never
-    kept: the block's width changes a row's bracket only through the
+    kept: the block's width changes a draw's bracket only through the
     grouping of numpy's sums, whose rounding it covers.
 
-    A row is screened at its decisive points only (_decisive), K + 1 of the
+    A draw is screened at its decisive points only (_decisive), K + 1 of the
     audit's 3K + 1: on each step, the largest point, and _EXTEND * b_K past
     the last.  They are _straddle's floats, so the audit evaluates each of
     them as the screen does, within err.  Every other point t shares its
@@ -606,7 +626,7 @@ def _screen(block: _Block, p: ApproxParams, const: float):
     (_POW_ULPS) lets fl(t^-s) fall below fl(d^-s) by at most 2 _POW_ULPS ulp,
     so it is at least the audit's margin at d less (2 _POW_ULPS + 4) ulp of
     rhs and an ulp of each margin, which err at d covers.  So lo takes err
-    twice (margin - 2 err at d) and hi once.  A row with close breaks, some
+    twice (margin - 2 err at d) and hi once.  A draw with close breaks, some
     b_k (1 - _REL) < b_{k-1}, is screened at all of _straddle's points, with
     f* looked up over its breaks (_step_lookup); both point sets go through
     the same bracket.
@@ -614,59 +634,60 @@ def _screen(block: _Block, p: ApproxParams, const: float):
     w, mag = block.weights, block.mags
     n_rows = block.sizes.size
     # The stable order of the kept magnitudes is sorted_mass_profile's, so the
-    # cumulative weights (and every grid point) are bit-identical to the audit's.
-    order = np.argsort(-mag, axis=1, kind="stable")
-    mag = np.take_along_axis(mag, order, axis=1)
+    # cumulative weights (and every grid point) are bit-identical to the audit's:
+    # the cumsum runs down each column in the same sequence.
+    order = np.argsort(-mag, axis=0, kind="stable")
+    mag = np.take_along_axis(mag, order, axis=0)
     kept = mag > 0.0
-    n_kept = kept.sum(axis=1)
+    n_kept = kept.sum(axis=0)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        c = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
-        c_prev = np.concatenate([np.zeros((n_rows, 1)), c[:, :-1]], axis=1)
+        c = np.cumsum(np.take_along_axis(w, order, axis=0), axis=0)
+        c_prev = np.concatenate([np.zeros((1, n_rows)), c[:-1]])
         ok = _each_kept((c > c_prev) & _normal(c), kept)
 
-        # The group ends b_1 < ... < b_K (the audit's breaks), one row each.
-        end = kept & (mag != np.concatenate([mag[:, 1:], np.zeros((n_rows, 1))], axis=1))
-        n_groups = end.sum(axis=1)
-        rr, ii = np.nonzero(end)
-        kk = np.cumsum(end, axis=1)[rr, ii]
-        b = np.full((n_rows, int(n_groups.max()) + 1), np.inf)
-        b[:, 0] = 0.0
-        b[rr, kk] = c[rr, ii]
-        # f* on [b_k, b_{k+1}), so at the decisive points; the last column stays 0
+        # The group ends b_1 < ... < b_K (the audit's breaks), one column each.
+        end = kept & (mag != np.concatenate([mag[1:], np.zeros((1, n_rows))]))
+        n_groups = end.sum(axis=0)
+        ii, rr = np.nonzero(end)
+        kk = np.cumsum(end, axis=0)[ii, rr]
+        b = np.full((int(n_groups.max()) + 1, n_rows), np.inf)
+        b[0] = 0.0
+        b[kk, rr] = c[ii, rr]
+        # f* on [b_k, b_{k+1}), so at the decisive points; the last row stays 0
         values = np.zeros(b.shape)
-        values[rr, kk - 1] = mag[rr, ii]
-        last = np.where(n_groups > 0, b[np.arange(n_rows), n_groups], np.inf)
-        ts, close = _decisive(b, last[:, None])
+        values[kk - 1, rr] = mag[ii, rr]
+        last = np.where(n_groups > 0, b[n_groups, np.arange(n_rows)], np.inf)
+        ts, close = _decisive(b, last[None])
 
-        q_val, rel_q, q_ok = _row_quasinorms(mag, c, c_prev, kept, p)
+        q_val, rel_q, q_ok = _row_quasinorms(mag, c, kept, n_kept, p)
         ok &= q_ok
         beta = rel_q + (2.0 * _POW_ULPS + 6.0) * _ULP
 
         def bracket(ts, lhs, rows):
-            """lo and hi over the points ts of the rows, and whether every
-            right-hand side there is normal; padded points are inf."""
+            """lo and hi over the points ts of the draws `rows`, and whether
+            every right-hand side there is normal; padded points are inf."""
             point = ts < np.inf
             t_pow = ts ** (-p.s)
             scale = t_pow * const
-            rhs = scale * q_val[rows, None]
+            rhs = scale * q_val[rows]
             margin = rhs - lhs
             # Each audited margin lies within err of the screened one, so the
             # audit's minimum lies between the minima of the two pointwise bounds.
-            err = 2.0 * (beta[rows, None] * rhs + 3.0 * _ULP * np.abs(margin))
-            lo = np.where(point, margin - 2.0 * err, np.inf).min(axis=1)
-            hi = np.where(point, margin + err, np.inf).min(axis=1)
-            rhs_ok = ((_normal(t_pow) & _normal(scale) & _normal(rhs)) | ~point).all(axis=1)
+            err = 2.0 * (beta[rows] * rhs + 3.0 * _ULP * np.abs(margin))
+            lo = np.where(point, margin - 2.0 * err, np.inf).min(axis=0)
+            hi = np.where(point, margin + err, np.inf).min(axis=0)
+            rhs_ok = ((_normal(t_pow) & _normal(scale) & _normal(rhs)) | ~point).all(axis=0)
             return lo, hi, rhs_ok
 
         lo, hi, rhs_ok = bracket(ts, values, slice(None))
         if close.any():
             rows = np.flatnonzero(close)
-            ts = np.concatenate(_straddle(b[rows], last[rows, None]), axis=1)
-            lhs = _step_lookup(b[rows], values[rows], ts)
+            ts = np.concatenate(_straddle(b[:, rows], last[None, rows]))
+            lhs = _step_lookup(b[:, rows], values[:, rows], ts)
             lo[rows], hi[rows], rhs_ok[rows] = bracket(ts, lhs, rows)
         ok &= (_normal(q_val) & rhs_ok) | (n_kept == 0)
-    # An empty row is audited on the grid [1.0], where both sides are exactly 0.
+    # An empty draw is audited on the grid [1.0], where both sides are exactly 0.
     lo = np.where(n_kept == 0, 0.0, lo)
     hi = np.where(n_kept == 0, 0.0, hi)
     ok &= np.isfinite(lo) & np.isfinite(hi) & bool(_normal(const))
@@ -716,7 +737,6 @@ def counterexample_search(
         lo, hi, ok = _screen(block, p, const)
         cut = hi[ok].min(initial=math.inf)
         confirm = ~ok | (lo <= cut)
-        confirm[0] |= worst is None
         for r in np.flatnonzero(confirm):
             if ok[r] and worst is not None and not lo[r] < worst.min_margin:
                 continue

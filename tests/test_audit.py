@@ -33,6 +33,7 @@ from bjaudit import (
     random_atoms,
     straddling_grid,
 )
+from bjaudit import audit
 from bjaudit.audit import _REL, _SCREEN_CELLS, _Block, _decisive, _screen
 
 REF_SPACE = DiscreteMeasureSpace(weights=np.array([0.5, 1.0, 2.0]))
@@ -309,6 +310,29 @@ def _assert_same_draws(got, want):
     for (sp, f), (sp_want, f_want) in zip(got, want):
         assert sp.weights.tobytes() == sp_want.weights.tobytes()
         assert f.magnitudes.tobytes() == f_want.magnitudes.tobytes()
+
+
+@pytest.mark.parametrize("n_max", [1, 8, 256, 5000])
+def test_block_columns_are_the_draws(n_max):
+    # each draw is one zero-padded column of its (width x rows) block; limits
+    # that end inside a block or past its edge split it by columns
+    n_draws = 12 if n_max == 5000 else _block_rows(n_max) + ROWS_8 + 2
+    want = list(_draw_by_draw_random_atoms(n_max, 41, n_draws))
+    for limit in (1, ROWS_8 - 1, ROWS_8, ROWS_8 + 1, None):
+        gen, got = random_atoms(n_max, 41, n_draws), []
+        while blocks := list(gen.blocks(limit)):
+            for block in blocks:
+                width, rows = block.weights.shape
+                assert block.mags.shape == (width, rows) == (width, block.sizes.size)
+                assert block.sizes.max() <= width
+                for r, n in enumerate(block.sizes):
+                    assert not block.weights[n:, r].any() and not block.mags[n:, r].any()
+                    got.append(block.pair(r))
+        _assert_same_draws(got, want)
+    # a block read whole is the drawn (width x rows) array itself
+    block = next(random_atoms(n_max, 41, n_draws).blocks(None))
+    assert block.weights.flags.c_contiguous and block.mags.flags.c_contiguous
+    assert block.weights.shape == (block.sizes.max(), _block_rows(n_max))
 
 
 @pytest.mark.parametrize("budget", _edges())
@@ -697,13 +721,13 @@ CLOSE_TIES = [
 
 
 def _padded(pairs):
-    """(sp, f) pairs as one block of zero-padded rows, laid out as random_atoms
-    lays out its draws."""
+    """(sp, f) pairs as one block of zero-padded columns, laid out as
+    random_atoms lays out its draws."""
     sizes = np.array([sp.n_atoms for sp, _ in pairs])
-    weights, mags = np.zeros((sizes.size, sizes.max())), np.zeros((sizes.size, sizes.max()))
+    weights, mags = np.zeros((sizes.max(), sizes.size)), np.zeros((sizes.max(), sizes.size))
     for r, (sp, f) in enumerate(pairs):
-        weights[r, : sizes[r]] = sp.weights
-        mags[r, : sizes[r]] = f.magnitudes
+        weights[: sizes[r], r] = sp.weights
+        mags[: sizes[r], r] = f.magnitudes
     return _Block(weights, mags, sizes)
 
 
@@ -811,10 +835,10 @@ def test_screen_at_decisive_points_brackets_the_audited_margin(rows, s, tau, kin
 
 def _decisive_of(sf, pad=3):
     """_decisive over a StepFunction's breaks, padded with `pad` infs as the
-    screen pads a row."""
-    b = np.concatenate([sf.breaks, np.full(pad, np.inf)])[None]
-    points, close = _decisive(b, sf.breaks[-1:][None])
-    return points[0], bool(close[0])
+    screen pads a column."""
+    b = np.concatenate([sf.breaks, np.full(pad, np.inf)])[:, None]
+    points, close = _decisive(b, sf.breaks[-1:][:, None])
+    return points[:, 0], bool(close[0])
 
 
 def test_decisive_points_are_straddling_grid_points():
@@ -904,6 +928,30 @@ def test_search_keeps_the_first_of_equal_margins():
     res = counterexample_search(p, ConstantProvider("sharp-oracle"), iter(draws))
     assert res.report.min_margin == 0.0
     assert res.instance_csv == instance_csv_text(*zeros[0])
+
+
+def test_search_does_not_audit_a_certified_first_draw_above_the_cut(monkeypatch):
+    # The first draw of a block gets no audit of its own: a certified draw
+    # whose lo is above the block's cut is skipped even while no worst report
+    # is kept, since the draws that attain the block's minimum are confirmed.
+    p = params_from_s_tau(1.0, 2.0)
+    provider = ConstantProvider("paper-c")
+    block = next(random_atoms(8, 41, ROWS_8).blocks(None))
+    lo, hi, ok = _screen(block, p, provider.value(p))
+    assert ok.all() and lo[0] > hi.min()
+    audited = []
+
+    def counted(f, sp, *args):
+        audited.append(instance_csv_text(sp, f))
+        return audit_jackson(f, sp, *args)
+
+    monkeypatch.setattr(audit, "audit_jackson", counted)
+    got = counterexample_search(p, provider, random_atoms(8, 41, ROWS_8))
+    monkeypatch.undo()
+    assert instance_csv_text(*block.pair(0)) not in audited
+    assert 1 <= len(audited) <= (lo <= hi.min()).sum()
+    want = _reference_search(p, provider, random_atoms(8, 41, ROWS_8))
+    assert got.to_json_dict() == want.to_json_dict()
 
 
 def test_search_uncertified_rows_do_not_set_the_cut():
@@ -1040,6 +1088,29 @@ def test_jackson_rhs_is_finite_or_numeric_error(weights, s, tau, kind, data):
             assert want > sys.float_info.max * (1 - 1e-9)
         else:
             assert abs(rhs - want) <= 1e-9 * want + 1e-300
+
+
+# (weights, magnitudes, s, tau, provider, grid) where a factor of the
+# right-hand side is subnormal while the product is a normal float: t^-s at
+# t = 3 (s = 655), and Q of one atom of weight 0.00099 (s = 104.5).  Formed
+# directly, the first lost digits to a relative error of 4.95e-9, the second
+# to 1.6e-8 at its last point.
+SUBNORMAL_FACTORS = (
+    ([1.75, 0.25], [1.0, 1.0], 655.0, 1.0, "paper-c", [3.0]),
+    ([0.00099], [1.0], 104.5, 1.0, "unit", None),
+)
+
+
+@pytest.mark.parametrize("weights, mags, s, tau, kind, grid", SUBNORMAL_FACTORS)
+def test_jackson_rhs_keeps_its_digits_where_a_factor_is_subnormal(
+    weights, mags, s, tau, kind, grid
+):
+    sp, f = DiscreteMeasureSpace(weights=np.array(weights)), SimpleFunction(np.array(mags))
+    rep = audit_jackson(f, sp, params_from_s_tau(s, tau), ConstantProvider(kind), grid)
+    sf = decreasing_rearrangement(f, sp)
+    for t, rhs in zip(rep.grid, rep.rhs):
+        want = _mp_jackson_rhs(sf, s, tau, rep.params["constant"], t)
+        assert sys.float_info.min <= rhs and abs(rhs - want) <= 1e-12 * want
 
 
 def test_search_verdict_does_not_depend_on_draw_order():
