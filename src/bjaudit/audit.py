@@ -28,7 +28,15 @@ from .measures import (
     instance_csv_text,
     lp_norm,
 )
-from .params import ApproxParams, _float_pow, c_big, c_exact, params_from_theta_q
+from .params import (
+    PROVIDER_KINDS,
+    WEAK_L1_VARIANTS,
+    ApproxParams,
+    _float_pow,
+    c_big,
+    c_exact,
+    params_from_theta_q,
+)
 from .rearrange import (
     StepFunction,
     _log_approx_quasinorm,
@@ -53,16 +61,6 @@ __all__ = [
     "straddling_grid",
     "WEAK_L1_VARIANTS",
 ]
-
-PROVIDER_KINDS = (
-    "paper-c",
-    "paper-with-factor",
-    "paper-bigc-table",
-    "sharp-oracle",
-    "unit",
-)
-
-WEAK_L1_VARIANTS = ("paper-2-over-pi", "safe-unit")
 
 # A claim is violated where its minimum margin is below -_ABS_TOL.
 _ABS_TOL = 1e-12
@@ -328,7 +326,10 @@ def straddling_grid(sf: StepFunction) -> np.ndarray:
         pts = np.concatenate(_straddle(sf.breaks, sf.breaks[-1:]))
     if not np.isfinite(pts).all():
         raise NumericError("the t-grid around the breaks of f* passes the float range")
-    return np.unique(pts[pts > 0])
+    # np.unique's sort and neighbour test, without the numpy.ma import that
+    # np.unique makes on its first call; pts holds at least _EXTEND * b_K.
+    pts = np.sort(pts[pts > 0])
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
 # Draws are made and screened in blocks of padded (width x draws) arrays of

@@ -7,6 +7,9 @@ also exits 0), 2 for usage or domain errors, 3 for numeric failures.
 
 Each cmd_* returns the JSON object and the CSV header and columns, lists
 taken from that object; main reads --format and renders once (jsonutil).
+Each cmd_* also imports the modules it uses when it runs, so a subcommand
+loads only its own layers; `constants` needs neither numpy nor the audit
+engine.
 """
 
 from __future__ import annotations
@@ -14,28 +17,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .audit import (
+from .errors import BJAuditError, DomainError, UsageError
+from .jsonutil import csv_text, dumps17, infinite_param
+from .params import (
     PROVIDER_KINDS,
     WEAK_L1_VARIANTS,
-    ConstantProvider,
-    audit_bernstein_right,
-    audit_jackson,
-    audit_q2,
-    audit_weak_l1,
-    counterexample_search,
-    indicator_sweep,
-    random_atoms,
-    report_csv,
-)
-from .errors import BJAuditError, DomainError, UsageError
-from .functionals import _trig_errors, load_trig_csv
-from .invgauss import InvGaussParams, demo_pipeline
-from .jsonutil import csv_text, dumps17, infinite_param
-from .measures import load_instance_csv, lp_norm
-from .params import (
     ApproxParams,
     c_big,
     c_exact,
@@ -45,13 +33,9 @@ from .params import (
     params_from_s_tau,
     params_from_theta_q,
 )
-from .rearrange import approx_quasinorm, decreasing_rearrangement, step_csv, step_csv_text
-from .spectral import (
-    audit_spectral_bound,
-    load_matrix_csv,
-    load_state_csv,
-    spectral_measure,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 AUDIT_NAMES = ("jackson", "bernstein-right", "weak-l1", "q2")
 SPECTRAL_G = {
@@ -72,6 +56,8 @@ def _within_limit(what: str, n: int) -> int:
 
 def parse_grid(text: str) -> np.ndarray:
     """`lo:hi:n` linear, `log:lo:hi:n` logarithmic, or a single value."""
+    import numpy as np
+
     parts = text.split(":")
     log = len(parts) == 4 and parts[0] == "log"
     if not (len(parts) in (1, 3) or log):
@@ -115,11 +101,16 @@ def resolve_params(args) -> ApproxParams:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write text to out_path, or to stdout for None or "-"; a path that
+    cannot be written is a UsageError."""
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from exc
 
 
 def _kv_output(obj: dict):
@@ -156,6 +147,9 @@ def cmd_constants(args):
 
 
 def cmd_rearrange(args):
+    from .measures import load_instance_csv
+    from .rearrange import decreasing_rearrangement, step_csv
+
     sp, f = load_instance_csv(args.input)
     sf = decreasing_rearrangement(f, sp)
     out = {
@@ -168,6 +162,9 @@ def cmd_rearrange(args):
 
 
 def cmd_quasinorm(args):
+    from .measures import load_instance_csv, lp_norm
+    from .rearrange import approx_quasinorm, decreasing_rearrangement
+
     p = resolve_params(args)
     sp, f = load_instance_csv(args.input)
     sf = decreasing_rearrangement(f, sp)
@@ -189,6 +186,16 @@ def _grid(args) -> np.ndarray | None:
 
 
 def cmd_audit(args):
+    from .audit import (
+        ConstantProvider,
+        audit_bernstein_right,
+        audit_jackson,
+        audit_q2,
+        audit_weak_l1,
+        report_csv,
+    )
+    from .measures import load_instance_csv
+
     name = args.name.replace("_", "-")
     sp, f = load_instance_csv(args.input)
     if name == "jackson":
@@ -215,6 +222,14 @@ def cmd_audit(args):
 
 
 def cmd_search(args):
+    from .audit import (
+        ConstantProvider,
+        counterexample_search,
+        indicator_sweep,
+        random_atoms,
+        report_csv,
+    )
+
     p = resolve_params(args)
     provider = ConstantProvider(args.provider)
     if args.generator == "random-atoms":
@@ -226,6 +241,9 @@ def cmd_search(args):
 
 
 def cmd_spectral(args):
+    from .audit import report_csv
+    from .spectral import audit_spectral_bound, load_matrix_csv, load_state_csv, spectral_measure
+
     matrix = load_matrix_csv(args.matrix)
     psi = load_state_csv(args.state)
     model = spectral_measure(matrix, psi)
@@ -237,6 +255,9 @@ def cmd_spectral(args):
 
 
 def cmd_demo_invgauss(args):
+    from .invgauss import InvGaussParams, demo_pipeline
+    from .rearrange import step_csv_text
+
     p = InvGaussParams(amplitude=args.C, mean=args.m, shape=args.l)
     u_grid = parse_grid(args.u_grid) if args.u_grid is not None else None
     result = demo_pipeline(
@@ -256,6 +277,8 @@ def cmd_demo_invgauss(args):
 
 
 def cmd_trig(args):
+    from .functionals import _trig_errors, load_trig_csv
+
     coeffs = load_trig_csv(args.input)
     if args.n_max is not None:
         n_max = args.n_max
@@ -380,10 +403,10 @@ def main(argv=None) -> int:
     try:
         obj, header, columns = args.func(args)
         text = dumps17(obj) + "\n" if args.format == "json" else csv_text(header, columns)
+        _emit(text, args.out)
     except BJAuditError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
-    _emit(text, args.out)
     return 0
 
 

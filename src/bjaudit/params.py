@@ -29,7 +29,14 @@ __all__ = [
     "n_factor_integral",
     "c_big",
     "constant_consistency_report",
+    "PROVIDER_KINDS",
+    "WEAK_L1_VARIANTS",
 ]
+
+# The Jackson constants an audit may claim (audit.ConstantProvider) and the
+# weak-L1 constants; kept here so that the CLI offers them without numpy.
+PROVIDER_KINDS = ("paper-c", "paper-with-factor", "paper-bigc-table", "sharp-oracle", "unit")
+WEAK_L1_VARIANTS = ("paper-2-over-pi", "safe-unit")
 
 
 def _check_finite_positive(name: str, x: float) -> None:

@@ -7,7 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bjaudit import (
@@ -211,6 +211,40 @@ def test_straddling_grid_avoids_breaks():
         SimpleFunction(np.array([0.0])), DiscreteMeasureSpace(weights=np.array([1.0]))
     )
     assert straddling_grid(empty_sf).tolist() == [1.0]
+
+
+# Weights 1 and 0.002 put the midpoint of the second step on b_1 (1 + _REL),
+# so two straddle points coincide; a power-of-two scale keeps them coinciding.
+_GRID_WEIGHTS = st.sampled_from([1.0, 0.002, 0.5, 1.5]) | st.floats(0.1, 3.0)
+_GRID_MAGS = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.05, 5.0)
+
+
+@given(
+    atoms=st.lists(st.tuples(_GRID_WEIGHTS, _GRID_MAGS), min_size=1, max_size=10),
+    scale=st.sampled_from([1e-300, 2.0**-997, 1.0, 2.0**997, 1e300]),
+)
+@example(atoms=[(1.0, 2.0), (0.002, 1.0)], scale=1.0)
+@example(atoms=[(1.0, 2.0), (0.002, 1.0)], scale=2.0**997)
+@example(atoms=[(3.0, 1.0)], scale=1e300)
+@settings(max_examples=200, deadline=None)
+def test_straddling_grid_is_np_unique_of_the_straddle_points(atoms, scale):
+    # the sort and neighbour test give np.unique's array, byte for byte
+    w, m = map(np.array, zip(*atoms))
+    sf = decreasing_rearrangement(SimpleFunction(m), DiscreteMeasureSpace(weights=w * scale))
+    want = np.array([1.0])
+    if sf.n_steps:
+        pts = np.concatenate(audit._straddle(sf.breaks, sf.breaks[-1:]))
+        want = np.unique(pts[pts > 0])
+    grid = straddling_grid(sf)
+    assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
+
+
+def test_straddle_points_can_coincide():
+    # the grid identity's examples hold coinciding points, which it merges
+    sp, f = DiscreteMeasureSpace(weights=[1.0, 0.002]), SimpleFunction([2.0, 1.0])
+    sf = decreasing_rearrangement(f, sp)
+    pts = np.concatenate(audit._straddle(sf.breaks, sf.breaks[-1:]))
+    assert straddling_grid(sf).size == pts.size - 1
 
 
 def _draw_by_draw_random_atoms(n_max, seed, n_draws):

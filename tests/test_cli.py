@@ -394,12 +394,12 @@ def test_trig_bad_n_max(capsys, tmp_path):
 
 
 def test_numeric_error_exit_code(capsys, monkeypatch, tmp_path):
-    import bjaudit.cli as cli_mod
+    import bjaudit.measures as measures_mod
 
     def boom(path):
         raise NumericError("synthetic numeric failure")
 
-    monkeypatch.setattr(cli_mod, "load_instance_csv", boom)
+    monkeypatch.setattr(measures_mod, "load_instance_csv", boom)
     path = tmp_path / "inst.csv"
     path.write_text(UNIT_INDICATOR)
     code, out, err = run(capsys, ["rearrange", "--input", str(path)])
@@ -420,12 +420,12 @@ def test_numeric_error_exit_code(capsys, monkeypatch, tmp_path):
 def test_every_package_error_maps_to_its_exit_code(
     capsys, monkeypatch, tmp_path, error, want_code, want_prefix, fmt
 ):
-    import bjaudit.cli as cli_mod
+    import bjaudit.measures as measures_mod
 
     def boom(path):
         raise error("synthetic failure")
 
-    monkeypatch.setattr(cli_mod, "load_instance_csv", boom)
+    monkeypatch.setattr(measures_mod, "load_instance_csv", boom)
     path = tmp_path / "inst.csv"
     path.write_text(UNIT_INDICATOR)
     code, out, err = run(capsys, ["rearrange", "--input", str(path), "--format", fmt])

@@ -247,6 +247,30 @@ def test_exit_contract_without_warnings(capsys, tmp_path, name, argv, want, fmt)
         assert err == ""
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["constants", "--s", "1", "--tau", "2"], "--out", id="constants-out"),
+        pytest.param(AUDIT_GOLDEN, "--out", id="audit-out"),
+        pytest.param(DEMO, "--out", id="demo-out"),
+        pytest.param(DEMO, "--steps-out", id="demo-steps-out"),
+        pytest.param(DEMO, "--metadata-out", id="demo-metadata-out"),
+    ],
+)
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag, where, fmt):
+    # a path in a missing directory, or a directory, exits 2 with one line
+    path = tmp_path / "missing" / "out.txt" if where == "missing directory" else tmp_path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, flag, str(path), "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output: [Errno ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 def _instance(weights, mags):
     return DiscreteMeasureSpace(weights=np.array(weights)), SimpleFunction(np.array(mags))
 
