@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -32,6 +31,7 @@ from .params import (
     PROVIDER_KINDS,
     WEAK_L1_VARIANTS,
     ApproxParams,
+    _float_normal,
     _float_pow,
     c_big,
     c_exact,
@@ -168,28 +168,18 @@ def _build_report(name: str, params: dict, grid, lhs, rhs) -> AuditReport:
     )
 
 
-def _check_grid(grid) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(grid, dtype=float))
-    if arr.size == 0:
-        raise UsageError("audit grid must be nonempty")
-    if (arr <= 0).any() or not np.isfinite(arr).all():
-        raise DomainError("audit grid entries must be positive finite reals")
-    return arr
-
-
 def _pointwise_audit(name: str, params: dict, sf: StepFunction, grid, rhs_of) -> AuditReport:
     """f*(t) <= rhs_of(ts) at each t of the grid (None: straddling_grid(sf))."""
-    ts = _check_grid(straddling_grid(sf) if grid is None else grid)
+    ts = np.atleast_1d(np.asarray(straddling_grid(sf) if grid is None else grid, dtype=float))
+    if ts.size == 0:
+        raise UsageError("audit grid must be nonempty")
+    if (ts <= 0).any() or not np.isfinite(ts).all():
+        raise DomainError("audit grid entries must be positive finite reals")
     # A right-hand side past the float range is reported by the writers
     # (NumericError), so its overflow is no warning here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rhs = rhs_of(ts)
     return _build_report(name, params, ts.tolist(), eval_step(sf, ts), rhs)
-
-
-def _float_normal(x):
-    """Where x is a normal float: neither past the float range nor subnormal."""
-    return (x >= sys.float_info.min) & (x <= sys.float_info.max)
 
 
 def audit_jackson(
@@ -211,6 +201,12 @@ def audit_jackson(
     q_val = approx_quasinorm(sf, p.s, p.tau)
     const = provider.value(p)
     params = {"s": p.s, "tau": p.tau, "provider": provider.kind, "constant": const}
+    return _jackson(sf, q_val, p, const, params, grid)
+
+
+def _jackson(sf: StepFunction, q_val: float, p: ApproxParams, const: float, params: dict, grid):
+    """audit_jackson of the rearrangement sf, whose Q_{s,tau} is q_val, with
+    the constant const, reported under params."""
 
     def rhs_of(ts):
         t_pow = ts ** (-p.s)
@@ -285,30 +281,28 @@ def audit_q2(
 _REL, _EXTEND = 1e-3, 1.5
 
 
-def _straddle(b: np.ndarray, last: np.ndarray) -> tuple:
-    """The points around breaks b = (0, b_1, ..., b_K) along the first axis,
-    in four runs: b_k (1 - _REL), b_k (1 + _REL) and (b_{k-1} + b_k)/2 for
-    each k, then _EXTEND * last, where last holds b_K with the axis kept.
-    straddling_grid and _screen both build their points here: the screen's
-    brackets hold only for the audit's own points."""
-    bk = b[1:]
-    return bk * (1.0 - _REL), bk * (1.0 + _REL), (b[:-1] + bk) / 2.0, last * _EXTEND
+def _straddle(bk: np.ndarray, b_prev: np.ndarray, last: np.ndarray) -> tuple:
+    """The points around breaks b_k (bk), each with the break b_{k-1} before
+    it (b_prev), in four runs: b_k (1 - _REL), b_k (1 + _REL) and
+    (b_{k-1} + b_k)/2 for each k, then _EXTEND * last, where last holds b_K
+    with the axis kept.  straddling_grid and _screen both build their points
+    here: the screen's brackets hold only for the audit's own points."""
+    return bk * (1.0 - _REL), bk * (1.0 + _REL), (b_prev + bk) / 2.0, last * _EXTEND
 
 
-def _decisive(b: np.ndarray, last: np.ndarray) -> tuple:
-    """(points, close): the decisive points of the columns of breaks b
-    (padded with inf) and whether a column has close breaks, some
+def _decisive(bk: np.ndarray, b_prev: np.ndarray, last: np.ndarray) -> tuple:
+    """(points, close): the decisive points of the columns of breaks bk (inf
+    where a cell holds no break) and whether a column has close breaks, some
     b_k (1 - _REL) < b_{k-1}.
 
     In a column without close breaks, _straddle's points on the step
-    [b_{k-1}, b_k) are b_k (1 - _REL), the midpoint and b_{k-1} (1 + _REL), and
-    row k-1 holds the largest of them, where f* = v_k; the last row holds
-    _EXTEND * b_K, the largest point past b_K, where f* = 0.  A padded step's
-    point is inf."""
-    below, above, mid, tail = _straddle(b, last)
-    close = ~(below >= b[:-1]).all(axis=0)
-    points = np.maximum(below, mid)
-    points[1:] = np.maximum(points[1:], above[:-1])
+    [b_{k-1}, b_k) are b_k (1 - _REL), the midpoint and b_{k-1} (1 + _REL),
+    and the cell of b_k holds the largest of them, where f* = v_k; the last
+    row holds _EXTEND * b_K, the largest point past b_K, where f* = 0.  A
+    cell without a break gets the point inf."""
+    below, _, mid, tail = _straddle(bk, b_prev, last)
+    close = ~(below >= b_prev).all(axis=0)
+    points = np.maximum(np.maximum(below, mid), b_prev * (1.0 + _REL))
     return np.concatenate([points, tail]), close
 
 
@@ -323,7 +317,8 @@ def straddling_grid(sf: StepFunction) -> np.ndarray:
     if sf.n_steps == 0:
         return np.array([1.0])
     with np.errstate(over="ignore"):
-        pts = np.concatenate(_straddle(sf.breaks, sf.breaks[-1:]))
+        b = sf.breaks
+        pts = np.concatenate(_straddle(b[1:], b[:-1], b[-1:]))
     if not np.isfinite(pts).all():
         raise NumericError("the t-grid around the breaks of f* passes the float range")
     # np.unique's sort and neighbour test, without the numpy.ma import that
@@ -334,10 +329,7 @@ def straddling_grid(sf: StepFunction) -> np.ndarray:
 
 # Draws are made and screened in blocks of padded (width x draws) arrays of
 # about this many cells, with about a dozen arrays of a block's size alive at
-# once.  In bench/run.py search_small (8 s runs, seeds 201-203, 2-vCPU Xeon),
-# blocks of 512 eight-atom draws took 43.18-43.24 MB peak RSS and 6.4-6.7 ms
-# per op, blocks of 256 42.86-42.98 MB and 7.6-8.5 ms, and blocks of 1024
-# 43.16-43.91 MB and 6.0-6.2 ms.
+# once: larger blocks trade memory for fewer numpy calls per draw.
 _SCREEN_CELLS = 4096
 
 
@@ -412,12 +404,11 @@ class _RandomAtoms:
 
     def blocks(self, limit: int | None):
         """The next `limit` draws (all when None) as padded blocks."""
-        while (limit is None or limit > 0) and self._unread():
+        limit = math.inf if limit is None else limit
+        while limit > 0 and self._unread():
             block, start = self._block, self._pos
-            stop = block.sizes.size if limit is None else min(block.sizes.size, start + limit)
-            self._pos = stop
-            if limit is not None:
-                limit -= stop - start
+            self._pos = stop = min(block.sizes.size, start + limit)
+            limit -= stop - start
             cols = slice(start, stop)
             yield _Block(block.weights[:, cols], block.mags[:, cols], block.sizes[cols])
 
@@ -539,22 +530,23 @@ def _normal(x):
     return (x >= 1e-280) & (x <= 1e280)
 
 
-def _step_lookup(b: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """values[k, r] where b[k, r] <= ts[j, r] < b[k+1, r], as eval_step finds
-    f*, for every column r at once: one searchsorted over keys r + i x, which
-    numpy orders by column first and x within a column.  Keys and queries are
-    both written column by column: searchsorted narrows each search by the
-    one before while the queries increase, as they mostly do within a
-    column."""
-    n, cols = b.shape[0], np.arange(b.shape[1])[:, None]
+def _step_lookup(c: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """f* at ts[j, r] for every column r of sorted cumulative weights c at
+    once: values[i, r] for the first atom i with c > t, where values holds the
+    magnitudes (tied atoms share one) and a last row of zeros, past the last
+    atom; eval_step's f* wherever c increases strictly over the kept atoms.
+    One searchsorted over keys r + i x, which numpy orders by column first and
+    x within a column; both are written column by column, so searchsorted
+    narrows each search by the one before while the queries increase."""
+    n, cols = c.shape[0], np.arange(c.shape[1])[:, None]
 
     def keys(x):
         key = np.empty(x.shape[::-1], dtype=complex)
         key.real, key.imag = cols, x.T
         return key
 
-    at = np.searchsorted(keys(b).ravel(), keys(ts), side="right")
-    return values.ravel()[((at - cols * n - 1) * b.shape[1] + cols).T]
+    at = np.searchsorted(keys(c).ravel(), keys(ts), side="right") - cols * n
+    return values.ravel()[(at * c.shape[1] + cols).T]
 
 
 def _each_kept(cond: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -606,16 +598,16 @@ def _screen(block: _Block, p: ApproxParams, const: float):
     once, each per-draw reduction taken along axis 0.
 
     Returns arrays (lo, hi, ok).  Where ok, lo <= m <= hi for the min_margin
-    m that audit_jackson reports on the default grid.  Every column is one of
-    random_atoms' draws, so its weights and magnitudes align.  A draw is not
+    m that audit_jackson reports on the default grid.  A draw is not
     certified when a cumulative weight stalls (an absorbed weight), or when
     an intermediate leaves the range of _normal, which also keeps the audit
-    on the direct closed form.  Q_{s,tau} is summed per atom: the terms
-    m_i^tau (c_i^{s tau} - c_{i-1}^{s tau}) of a tie group telescope to the
-    group's term, so only the rounding differs from the audit, and the
-    bracket covers that rounding on both sides.  The zero padding is never
-    kept: the block's width changes a draw's bracket only through the
-    grouping of numpy's sums, whose rounding it covers.
+    on the direct closed form.  Each column is read as its sorted atoms, with
+    no grouping of ties: a group's last atom carries its break b_k (its
+    cumulative weight c) and f* = v_k.  Q_{s,tau} is summed per atom: the terms
+    m_i^tau (c_i^{s tau} - c_{i-1}^{s tau}) of a group telescope to the
+    group's term, so only the rounding differs from the audit, and the bracket
+    covers it on both sides.  The zero padding is never kept: it changes a
+    draw's bracket only through the grouping of numpy's sums, also covered.
 
     A draw is screened at its decisive points only (_decisive), K + 1 of the
     audit's 3K + 1: on each step, the largest point, and _EXTEND * b_K past
@@ -629,45 +621,38 @@ def _screen(block: _Block, p: ApproxParams, const: float):
     rhs and an ulp of each margin, which err at d covers.  So lo takes err
     twice (margin - 2 err at d) and hi once.  A draw with close breaks, some
     b_k (1 - _REL) < b_{k-1}, is screened at all of _straddle's points, with
-    f* looked up over its breaks (_step_lookup); both point sets go through
+    f* looked up over its atoms (_step_lookup); both point sets go through
     the same bracket.
     """
-    w, mag = block.weights, block.mags
     n_rows = block.sizes.size
+    n_kept = (block.mags > 0.0).sum(axis=0)
     # The stable order of the kept magnitudes is sorted_mass_profile's, so the
-    # cumulative weights (and every grid point) are bit-identical to the audit's:
-    # the cumsum runs down each column in the same sequence.
-    order = np.argsort(-mag, axis=0, kind="stable")
-    mag = np.take_along_axis(mag, order, axis=0)
+    # cumulative weights (and every grid point) are bit-identical to the audit's.
+    # Rows past the block's most kept atoms hold only zeros and padding.
+    order = np.argsort(-block.mags, axis=0, kind="stable")[: max(n_kept.max(), 1)]
+    mag = np.take_along_axis(block.mags, order, axis=0)
     kept = mag > 0.0
-    n_kept = kept.sum(axis=0)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        c = np.cumsum(np.take_along_axis(w, order, axis=0), axis=0)
-        c_prev = np.concatenate([np.zeros((1, n_rows)), c[:-1]])
-        ok = _each_kept((c > c_prev) & _normal(c), kept)
+        c = np.cumsum(np.take_along_axis(block.weights, order, axis=0), axis=0)
+        ok = _each_kept((np.diff(c, axis=0, prepend=0.0) > 0.0) & _normal(c), kept)
 
-        # The group ends b_1 < ... < b_K (the audit's breaks), one column each.
+        # A tie group's last atom carries its break b_k, its c (other cells
+        # get inf); b_{k-1} is the running max of the breaks in earlier rows.
         end = kept & (mag != np.concatenate([mag[1:], np.zeros((1, n_rows))]))
-        n_groups = end.sum(axis=0)
-        ii, rr = np.nonzero(end)
-        kk = np.cumsum(end, axis=0)[ii, rr]
-        b = np.full((int(n_groups.max()) + 1, n_rows), np.inf)
-        b[0] = 0.0
-        b[kk, rr] = c[ii, rr]
-        # f* on [b_k, b_{k+1}), so at the decisive points; the last row stays 0
-        values = np.zeros(b.shape)
-        values[kk - 1, rr] = mag[ii, rr]
-        last = np.where(n_groups > 0, b[n_groups, np.arange(n_rows)], np.inf)
-        ts, close = _decisive(b, last[None])
+        bk = np.where(end, c, np.inf)
+        b_run = np.maximum.accumulate(np.where(end, c, 0.0), axis=0)
+        b_prev = np.concatenate([np.zeros((1, n_rows)), b_run[:-1]])
+        last = np.where(n_kept > 0, b_run[-1], np.inf)[None]
+        ts, close = _decisive(bk, b_prev, last)
 
         q_val, rel_q, q_ok = _row_quasinorms(mag, c, kept, n_kept, p)
         ok &= q_ok
         beta = rel_q + (2.0 * _POW_ULPS + 6.0) * _ULP
 
         def bracket(ts, lhs, rows):
-            """lo and hi over the points ts of the draws `rows`, and whether
-            every right-hand side there is normal; padded points are inf."""
+            """lo and hi over the points ts (inf: no point) of the draws
+            `rows`, and whether every right-hand side there is normal."""
             point = ts < np.inf
             t_pow = ts ** (-p.s)
             scale = t_pow * const
@@ -681,11 +666,13 @@ def _screen(block: _Block, p: ApproxParams, const: float):
             rhs_ok = ((_normal(t_pow) & _normal(scale) & _normal(rhs)) | ~point).all(axis=0)
             return lo, hi, rhs_ok
 
+        # f* at each cell's decisive point, v_k at b_k's, and 0 at the last
+        values = np.concatenate([mag, np.zeros((1, n_rows))])
         lo, hi, rhs_ok = bracket(ts, values, slice(None))
         if close.any():
             rows = np.flatnonzero(close)
-            ts = np.concatenate(_straddle(b[:, rows], last[None, rows]))
-            lhs = _step_lookup(b[:, rows], values[:, rows], ts)
+            ts = np.concatenate(_straddle(bk[:, rows], b_prev[:, rows], last[:, rows]))
+            lhs = _step_lookup(c[:, rows], values[:, rows], ts)
             lo[rows], hi[rows], rhs_ok[rows] = bracket(ts, lhs, rows)
         ok &= (_normal(q_val) & rhs_ok) | (n_kept == 0)
     # An empty draw is audited on the grid [1.0], where both sides are exactly 0.

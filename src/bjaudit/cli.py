@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -100,17 +101,27 @@ def resolve_params(args) -> ApproxParams:
     raise UsageError("parameters required: (--s, --tau) or (--theta, --q)")
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, mode: str = "w") -> None:
     """Write text to out_path, or to stdout for None or "-"; a path that
-    cannot be written is a UsageError."""
+    cannot be opened (mode "a" leaves a file as it is) is a UsageError."""
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(out_path, "w", newline="") as fh:
+        with open(out_path, mode, newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}") from exc
+
+
+def _check_writable(*out_paths: str | None) -> None:
+    """_emit's UsageError for the first of out_paths it cannot open, before
+    any is written; a file the check makes is removed."""
+    for path in out_paths:
+        made = path not in (None, "-") and not os.path.lexists(path)
+        _emit("", path, "a")
+        if made:
+            os.remove(path)
 
 
 def _kv_output(obj: dict):
@@ -258,6 +269,7 @@ def cmd_demo_invgauss(args):
     from .invgauss import InvGaussParams, demo_pipeline
     from .rearrange import step_csv_text
 
+    _check_writable(args.steps_out, args.metadata_out, args.out)
     p = InvGaussParams(amplitude=args.C, mean=args.m, shape=args.l)
     u_grid = parse_grid(args.u_grid) if args.u_grid is not None else None
     result = demo_pipeline(

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audit import ConstantProvider, audit_jackson
+from .audit import _jackson
 from .errors import DomainError, NumericError
 from .jsonutil import csv_text, dumps17
 from .measures import DiscreteMeasureSpace, SimpleFunction, lp_norm
-from .params import _float_pow, params_from_s_tau
+from .params import _check_finite_positive, _float_normal, _float_pow, c_exact, params_from_s_tau
 from .rearrange import StepFunction, approx_quasinorm, decreasing_rearrangement
 
 __all__ = [
@@ -50,10 +50,8 @@ class InvGaussParams:
 
     def __post_init__(self):
         for name in ("amplitude", "mean", "shape"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be a positive finite real, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            _check_finite_positive(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def invgauss_density(t, p: InvGaussParams | None = None):
@@ -86,7 +84,7 @@ def invgauss_density(t, p: InvGaussParams | None = None):
         num = -p.shape * sq
         den = 2.0 * m2 * tp
         log_exp = num / den
-        direct = _normal(sq) & _normal(num) & _normal(den)
+        direct = _float_normal(sq) & _float_normal(num) & _float_normal(den)
         far = tp[~direct]
         log_exp[~direct] = -np.exp(
             math.log(p.shape) - math.log(2.0) - 2.0 * math.log(p.mean)
@@ -97,11 +95,6 @@ def invgauss_density(t, p: InvGaussParams | None = None):
     if not np.isfinite(out).all():
         raise NumericError("the inverse-Gaussian density overflows a float")
     return float(out[0]) if scalar else out
-
-
-def _normal(x: np.ndarray) -> np.ndarray:
-    """Where |x| is a normal float: neither zero, subnormal nor infinite."""
-    return (np.abs(x) >= np.finfo(float).tiny) & (np.abs(x) < np.inf)
 
 
 @dataclass(frozen=True)
@@ -216,15 +209,17 @@ def demo_pipeline(
 
     # On a compiled discrete space the best-approximation error at budget u
     # is exactly the rearrangement at u, so the E column is f* itself rather
-    # than the 2^n brute force; the bound column is the Jackson audit's rhs.
-    report = audit_jackson(f, sp, params, ConstantProvider("paper-c"), us)
+    # than the 2^n brute force; the bound column is the Jackson audit's rhs,
+    # taken on the rearrangement and Q above.
+    c_val = c_exact(params)
+    report = _jackson(sf, q_val, params, c_val, {"provider": "paper-c", "constant": c_val}, us)
     metadata = {
         "density": {"amplitude": p.amplitude, "mean": p.mean, "shape": p.shape},
         "s": params.s,
         "tau": params.tau,
         "theta": params.theta,
         "q": params.q,
-        "c_constant": report.params["constant"],
+        "c_constant": c_val,
         "t_lo": t_lo,
         "t_max": t_max,
         "n_cells": n_cells,

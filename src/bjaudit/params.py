@@ -160,6 +160,11 @@ def n_factor_integral(theta: float, q: float) -> float:
     return math.exp(-(log_beta - math.log(2.0)) / q)
 
 
+def _float_normal(x):
+    """Where |x| (a float or an array) is a normal float: not 0, subnormal, inf or NaN."""
+    return (abs(x) >= sys.float_info.min) & (abs(x) <= sys.float_info.max)
+
+
 def _float_pow(base: float, exponent: float, message: str) -> float:
     """base ** exponent on Python floats; NumericError(message) where it overflows."""
     try:

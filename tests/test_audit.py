@@ -26,6 +26,7 @@ from bjaudit import (
     audit_weak_l1,
     counterexample_search,
     decreasing_rearrangement,
+    eval_step,
     indicator_sweep,
     params_from_s_tau,
     params_from_theta_q,
@@ -34,7 +35,7 @@ from bjaudit import (
     straddling_grid,
 )
 from bjaudit import audit
-from bjaudit.audit import _REL, _SCREEN_CELLS, _Block, _decisive, _screen
+from bjaudit.audit import _REL, _SCREEN_CELLS, _Block, _decisive, _screen, _step_lookup
 
 REF_SPACE = DiscreteMeasureSpace(weights=np.array([0.5, 1.0, 2.0]))
 REF_F = SimpleFunction(np.array([5.0, 3.0, 1.0]))
@@ -233,7 +234,8 @@ def test_straddling_grid_is_np_unique_of_the_straddle_points(atoms, scale):
     sf = decreasing_rearrangement(SimpleFunction(m), DiscreteMeasureSpace(weights=w * scale))
     want = np.array([1.0])
     if sf.n_steps:
-        pts = np.concatenate(audit._straddle(sf.breaks, sf.breaks[-1:]))
+        b = sf.breaks
+        pts = np.concatenate(audit._straddle(b[1:], b[:-1], b[-1:]))
         want = np.unique(pts[pts > 0])
     grid = straddling_grid(sf)
     assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
@@ -243,7 +245,8 @@ def test_straddle_points_can_coincide():
     # the grid identity's examples hold coinciding points, which it merges
     sp, f = DiscreteMeasureSpace(weights=[1.0, 0.002]), SimpleFunction([2.0, 1.0])
     sf = decreasing_rearrangement(f, sp)
-    pts = np.concatenate(audit._straddle(sf.breaks, sf.breaks[-1:]))
+    b = sf.breaks
+    pts = np.concatenate(audit._straddle(b[1:], b[:-1], b[-1:]))
     assert straddling_grid(sf).size == pts.size - 1
 
 
@@ -868,10 +871,12 @@ def test_screen_at_decisive_points_brackets_the_audited_margin(rows, s, tau, kin
 
 
 def _decisive_of(sf, pad=3):
-    """_decisive over a StepFunction's breaks, padded with `pad` infs as the
-    screen pads a column."""
-    b = np.concatenate([sf.breaks, np.full(pad, np.inf)])[:, None]
-    points, close = _decisive(b, sf.breaks[-1:][:, None])
+    """_decisive over a StepFunction's breaks, followed by `pad` cells
+    without a break (inf, after b_K) as the screen lays out a column."""
+    b = sf.breaks
+    bk = np.concatenate([b[1:], np.full(pad, np.inf)])[:, None]
+    b_prev = np.concatenate([b[:-1], np.full(pad, b[-1])])[:, None]
+    points, close = _decisive(bk, b_prev, b[-1:][:, None])
     return points[:, 0], bool(close[0])
 
 
@@ -935,6 +940,46 @@ def test_screen_certifies_close_breaks():
                 got = counterexample_search(p, provider, iter(draws))
                 want = _reference_search(p, provider, iter(draws))
                 assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_step_lookup_on_sorted_atoms_is_eval_step():
+    # _screen's lookup keys are the per-atom cumulative weights, sorted as it
+    # sorts them and trimmed to the block's most kept atoms; at every
+    # straddling point and break f* must be eval_step's float, close breaks, tie
+    # groups, zeros and full-height columns included
+    ties = [(DiscreteMeasureSpace(weights=w), SimpleFunction(m)) for w, m in CLOSE_TIES]
+    zeros = [
+        (DiscreteMeasureSpace(weights=np.ones(3)), SimpleFunction(np.zeros(3))),
+        (DiscreteMeasureSpace(weights=np.array([1.0, 1e-4, 1.0])), SimpleFunction([0.0, 2.0, 0.0])),
+    ]
+    blocks = [
+        *random_atoms(256, 41, 2000).blocks(None),
+        _padded([*ties, CLOSE_BREAKS, *zeros]),
+        _padded([CLOSE_BREAKS, *zeros]),
+    ]
+    n_close = 0
+    for block in blocks:
+        kept = block.mags > 0.0
+        order = np.argsort(-block.mags, axis=0, kind="stable")[: max(kept.sum(axis=0).max(), 1)]
+        mag = np.take_along_axis(block.mags, order, axis=0)
+        c = np.cumsum(np.take_along_axis(block.weights, order, axis=0), axis=0)
+        grids = []
+        for r in range(block.sizes.size):
+            sf = decreasing_rearrangement(*block.pair(r)[::-1])
+            b = sf.breaks
+            n_close += bool((b[2:] * (1.0 - _REL) < b[1:-1]).any())
+            # the straddling points, and the breaks, where f* is right-continuous
+            pts = np.concatenate([*audit._straddle(b[1:], b[:-1], b[-1:]), b[1:]])
+            pts = pts if sf.n_steps else [1.0]
+            grids.append((sf, np.asarray(pts)))
+        ts = np.full((max(pts.size for _, pts in grids), len(grids)), np.inf)
+        for r, (_, pts) in enumerate(grids):
+            ts[: pts.size, r] = pts
+        got = _step_lookup(c, np.concatenate([mag, np.zeros((1, mag.shape[1]))]), ts)
+        for r, (sf, pts) in enumerate(grids):
+            assert got[: pts.size, r].tobytes() == eval_step(sf, pts).tobytes()
+            assert (got[pts.size :, r] == 0.0).all()
+    assert n_close > 100
 
 
 def _single(weight, magnitude):

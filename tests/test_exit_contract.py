@@ -271,6 +271,19 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag, w
     assert str(path) in err
 
 
+@pytest.mark.parametrize("bad", ["--out", "--steps-out", "--metadata-out"])
+def test_demo_writes_no_output_when_one_path_is_unwritable(capsys, tmp_path, bad):
+    # every output path is checked before any is written
+    flags = ("--out", "--steps-out", "--metadata-out")
+    paths = {flag: tmp_path / f"{flag[2:]}.txt" for flag in flags}
+    paths[bad] = tmp_path / "missing" / "out.txt"
+    code = main([*DEMO, *(arg for flag in flags for arg in (flag, str(paths[flag])))])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output: [Errno ") and str(paths[bad]) in err
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def _instance(weights, mags):
     return DiscreteMeasureSpace(weights=np.array(weights)), SimpleFunction(np.array(mags))
 

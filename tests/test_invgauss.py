@@ -217,3 +217,28 @@ def test_demo_bound_where_the_quasinorm_underflows(s, u_grid):
             assert abs(bound - want) <= 1e-12 * want + 1e-320
     assert res.jackson_bound[0] == (pytest.approx(1.0e-48, rel=0.02) if s == 2000.0 else 0.0)
 
+
+
+def test_demo_rearranges_each_instance_once(monkeypatch):
+    # the instance and its doubled refinement are each rearranged, and each
+    # Q taken, once: the bound column reuses the demo's f* and Q
+    import bjaudit.audit
+    import bjaudit.invgauss
+
+    want = demo_pipeline()
+    calls = {"decreasing_rearrangement": 0, "approx_quasinorm": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        fn = getattr(bjaudit.invgauss, name)
+        for module in (bjaudit.invgauss, bjaudit.audit):
+            monkeypatch.setattr(module, name, counted(name, fn))
+    got = demo_pipeline()
+    assert calls == {"decreasing_rearrangement": 2, "approx_quasinorm": 2}
+    assert got.table() == want.table() and got.metadata == want.metadata
