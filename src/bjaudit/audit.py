@@ -328,9 +328,10 @@ def straddling_grid(sf: StepFunction) -> np.ndarray:
 
 
 # Draws are made and screened in blocks of padded (width x draws) arrays of
-# about this many cells, with about a dozen arrays of a block's size alive at
-# once: larger blocks trade memory for fewer numpy calls per draw.
-_SCREEN_CELLS = 4096
+# about this many cells, 128 KiB of doubles each; drawing or screening one
+# peaks at 1.3-4.1 MB (tracemalloc, n_max 1 to 4096).  Larger blocks trade
+# memory for fewer numpy calls per draw.
+_SCREEN_CELLS = 16384
 
 
 class _Block(NamedTuple):
@@ -488,12 +489,14 @@ class _RandomAtoms:
         del raw  # likewise, before the maps below
         mags = 0.05 + (5.0 - 0.05) * m_u
         mags = np.where(tie_u < 0.25, np.round(mags, 1), mags)
-        mags = np.where((zero_u < 0.1) | ~inside, 0.0, mags)
         # every cell, padded ones included, is mapped into [0.1, 3)
         weights = 0.1 + (3.0 - 0.1) * w_u
         _check_weights(weights)
         _check_magnitudes(mags)
-        return _Block(np.where(inside, weights, 0.0), mags, sizes)
+        # finite and nonnegative: a mask product zeroes cells as np.where does
+        mags *= (zero_u >= 0.1) & inside
+        weights *= inside
+        return _Block(weights, mags, sizes)
 
 
 def indicator_sweep():
@@ -577,13 +580,15 @@ def _row_quasinorms(mag, c, kept, n_kept, p: ApproxParams) -> tuple:
     # Both sums (the screen's per atom, the audit's per group) lie within
     # this relative distance of the same exact sum: the powers' errors
     # scale with bulk, rounding and summation with the terms, and
-    # 2^-1070 per term covers a term that underflows.
+    # 2^-1070 per term covers a term that underflows (a table by count, so
+    # that the subnormal products are formed once per count, not per column).
+    under = np.arange(c.shape[0] + 1) * 2.0**-1070 * (1.0 + 1.0 / st)
     eps = (
         2.0
         * (
             (2.0 * _POW_ULPS + 6.0) * _ULP * bulk
             + (n_kept + 2.0) * _ULP * np.abs(terms).sum(axis=0)
-            + n_kept * 2.0**-1070 * (1.0 + 1.0 / st)
+            + under[n_kept]
         )
         / total
     )
@@ -630,18 +635,21 @@ def _screen(block: _Block, p: ApproxParams, const: float):
     # cumulative weights (and every grid point) are bit-identical to the audit's.
     # Rows past the block's most kept atoms hold only zeros and padding.
     order = np.argsort(-block.mags, axis=0, kind="stable")[: max(n_kept.max(), 1)]
-    mag = np.take_along_axis(block.mags, order, axis=0)
+    order *= n_rows
+    order += np.arange(n_rows)  # in place: flat indices, for a flat take
+    mag = block.mags.ravel().take(order)
     kept = mag > 0.0
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        c = np.cumsum(np.take_along_axis(block.weights, order, axis=0), axis=0)
+        c = np.cumsum(block.weights.ravel().take(order), axis=0)
         ok = _each_kept((np.diff(c, axis=0, prepend=0.0) > 0.0) & _normal(c), kept)
 
         # A tie group's last atom carries its break b_k, its c (other cells
-        # get inf); b_{k-1} is the running max of the breaks in earlier rows.
+        # get inf); b_{k-1} is the running max of the breaks in earlier rows
+        # (c * end is exact: random_atoms' weights keep c finite and positive).
         end = kept & (mag != np.concatenate([mag[1:], np.zeros((1, n_rows))]))
         bk = np.where(end, c, np.inf)
-        b_run = np.maximum.accumulate(np.where(end, c, 0.0), axis=0)
+        b_run = np.maximum.accumulate(c * end, axis=0)
         b_prev = np.concatenate([np.zeros((1, n_rows)), b_run[:-1]])
         last = np.where(n_kept > 0, b_run[-1], np.inf)[None]
         ts, close = _decisive(bk, b_prev, last)
@@ -698,7 +706,8 @@ def counterexample_search(
     of auditing every draw.  Any other iterable's pairs are audited one by
     one, in draw order.  Exactly `budget` draws are taken from the generator
     (all when None); a zero budget or an empty generator returns an empty
-    result claiming nothing.  Deterministic whenever the generator is.
+    result claiming nothing, and a negative budget is a DomainError.
+    Deterministic whenever the generator is.
     """
     worst: AuditReport | None = None
     worst_instance: str | None = None
@@ -710,9 +719,10 @@ def counterexample_search(
         if worst is None or report.min_margin < worst.min_margin:
             worst, worst_instance = report, instance_csv_text(sp, f)
 
-    limit = None if budget is None else max(budget, 0)
+    if budget is not None and budget < 0:
+        raise DomainError("the budget must be a nonnegative integer")
     if not isinstance(generator, _RandomAtoms):
-        for sp, f in itertools.islice(generator, limit):
+        for sp, f in itertools.islice(generator, budget):
             count += 1
             audit(sp, f)
         return SearchResult(report=worst, instance_csv=worst_instance, n_instances=count)
@@ -720,7 +730,7 @@ def counterexample_search(
         const = provider.value(p)
     except NumericError:
         const = math.nan  # nothing is certified: the audit raises it in draw order
-    for block in generator.blocks(limit):
+    for block in generator.blocks(budget):
         count += block.sizes.size
         lo, hi, ok = _screen(block, p, const)
         cut = hi[ok].min(initial=math.inf)

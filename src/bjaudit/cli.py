@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ss.add_argument("--n-max", type=int, default=6, help="max atoms per instance")
     ss.add_argument("--draws", type=int, default=200, help="instances to generate")
-    ss.add_argument("--budget", type=int, default=None, help="cap on audited instances")
+    ss.add_argument("--budget", type=int, default=None, help="cap on instances drawn")
     ss.add_argument("--seed", type=int, default=0)
     _add_param_group(ss)
     common(ss, "json")

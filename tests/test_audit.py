@@ -296,6 +296,11 @@ def _block_rows(n_max):
     return max(_SCREEN_CELLS // n_max, 1)
 
 
+# An n_max above _SCREEN_CELLS, where every block holds one draw (5000 when
+# blocks were 4096 cells).
+ONE_DRAW_N_MAX = 5 * _SCREEN_CELLS // 4
+
+
 # (whole blocks, extra draws): n_draws = blocks * _block_rows(n_max) + extra
 @pytest.mark.parametrize(
     "blocks, extra",
@@ -325,8 +330,8 @@ def test_random_atoms_argument_errors():
             next(random_atoms(n_max, seed, n_draws))
 
 
-# n_max values whose blocks of _SCREEN_CELLS // n_max draws are 4096, 1365,
-# 512, 315 and 102 draws long (1024, 341, 128, 78 and 25 at 1024 cells)
+# n_max values whose blocks of _SCREEN_CELLS // n_max draws are 16384, 5461,
+# 2048, 1260 and 409 draws long (1024, 341, 128, 78 and 25 at 1024 cells)
 BLOCK_N_MAX = (1, 3, 8, 13, 40)
 
 
@@ -349,11 +354,11 @@ def _assert_same_draws(got, want):
         assert f.magnitudes.tobytes() == f_want.magnitudes.tobytes()
 
 
-@pytest.mark.parametrize("n_max", [1, 8, 256, 5000])
+@pytest.mark.parametrize("n_max", [1, 8, 256, ONE_DRAW_N_MAX])
 def test_block_columns_are_the_draws(n_max):
     # each draw is one zero-padded column of its (width x rows) block; limits
     # that end inside a block or past its edge split it by columns
-    n_draws = 12 if n_max == 5000 else _block_rows(n_max) + ROWS_8 + 2
+    n_draws = 12 if n_max == ONE_DRAW_N_MAX else _block_rows(n_max) + ROWS_8 + 2
     want = list(_draw_by_draw_random_atoms(n_max, 41, n_draws))
     for limit in (1, ROWS_8 - 1, ROWS_8, ROWS_8 + 1, None):
         gen, got = random_atoms(n_max, 41, n_draws), []
@@ -424,11 +429,11 @@ def _made(gen, n_draws):
     return n_draws - gen._left
 
 
-@pytest.mark.parametrize("n_max", sorted({*BLOCK_N_MAX, 2, 1000, 5000}))
+@pytest.mark.parametrize("n_max", sorted({*BLOCK_N_MAX, 2, 1000, ONE_DRAW_N_MAX}))
 def test_random_atoms_leaves_the_generator_where_the_five_calls_do(n_max):
     # the state after each decoded block, has_uint32 and uinteger included,
     # is the state after as many five-call draws; a block holds one draw at
-    # n_max = 5000
+    # ONE_DRAW_N_MAX
     p = params_from_s_tau(1.0, 2.0)
     provider = ConstantProvider("paper-c")
     n_draws = 60 if n_max >= 1000 else DRAWS
@@ -536,6 +541,16 @@ def test_search_zero_budget():
         "report": None,
         "instance_csv": None,
     }
+
+
+def test_search_negative_budget_is_a_domain_error():
+    # refused before any draw is taken, from random_atoms or any other iterable
+    p = params_from_s_tau(1.0, 1.0)
+    for budget in (-1, -5):
+        for gen in (random_atoms(5, seed=0), iter(list(random_atoms(5, seed=0)))):
+            with pytest.raises(DomainError, match="budget"):
+                counterexample_search(p, ConstantProvider("paper-c"), gen, budget=budget)
+            _assert_same_draws([next(gen)], [next(iter(random_atoms(5, seed=0)))])
 
 
 def test_search_deterministic():
@@ -781,9 +796,11 @@ def test_screen_brackets_the_audited_margin():
     for _ in range(60):
         rows.append(_draw_instance(rng, {"ties", "zeros", "close"}, rows))
     # ordinary draws, as random_atoms hands them to the search; at n_max = 256
-    # about half of the rows have breaks within _REL of each other
+    # about half of the rows have breaks within _REL of each other; at n_max
+    # = 8 they fill two blocks
     blocks = {
-        n: list(random_atoms(n, 41, 2000).blocks(None)) for n in (*BLOCK_N_MAX, 64, 128, 256)
+        n: list(random_atoms(n, 41, 2 * ROWS_8 if n == 8 else 2000).blocks(None))
+        for n in (*BLOCK_N_MAX, 64, 128, 256)
     }
     for s, tau in SEARCH_PARAMS:
         p = params_from_s_tau(s, tau)
@@ -806,6 +823,88 @@ def test_screen_brackets_the_audited_margin():
                 if ok_r:
                     margin = audit_jackson(f, sp, p, provider).min_margin
                     assert lo_r <= margin <= hi_r
+
+
+@pytest.mark.parametrize("n_max", [1, 8, 64, 256])
+def test_screen_brackets_do_not_depend_on_the_block(n_max):
+    # a block's brackets, bit for bit, are those of its column slices, each
+    # trimmed to its own longest draw (as a smaller block would pad it), close
+    # draws included.  A one-column slice is left out: numpy sums a lone
+    # column pairwise, so its bracket may move in the last bits (which the
+    # bracket covers), as a one-draw block's may.
+    close = [(DiscreteMeasureSpace(weights=w), SimpleFunction(m)) for w, m in CLOSE_TIES]
+    close.append(CLOSE_BREAKS)
+    padded = _padded([*close, *random_atoms(n_max, 7, 40), *close])
+    for block in (next(random_atoms(n_max, 41, 600).blocks(None)), padded):
+        n = block.sizes.size
+        for s, tau in SEARCH_PARAMS:
+            p = params_from_s_tau(s, tau)
+            for kind in ("paper-c", "sharp-oracle"):
+                const = ConstantProvider(kind).value(p)
+                whole = _screen(block, p, const)
+                assert whole[2].any()
+                for pieces in (2, 7, n // 2):
+                    parts = []
+                    for cols in np.array_split(np.arange(n), pieces):
+                        sizes = block.sizes[cols]
+                        height = sizes.max()
+                        piece = _Block(block.weights[:height, cols], block.mags[:height, cols], sizes)
+                        parts.append(_screen(piece, p, const))
+                    for got, want in zip(zip(*parts), whole):
+                        assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+def _rel_q_per_column(mag, c, kept, n_kept, p):
+    """_row_quasinorms' rel_q with its allowance for underflowed terms formed
+    column by column, n_kept 2^-1070 (1 + 1/(s tau)); and rel_q without that
+    allowance."""
+    st = p.s * p.tau
+    m_pow, c_pow = mag**p.tau, c**st
+    c_pow_prev = np.concatenate([np.zeros((1, c.shape[1])), c_pow[:-1]])
+    terms = np.where(kept, m_pow * (c_pow - c_pow_prev) / st, 0.0)
+    bulk = np.where(kept, m_pow * (c_pow + c_pow_prev) / st, 0.0).sum(axis=0)
+    out = []
+    for under in (n_kept * 2.0**-1070 * (1.0 + 1.0 / st), 0.0):
+        eps = (
+            2.0
+            * (
+                (2.0 * audit._POW_ULPS + 6.0) * audit._ULP * bulk
+                + (n_kept + 2.0) * audit._ULP * np.abs(terms).sum(axis=0)
+                + under
+            )
+            / terms.sum(axis=0)
+        )
+        a = 1.0 / p.tau
+        rel_q = np.maximum(np.expm1(a * np.log1p(eps)), -np.expm1(a * np.log1p(-eps)))
+        out.append(2.0 * rel_q + 2.0 * audit._POW_ULPS * audit._ULP)
+    return out
+
+
+def test_row_quasinorms_underflow_allowance_is_per_column():
+    # the allowance is read from a table by kept count; rel_q (and so eps)
+    # must be the per-column formula's, bit for bit, for every count from 0
+    # to the width, with each column's terms at its own scale, from ordinary
+    # down to the bottom of the float range, where the allowance counts
+    rng = np.random.default_rng(3)
+    width, cols = 12, 13 * 40
+    n_kept = np.arange(cols) % (width + 1)
+    kept = np.arange(width)[:, None] < n_kept
+    n_moved = 0
+    for st_val in np.geomspace(1e-9, 600.0, 12):
+        for tau in (0.3, 1.0, 2.0):
+            p = params_from_s_tau(st_val / tau, tau)
+            # tau-th powers of the magnitudes within a decade of 10^e, e drawn
+            # per column from -330 to 0
+            e = rng.uniform(-330.0, 0.0, cols) - rng.uniform(0.0, 1.0, (width, cols))
+            mag = np.where(kept, np.sort(10.0 ** (e / tau), axis=0)[::-1], 0.0)
+            c = np.cumsum(10.0 ** rng.uniform(-3.0, 1.0, (width, cols)), axis=0)
+            with np.errstate(all="ignore"):
+                got = audit._row_quasinorms(mag, c, kept, n_kept, p)[1]
+                want, bare = _rel_q_per_column(mag, c, kept, n_kept, p)
+            assert got.tobytes() == want.tobytes()
+            n_moved += (np.isfinite(bare) & (want != bare)).sum()
+    # the allowance decides some finite rel_q
+    assert n_moved > 100
 
 
 # Ratios b_k / b_{k-1} where b_k (1 - _REL) >= b_{k-1} and the largest point

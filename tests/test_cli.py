@@ -296,6 +296,20 @@ def test_search_zero_budget_csv(capsys):
     assert out == "t,lhs,rhs,margin\n"
 
 
+@pytest.mark.parametrize("generator", ["random-atoms", "indicator-sweep"])
+def test_search_negative_budget_exits_two(capsys, generator):
+    # a negative budget is refused as a negative --draws is, not read as zero
+    argv = ["search", "--provider", "unit", "--generator", generator, "--s", "1", "--tau", "1"]
+    code, out, err = run(capsys, argv + ["--budget", "-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: the budget must be a nonnegative integer\n"
+    code, out, err = run(capsys, argv + ["--draws", "-1"])
+    assert code == (2 if generator == "random-atoms" else 0)
+    # the budget caps the draws taken, not the few the screen audits
+    assert main(["search", "--help"]) == 0
+    assert "cap on instances drawn" in capsys.readouterr().out
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out_path = tmp_path / "c.json"
     code, out, err = run(
