@@ -557,6 +557,11 @@ def _each_kept(cond: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return (cond | ~kept).all(axis=0)
 
 
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Each column's sum, added row by row (numpy sums a lone column pairwise)."""
+    return np.cumsum(x, axis=0)[-1] if x.shape[1] == 1 else x.sum(axis=0)
+
+
 def _row_quasinorms(mag, c, kept, n_kept, p: ApproxParams) -> tuple:
     """(q_val, rel_q, ok): Q_{s,tau} of each column of sorted magnitudes and
     cumulative weights, summed per atom, and where ok, a relative distance
@@ -573,8 +578,8 @@ def _row_quasinorms(mag, c, kept, n_kept, p: ApproxParams) -> tuple:
     # c_prev**st: each column of c_pow moved down one cell, under 0**st = 0
     c_pow_prev = np.concatenate([np.zeros((1, c.shape[1])), c_pow[:-1]])
     terms = np.where(kept, m_pow * (c_pow - c_pow_prev) / st, 0.0)
-    total = terms.sum(axis=0)
-    bulk = np.where(kept, m_pow * (c_pow + c_pow_prev) / st, 0.0).sum(axis=0)
+    total = _column_sums(terms)
+    bulk = _column_sums(np.where(kept, m_pow * (c_pow + c_pow_prev) / st, 0.0))
     ok = _each_kept(_normal(m_pow) & _normal(c_pow) & _normal(m_pow * c_pow), kept)
     ok &= (_normal(bulk) & _normal(total)) | (n_kept == 0)
     # Both sums (the screen's per atom, the audit's per group) lie within
@@ -587,7 +592,7 @@ def _row_quasinorms(mag, c, kept, n_kept, p: ApproxParams) -> tuple:
         2.0
         * (
             (2.0 * _POW_ULPS + 6.0) * _ULP * bulk
-            + (n_kept + 2.0) * _ULP * np.abs(terms).sum(axis=0)
+            + (n_kept + 2.0) * _ULP * _column_sums(np.abs(terms))
             + under[n_kept]
         )
         / total
@@ -611,8 +616,8 @@ def _screen(block: _Block, p: ApproxParams, const: float):
     cumulative weight c) and f* = v_k.  Q_{s,tau} is summed per atom: the terms
     m_i^tau (c_i^{s tau} - c_{i-1}^{s tau}) of a group telescope to the
     group's term, so only the rounding differs from the audit, and the bracket
-    covers it on both sides.  The zero padding is never kept: it changes a
-    draw's bracket only through the grouping of numpy's sums, also covered.
+    covers it on both sides.  The zero padding is never kept and every sum runs
+    down its column (_column_sums): a draw's bracket is the same in any block.
 
     A draw is screened at its decisive points only (_decisive), K + 1 of the
     audit's 3K + 1: on each step, the largest point, and _EXTEND * b_K past

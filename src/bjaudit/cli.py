@@ -361,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--generator",
         choices=("random-atoms", "indicator-sweep"),
         default="random-atoms",
+        help="--n-max, --draws and --seed apply to random-atoms only",
     )
     ss.add_argument("--n-max", type=int, default=6, help="max atoms per instance")
     ss.add_argument("--draws", type=int, default=200, help="instances to generate")

@@ -267,13 +267,10 @@ def _draw_by_draw_random_atoms(n_max, seed, n_draws):
         )
 
 
-@pytest.mark.parametrize(
-    "n_max, seed, n_draws", [(1, 0, 5), (5, 3, 50), (8, 41, 2000), (13, 7, 300), (8, 9, 0)]
-)
-def test_random_atoms_blocks_keep_the_draw_by_draw_stream(n_max, seed, n_draws):
-    got = list(random_atoms(n_max, seed, n_draws))
-    want = list(_draw_by_draw_random_atoms(n_max, seed, n_draws))
-    assert len(got) == len(want) == n_draws
+def _assert_same_draws(got, want):
+    """random_atoms' pairs `got` are the draws `want`, built by the two
+    constructors: same bytes and atom ids, frozen 1-d float arrays."""
+    assert len(got) == len(want)
     for (sp, f), (sp_want, f_want) in zip(got, want):
         assert type(sp) is DiscreteMeasureSpace and type(f) is SimpleFunction
         assert sp.weights.tobytes() == sp_want.weights.tobytes()
@@ -285,43 +282,63 @@ def test_random_atoms_blocks_keep_the_draw_by_draw_stream(n_max, seed, n_draws):
                 arr[0] = 1.0
 
 
-# Draws in a block of eight-atom draws: 128 at _SCREEN_CELLS = 1024, where
-# the counts 127, 128, 129, 256 and 257 below were pinned.  Those stay beside
-# the counts derived from the constant.
-ROWS_8 = _SCREEN_CELLS // 8
+@pytest.mark.parametrize(
+    "n_max, seed, n_draws", [(1, 0, 5), (5, 3, 50), (8, 41, 2000), (13, 7, 300), (8, 9, 0)]
+)
+def test_random_atoms_blocks_keep_the_draw_by_draw_stream(n_max, seed, n_draws):
+    got = list(random_atoms(n_max, seed, n_draws))
+    _assert_same_draws(got, list(_draw_by_draw_random_atoms(n_max, seed, n_draws)))
 
 
-def _block_rows(n_max):
+# The stream tests below set random_atoms' block size to CELLS (the `cells`
+# fixture), small enough to check every draw at a block's edges against the
+# five-call reference; one test checks them at the shipped _SCREEN_CELLS.
+CELLS = 1024
+
+
+@pytest.fixture
+def cells(request, monkeypatch):
+    """random_atoms' block size for one test: CELLS, or the test's param.
+    _RandomAtoms._unread reads _SCREEN_CELLS as it makes each block."""
+    size = getattr(request, "param", CELLS)
+    monkeypatch.setattr(audit, "_SCREEN_CELLS", size)
+    return size
+
+
+def _block_rows(n_max, cells=CELLS):
     """Draws in one of random_atoms' blocks at this n_max."""
-    return max(_SCREEN_CELLS // n_max, 1)
+    return max(cells // n_max, 1)
 
 
-# An n_max above _SCREEN_CELLS, where every block holds one draw (5000 when
-# blocks were 4096 cells).
-ONE_DRAW_N_MAX = 5 * _SCREEN_CELLS // 4
+ROWS_8 = _block_rows(8)  # 128
+ROWS_40 = _block_rows(40)  # 25
+SEARCH_ROWS_8 = _block_rows(8, _SCREEN_CELLS)  # 2048, for the tests that keep _SCREEN_CELLS
+
+ONE_DRAW_N_MAX = 5 * CELLS // 4  # above CELLS: every block holds one draw
+BLOCK_N_MAX = (1, 3, 8, 13, 40)  # blocks of 1024, 341, 128, 78 and 25 draws
+DRAWS = 300  # draws of the search tests, past two blocks of eight-atom draws
+
+
+def _edges(*extra):
+    """Draw counts at two block edges of eight-atom draws, DRAWS - 1 and `extra`."""
+    two = 2 * ROWS_8
+    return sorted({1, ROWS_8 - 1, ROWS_8, ROWS_8 + 1, two - 1, two, two + 1, DRAWS - 1, *extra})
 
 
 # (whole blocks, extra draws): n_draws = blocks * _block_rows(n_max) + extra
+BLOCK_EDGES = [(0, n) for n in _edges()] + [(1, -1), (1, 0), (1, 1), (2, 0), (2, 1)]
+
+
 @pytest.mark.parametrize(
-    "blocks, extra",
-    [
-        *(pytest.param(0, n, id=str(n)) for n in (127, 128, 129, 256, 257)),
-        *(
-            pytest.param(k, d, id=f"{k}blocks{d:+d}")
-            for k, d in ((1, -1), (1, 0), (1, 1), (2, 0), (2, 1))
-        ),
-    ],
+    "blocks, extra", BLOCK_EDGES, ids=[f"{k}blocks{d:+d}" if k else str(d) for k, d in BLOCK_EDGES]
 )
 @pytest.mark.parametrize("n_max", [1, 40])
+@pytest.mark.usefixtures("cells")
 def test_random_atoms_stream_at_block_edges(n_max, blocks, extra):
     n_draws = blocks * _block_rows(n_max) + extra
     for seed in (0, 1, 17, 2024):
         got = list(random_atoms(n_max, seed, n_draws))
-        want = list(_draw_by_draw_random_atoms(n_max, seed, n_draws))
-        assert len(got) == len(want) == n_draws
-        for (sp, f), (sp_want, f_want) in zip(got, want):
-            assert sp.weights.tobytes() == sp_want.weights.tobytes()
-            assert f.magnitudes.tobytes() == f_want.magnitudes.tobytes()
+        _assert_same_draws(got, list(_draw_by_draw_random_atoms(n_max, seed, n_draws)))
 
 
 def test_random_atoms_argument_errors():
@@ -330,31 +347,8 @@ def test_random_atoms_argument_errors():
             next(random_atoms(n_max, seed, n_draws))
 
 
-# n_max values whose blocks of _SCREEN_CELLS // n_max draws are 16384, 5461,
-# 2048, 1260 and 409 draws long (1024, 341, 128, 78 and 25 at 1024 cells)
-BLOCK_N_MAX = (1, 3, 8, 13, 40)
-
-
-# The draws of the budget and pull tests below: 300 when blocks of eight-atom
-# draws were 128 and 256 long, now past ROWS_8 + 1 with room after it.
-DRAWS = max(300, ROWS_8 + 88)
-
-
-def _edges(*extra):
-    """Budgets and pulls at the block edges of eight-atom draws: the counts
-    pinned at 1024 and 2048 cells, those derived from _SCREEN_CELLS, and
-    `extra`."""
-    return sorted({1, 127, 128, 129, 255, 256, 257, ROWS_8 - 1, ROWS_8, ROWS_8 + 1, 299, *extra})
-
-
-def _assert_same_draws(got, want):
-    assert len(got) == len(want)
-    for (sp, f), (sp_want, f_want) in zip(got, want):
-        assert sp.weights.tobytes() == sp_want.weights.tobytes()
-        assert f.magnitudes.tobytes() == f_want.magnitudes.tobytes()
-
-
 @pytest.mark.parametrize("n_max", [1, 8, 256, ONE_DRAW_N_MAX])
+@pytest.mark.usefixtures("cells")
 def test_block_columns_are_the_draws(n_max):
     # each draw is one zero-padded column of its (width x rows) block; limits
     # that end inside a block or past its edge split it by columns
@@ -377,44 +371,6 @@ def test_block_columns_are_the_draws(n_max):
     assert block.weights.shape == (block.sizes.max(), _block_rows(n_max))
 
 
-@pytest.mark.parametrize("budget", _edges())
-def test_search_budget_inside_a_draw_block(budget):
-    p = params_from_s_tau(1.0, 2.0)
-    provider = ConstantProvider("paper-c")
-    for n_max in BLOCK_N_MAX:
-        got = counterexample_search(p, provider, random_atoms(n_max, 41, DRAWS), budget=budget)
-        want = counterexample_search(
-            p, provider, _draw_by_draw_random_atoms(n_max, 41, DRAWS), budget=budget
-        )
-        assert got.n_instances == budget
-        assert got.to_json_dict() == want.to_json_dict()
-
-
-@pytest.mark.parametrize("budget", _edges(0, 24, 25, 300, 400, DRAWS - 1, DRAWS, DRAWS + 100))
-def test_next_after_a_budgeted_search_is_the_next_draw(budget):
-    p = params_from_s_tau(1.0, 2.0)
-    for n_max in BLOCK_N_MAX:
-        gen = random_atoms(n_max, 41, DRAWS)
-        counterexample_search(p, ConstantProvider("paper-c"), gen, budget=budget)
-        want = list(_draw_by_draw_random_atoms(n_max, 41, DRAWS))[budget:]
-        _assert_same_draws(list(gen), want)
-
-
-@pytest.mark.parametrize("pulled", _edges(24, 25))
-def test_search_after_pulled_pairs_matches_reference(pulled):
-    p = params_from_s_tau(1.0, 2.0)
-    provider = ConstantProvider("paper-c")
-    for n_max in BLOCK_N_MAX:
-        gen = random_atoms(n_max, 41, DRAWS)
-        head = [next(gen) for _ in range(pulled)]
-        want_draws = list(_draw_by_draw_random_atoms(n_max, 41, DRAWS))
-        _assert_same_draws(head, want_draws[:pulled])
-        got = counterexample_search(p, provider, gen)
-        want = _reference_search(p, provider, iter(want_draws[pulled:]))
-        assert got.n_instances == DRAWS - pulled
-        assert got.to_json_dict() == want.to_json_dict()
-
-
 def _state_after(n_max, state, n_draws):
     """The PCG64 state after n_draws five-call draws from `state`, and those
     draws."""
@@ -425,37 +381,78 @@ def _state_after(n_max, state, n_draws):
     return rng.bit_generator.state, draws
 
 
-def _made(gen, n_draws):
-    return n_draws - gen._left
+def _at_five_calls(gen, n_max, n_draws):
+    """Whether random_atoms(n_max, 41, n_draws) `gen` leaves its generator
+    where as many five-call draws as it has made leave default_rng(41)."""
+    seeded = np.random.default_rng(41).bit_generator.state
+    return gen._rng.bit_generator.state == _state_after(n_max, seeded, n_draws - gen._left)[0]
+
+
+def _check_searches_after(n_max, n_draws, count):
+    """Searches of random_atoms(n_max, 41, n_draws) with budget `count`, and
+    after `count` pulled pairs, report as the draw-by-draw search; a budgeted
+    one leaves the generator as the five calls do, at the next draw."""
+    p, provider = params_from_s_tau(1.0, 2.0), ConstantProvider("paper-c")
+    want = list(_draw_by_draw_random_atoms(n_max, 41, n_draws))
+    gen = random_atoms(n_max, 41, n_draws)
+    got = counterexample_search(p, provider, gen, budget=count)
+    assert got.n_instances == min(count, n_draws)
+    assert got.to_json_dict() == _reference_search(p, provider, iter(want), count).to_json_dict()
+    assert _at_five_calls(gen, n_max, n_draws)
+    _assert_same_draws(list(gen), want[count:])
+    gen = random_atoms(n_max, 41, n_draws)
+    _assert_same_draws(list(itertools.islice(gen, count)), want[:count])
+    got = counterexample_search(p, provider, gen)
+    assert got.to_json_dict() == _reference_search(p, provider, iter(want[count:])).to_json_dict()
+
+
+@pytest.mark.parametrize("count", _edges(0, ROWS_40 - 1, ROWS_40, DRAWS, DRAWS + 100))
+@pytest.mark.usefixtures("cells")
+def test_budgeted_and_pulled_searches_at_block_edges(count):
+    for n_max in BLOCK_N_MAX:
+        _check_searches_after(n_max, DRAWS, count)
 
 
 @pytest.mark.parametrize("n_max", sorted({*BLOCK_N_MAX, 2, 1000, ONE_DRAW_N_MAX}))
+@pytest.mark.usefixtures("cells")
 def test_random_atoms_leaves_the_generator_where_the_five_calls_do(n_max):
     # the state after each decoded block, has_uint32 and uinteger included,
     # is the state after as many five-call draws; a block holds one draw at
-    # ONE_DRAW_N_MAX
+    # n_max 1000 and ONE_DRAW_N_MAX
     p = params_from_s_tau(1.0, 2.0)
     provider = ConstantProvider("paper-c")
     n_draws = 60 if n_max >= 1000 else DRAWS
-    seeded = np.random.default_rng(41).bit_generator.state
     gen = random_atoms(n_max, 41, n_draws)
     for _ in gen.blocks(None):
-        assert gen._rng.bit_generator.state == _state_after(n_max, seeded, _made(gen, n_draws))[0]
-    assert _made(gen, n_draws) == n_draws
-    for budget in (1, 24, 25, 129, ROWS_8 + 1, n_draws - 1):
+        assert _at_five_calls(gen, n_max, n_draws)
+    assert gen._left == 0
+    for budget in (1, ROWS_40 - 1, ROWS_40, ROWS_8 + 1, n_draws - 1):
+        _check_searches_after(n_max, n_draws, budget)
+    want = list(_draw_by_draw_random_atoms(n_max, 41, n_draws))
+    for pulled in (k for k in (1, ROWS_40, ROWS_8 + 1) if k + 10 < n_draws):
         gen = random_atoms(n_max, 41, n_draws)
-        counterexample_search(p, provider, gen, budget=budget)
-        assert gen._rng.bit_generator.state == _state_after(n_max, seeded, _made(gen, n_draws))[0]
-    for pulled in (k for k in (1, 25, 129, ROWS_8 + 1) if k + 10 < n_draws):
-        gen = random_atoms(n_max, 41, n_draws)
-        for _ in range(pulled):
-            next(gen)
-        assert gen._rng.bit_generator.state == _state_after(n_max, seeded, _made(gen, n_draws))[0]
+        _assert_same_draws([next(gen) for _ in range(pulled)], want[:pulled])
+        assert _at_five_calls(gen, n_max, n_draws)
         # a budgeted search and a block read after the pulled pairs
         counterexample_search(p, provider, gen, budget=7)
         read = pulled + 7 + next(gen.blocks(3)).sizes.size
-        assert gen._rng.bit_generator.state == _state_after(n_max, seeded, _made(gen, n_draws))[0]
-        _assert_same_draws(list(gen), _state_after(n_max, seeded, n_draws)[1][read:])
+        assert _at_five_calls(gen, n_max, n_draws)
+        _assert_same_draws(list(gen), want[read:])
+
+
+@pytest.mark.parametrize("n_max", [8, 5 * _SCREEN_CELLS // 4])
+def test_draw_stream_at_the_shipped_block_edges(n_max):
+    # the stream tests above at the shipped size's own edges: a draw either
+    # side of a full block of eight-atom draws, and one-draw blocks
+    rows = _block_rows(n_max, _SCREEN_CELLS)
+    want = list(_draw_by_draw_random_atoms(n_max, 41, rows + 2))
+    for k in sorted({max(rows - 1, 1), rows, rows + 1}):
+        _assert_same_draws(list(random_atoms(n_max, 41, k)), want[:k])
+        gen = random_atoms(n_max, 41, rows + 2)
+        got = [block.pair(r) for block in gen.blocks(k) for r in range(block.sizes.size)]
+        _assert_same_draws(got, want[:k])
+        assert _at_five_calls(gen, n_max, rows + 2)
+        _check_searches_after(n_max, rows + 2, k)
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -479,8 +476,9 @@ def _rejected_halves(n_max):
     return [u for u in halves if u * n_max % 2**32 < floor]
 
 
+@pytest.mark.parametrize("cells", [CELLS, _SCREEN_CELLS], indirect=True)
 @pytest.mark.parametrize("n_max", [3, 13, 40])
-def test_random_atoms_decodes_rejected_halves(n_max):
+def test_random_atoms_decodes_rejected_halves(n_max, cells):
     # no seed reaches a rejection in practice, so the states are crafted: a
     # kept high half rejected, a fresh low half rejected, both halves of a
     # fresh word rejected, and all of these in a row
@@ -502,9 +500,8 @@ def test_random_atoms_decodes_rejected_halves(n_max):
                 "uinteger": bad[-1],
             },
         ]
-    # two full blocks and five draws, at the current size and at 1024 cells
-    for state, cells in itertools.product(cases, sorted({1024, _SCREEN_CELLS})):
-        n_draws = 2 * (cells // n_max) + 5
+    n_draws = 2 * _block_rows(n_max, cells) + 5  # two full blocks and five draws
+    for state in cases:
         gen = random_atoms(n_max, 0, n_draws)
         gen._rng.bit_generator.state = state
         got = list(gen)
@@ -784,8 +781,8 @@ def _padded(pairs):
 
 
 def _screen_pairs(rows, p, const):
-    """_screen over (sp, f) pairs, padded into blocks of ROWS_8 rows."""
-    blocks = (_padded(rows[i : i + ROWS_8]) for i in range(0, len(rows), ROWS_8))
+    """_screen over (sp, f) pairs, padded into blocks of SEARCH_ROWS_8 rows."""
+    blocks = (_padded(rows[i : i + SEARCH_ROWS_8]) for i in range(0, len(rows), SEARCH_ROWS_8))
     brackets = [_screen(block, p, const) for block in blocks]
     return tuple(np.concatenate(parts) for parts in zip(*brackets))
 
@@ -799,7 +796,7 @@ def test_screen_brackets_the_audited_margin():
     # about half of the rows have breaks within _REL of each other; at n_max
     # = 8 they fill two blocks
     blocks = {
-        n: list(random_atoms(n, 41, 2 * ROWS_8 if n == 8 else 2000).blocks(None))
+        n: list(random_atoms(n, 41, 2 * SEARCH_ROWS_8 if n == 8 else 2000).blocks(None))
         for n in (*BLOCK_N_MAX, 64, 128, 256)
     }
     for s, tau in SEARCH_PARAMS:
@@ -812,11 +809,11 @@ def test_screen_brackets_the_audited_margin():
             for n_max, n_blocks in blocks.items():
                 if (s, tau) in SEARCH_PARAMS[:4]:
                     assert all(_screen(b, p, provider.value(p))[2].all() for b in n_blocks)
-            plain = _screen_pairs(list(random_atoms(8, 41, 2 * ROWS_8)), p, provider.value(p))
+            plain = _screen_pairs(list(random_atoms(8, 41, 2 * SEARCH_ROWS_8)), p, provider.value(p))
             assert plain[2].all()
             # and so are the blocks random_atoms hands the search, bracket for bracket
             direct = [_screen(block, p, provider.value(p)) for block in blocks[8][:2]]
-            assert [block.sizes.size for block in blocks[8][:2]] == [ROWS_8, ROWS_8]
+            assert [block.sizes.size for block in blocks[8][:2]] == [SEARCH_ROWS_8] * 2
             for got, want in zip(zip(*direct), plain):
                 assert np.concatenate(got).tobytes() == want.tobytes()
             for (sp, f), lo_r, hi_r, ok_r in zip(rows, lo, hi, ok):
@@ -825,13 +822,12 @@ def test_screen_brackets_the_audited_margin():
                     assert lo_r <= margin <= hi_r
 
 
+@pytest.mark.parametrize("cells", [CELLS, _SCREEN_CELLS], indirect=True)
 @pytest.mark.parametrize("n_max", [1, 8, 64, 256])
-def test_screen_brackets_do_not_depend_on_the_block(n_max):
+def test_screen_brackets_do_not_depend_on_the_block(n_max, cells):
     # a block's brackets, bit for bit, are those of its column slices, each
     # trimmed to its own longest draw (as a smaller block would pad it), close
-    # draws included.  A one-column slice is left out: numpy sums a lone
-    # column pairwise, so its bracket may move in the last bits (which the
-    # bracket covers), as a one-draw block's may.
+    # draws and one-column slices included
     close = [(DiscreteMeasureSpace(weights=w), SimpleFunction(m)) for w, m in CLOSE_TIES]
     close.append(CLOSE_BREAKS)
     padded = _padded([*close, *random_atoms(n_max, 7, 40), *close])
@@ -843,9 +839,9 @@ def test_screen_brackets_do_not_depend_on_the_block(n_max):
                 const = ConstantProvider(kind).value(p)
                 whole = _screen(block, p, const)
                 assert whole[2].any()
-                for pieces in (2, 7, n // 2):
+                for pieces in (2, 7, n // 2, n):
                     parts = []
-                    for cols in np.array_split(np.arange(n), pieces):
+                    for cols in np.array_split(np.arange(n), min(pieces, n)):
                         sizes = block.sizes[cols]
                         height = sizes.max()
                         piece = _Block(block.weights[:height, cols], block.mags[:height, cols], sizes)
@@ -1114,7 +1110,7 @@ def test_search_does_not_audit_a_certified_first_draw_above_the_cut(monkeypatch)
     # is kept, since the draws that attain the block's minimum are confirmed.
     p = params_from_s_tau(1.0, 2.0)
     provider = ConstantProvider("paper-c")
-    block = next(random_atoms(8, 41, ROWS_8).blocks(None))
+    block = next(random_atoms(8, 41, SEARCH_ROWS_8).blocks(None))
     lo, hi, ok = _screen(block, p, provider.value(p))
     assert ok.all() and lo[0] > hi.min()
     audited = []
@@ -1124,11 +1120,11 @@ def test_search_does_not_audit_a_certified_first_draw_above_the_cut(monkeypatch)
         return audit_jackson(f, sp, *args)
 
     monkeypatch.setattr(audit, "audit_jackson", counted)
-    got = counterexample_search(p, provider, random_atoms(8, 41, ROWS_8))
+    got = counterexample_search(p, provider, random_atoms(8, 41, SEARCH_ROWS_8))
     monkeypatch.undo()
     assert instance_csv_text(*block.pair(0)) not in audited
     assert 1 <= len(audited) <= (lo <= hi.min()).sum()
-    want = _reference_search(p, provider, random_atoms(8, 41, ROWS_8))
+    want = _reference_search(p, provider, random_atoms(8, 41, SEARCH_ROWS_8))
     assert got.to_json_dict() == want.to_json_dict()
 
 

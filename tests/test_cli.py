@@ -305,9 +305,12 @@ def test_search_negative_budget_exits_two(capsys, generator):
     assert err == "error: the budget must be a nonnegative integer\n"
     code, out, err = run(capsys, argv + ["--draws", "-1"])
     assert code == (2 if generator == "random-atoms" else 0)
-    # the budget caps the draws taken, not the few the screen audits
+    # the budget caps the draws taken, not the few the screen audits, and
+    # indicator-sweep ignores the draw options
     assert main(["search", "--help"]) == 0
-    assert "cap on instances drawn" in capsys.readouterr().out
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "cap on instances drawn" in help_text
+    assert "--n-max, --draws and --seed apply to random-atoms only" in help_text
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
