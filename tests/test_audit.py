@@ -388,29 +388,68 @@ def _at_five_calls(gen, n_max, n_draws):
     return gen._rng.bit_generator.state == _state_after(n_max, seeded, n_draws - gen._left)[0]
 
 
-def _check_searches_after(n_max, n_draws, count):
-    """Searches of random_atoms(n_max, 41, n_draws) with budget `count`, and
-    after `count` pulled pairs, report as the draw-by-draw search; a budgeted
-    one leaves the generator as the five calls do, at the next draw."""
-    p, provider = params_from_s_tau(1.0, 2.0), ConstantProvider("paper-c")
+SEARCH_P, SEARCH_PROVIDER = params_from_s_tau(1.0, 2.0), ConstantProvider("paper-c")
+
+
+def _check_budgeted_search(n_max, n_draws, budget):
+    """A search of random_atoms(n_max, 41, n_draws) with this budget reports
+    as the draw-by-draw search."""
+    gen = random_atoms(n_max, 41, n_draws)
+    got = counterexample_search(SEARCH_P, SEARCH_PROVIDER, gen, budget=budget)
+    assert got.n_instances == min(budget, n_draws)
+    want = _reference_search(
+        SEARCH_P, SEARCH_PROVIDER, _draw_by_draw_random_atoms(n_max, 41, n_draws), budget
+    )
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def _check_next_after_budget(n_max, n_draws, budget):
+    """A budgeted search leaves the generator as the five calls do, at the
+    next draw."""
+    gen = random_atoms(n_max, 41, n_draws)
+    counterexample_search(SEARCH_P, SEARCH_PROVIDER, gen, budget=budget)
+    assert _at_five_calls(gen, n_max, n_draws)
+    _assert_same_draws(list(gen), list(_draw_by_draw_random_atoms(n_max, 41, n_draws))[budget:])
+
+
+def _check_search_after_pulled(n_max, n_draws, pulled):
+    """A search after `pulled` pairs reports as the draw-by-draw search of
+    the draws left."""
     want = list(_draw_by_draw_random_atoms(n_max, 41, n_draws))
     gen = random_atoms(n_max, 41, n_draws)
-    got = counterexample_search(p, provider, gen, budget=count)
-    assert got.n_instances == min(count, n_draws)
-    assert got.to_json_dict() == _reference_search(p, provider, iter(want), count).to_json_dict()
-    assert _at_five_calls(gen, n_max, n_draws)
-    _assert_same_draws(list(gen), want[count:])
-    gen = random_atoms(n_max, 41, n_draws)
-    _assert_same_draws(list(itertools.islice(gen, count)), want[:count])
-    got = counterexample_search(p, provider, gen)
-    assert got.to_json_dict() == _reference_search(p, provider, iter(want[count:])).to_json_dict()
+    _assert_same_draws(list(itertools.islice(gen, pulled)), want[:pulled])
+    got = counterexample_search(SEARCH_P, SEARCH_PROVIDER, gen)
+    want = _reference_search(SEARCH_P, SEARCH_PROVIDER, iter(want[pulled:]))
+    assert got.to_json_dict() == want.to_json_dict()
 
 
-@pytest.mark.parametrize("count", _edges(0, ROWS_40 - 1, ROWS_40, DRAWS, DRAWS + 100))
+def _check_searches_after(n_max, n_draws, count):
+    for check in (_check_budgeted_search, _check_next_after_budget, _check_search_after_pulled):
+        check(n_max, n_draws, count)
+
+
+SEARCH_COUNTS = _edges(0, ROWS_40 - 1, ROWS_40, DRAWS, DRAWS + 100)
+
+
+@pytest.mark.parametrize("budget", SEARCH_COUNTS)
 @pytest.mark.usefixtures("cells")
-def test_budgeted_and_pulled_searches_at_block_edges(count):
+def test_search_budget_inside_a_draw_block(budget):
     for n_max in BLOCK_N_MAX:
-        _check_searches_after(n_max, DRAWS, count)
+        _check_budgeted_search(n_max, DRAWS, budget)
+
+
+@pytest.mark.parametrize("budget", SEARCH_COUNTS)
+@pytest.mark.usefixtures("cells")
+def test_next_after_a_budgeted_search_is_the_next_draw(budget):
+    for n_max in BLOCK_N_MAX:
+        _check_next_after_budget(n_max, DRAWS, budget)
+
+
+@pytest.mark.parametrize("pulled", SEARCH_COUNTS)
+@pytest.mark.usefixtures("cells")
+def test_search_after_pulled_pairs_matches_reference(pulled):
+    for n_max in BLOCK_N_MAX:
+        _check_search_after_pulled(n_max, DRAWS, pulled)
 
 
 @pytest.mark.parametrize("n_max", sorted({*BLOCK_N_MAX, 2, 1000, ONE_DRAW_N_MAX}))
