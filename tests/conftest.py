@@ -1,5 +1,7 @@
 import sys
 
+import pytest
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # Echo the acceptance criterion verdicts where they are visible even
@@ -10,3 +12,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def kernel_min(request, monkeypatch):
+    """jsonutil's cutoff for one test: the shipped _KERNEL_MIN, or the test's
+    param (1 sends every plain-float column through the decimal kernel)."""
+    import bjaudit.jsonutil as jsonutil
+
+    size = getattr(request, "param", jsonutil._KERNEL_MIN)
+    monkeypatch.setattr(jsonutil, "_KERNEL_MIN", size)
+    return size

@@ -103,6 +103,13 @@ def test_cli_stdout_matches_golden(name, argv):
     assert cli_stdout(argv).encode() == (GOLDEN / "out" / name).read_bytes()
 
 
+@pytest.mark.parametrize("kernel_min", [1], indirect=True)
+@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_stdout_matches_golden_through_the_kernel(kernel_min, name, argv):
+    # every plain-float column, however short, rendered by jsonutil's kernel
+    test_cli_stdout_matches_golden(name, argv)
+
+
 # CSV header names whose JSON list has another key
 JSON_KEY = {"t": "grid", "t_break": "breaks", "value": "values"}
 

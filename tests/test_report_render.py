@@ -7,12 +7,13 @@ must produce the same bytes as the per-item code kept here as the reference.
 
 import csv
 import io
+import json
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bjaudit.audit as audit_mod
@@ -45,6 +46,17 @@ def _ref_fmt_float(x, key):
     return format(x, ".17g")
 
 
+SHORT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _ref_string(s):
+    # a quote, a backslash and every control character U+0000..U+001F escaped
+    chars = (
+        SHORT_ESCAPES.get(c, f"\\u{ord(c):04x}" if ord(c) < 0x20 else c) for c in s
+    )
+    return '"' + "".join(chars) + '"'
+
+
 def _ref_encode(obj, out, indent, key=None):
     pad = "  " * indent
     if obj is None:
@@ -58,11 +70,7 @@ def _ref_encode(obj, out, indent, key=None):
     elif isinstance(obj, float):
         out.append(_ref_fmt_float(float(obj), key))
     elif isinstance(obj, str):
-        out.append(
-            '"'
-            + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-            + '"'
-        )
+        out.append(_ref_string(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -71,7 +79,7 @@ def _ref_encode(obj, out, indent, key=None):
         for i, (k, v) in enumerate(obj.items()):
             if not isinstance(k, str):
                 raise ValueError(f"JSON keys must be strings, got {k!r}")
-            out.append(f'{pad}  "{k}": ')
+            out.append(f"{pad}  {_ref_string(k)}: ")
             if infinite_param(k, v):
                 out.append('"inf"')
             else:
@@ -231,6 +239,18 @@ def test_dumps17_float_column_forms():
     assert dumps17([1.0, 2, True, None, np.float64(0.5)]) == "[1, 2, true, null, 0.5]"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), st.text() | st.lists(st.text(), max_size=3), max_size=5))
+def test_dumps17_strings_are_valid_json(doc):
+    # keys and values alike: a quote, a backslash and every control character
+    # are escaped, so json.loads reads the document back
+    assert json.loads(dumps17(doc)) == doc
+
+
+def test_dumps17_escapes_control_characters():
+    assert dumps17({'k"\t': "a\tb\x01\rc\x1f"}) == '{\n  "k\\"\\t": "a\\tb\\u0001\\rc\\u001f"\n}'
+
+
 # -- csv_text --------------------------------------------------------------------
 
 csv_cells = st.one_of(
@@ -323,18 +343,19 @@ def _non_finite_instance(bad):
     return sp, f
 
 
+WRITERS = [
+    lambda bad: csv_text(("a", "b"), ([1.0, bad], [None, 2.0])),
+    lambda bad: csv_text(("a",), ([1, np.float64(bad)],)),
+    lambda bad: matrix_csv_text(np.array([[1.0, complex(0, bad)], [complex(0, -bad), 1.0]])),
+    lambda bad: matrix_csv_text(np.array([[bad]])),
+    lambda bad: state_csv_text(np.array([1.0, bad])),
+    lambda bad: instance_csv_text(*_non_finite_instance(bad)),
+]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
-    "write",
-    [
-        lambda bad: csv_text(("a", "b"), ([1.0, bad], [None, 2.0])),
-        lambda bad: csv_text(("a",), ([1, np.float64(bad)],)),
-        lambda bad: matrix_csv_text(np.array([[1.0, complex(0, bad)], [complex(0, -bad), 1.0]])),
-        lambda bad: matrix_csv_text(np.array([[bad]])),
-        lambda bad: state_csv_text(np.array([1.0, bad])),
-        lambda bad: instance_csv_text(*_non_finite_instance(bad)),
-    ],
-    ids=["csv_text", "csv_text_mixed", "matrix_im", "matrix_re", "state", "instance"],
+    "write", WRITERS, ids=["csv_text", "csv_text_mixed", "matrix_im", "matrix_re", "state", "instance"]
 )
 def test_csv_writers_reject_non_finite(write, bad):
     with pytest.raises(NumericError, match=NON_FINITE):
@@ -414,3 +435,97 @@ def test_straddling_grid_edge_cases():
     got = straddling_grid(tiny)
     assert got.tobytes() == ref_straddling_grid(tiny).tobytes()
     assert (got > 0).all()
+
+
+# -- the decimal kernel ------------------------------------------------------------
+#
+# Float columns (and all-float CSV tables) of jsonutil._KERNEL_MIN values or
+# more are rendered by one vectorized kernel, which must write what
+# format(x, ".17g") and repr(x) write.
+
+
+def _edge_column(seed=0):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, 4000, dtype=np.uint64, endpoint=False).view(np.float64)
+    powers = np.array([2.0**k for k in range(-1074, 1024)] + [10.0**k for k in range(-323, 309)])
+    col = np.concatenate(
+        [
+            bits[np.isfinite(bits)],  # random 64-bit patterns
+            EDGE_FLOATS,
+            [0.0, -0.0, 1e-280, 1e280, 9.999999999999999e22, 1e23],
+            powers,
+            np.nextafter(powers, 0.0),
+            np.nextafter(powers, np.inf)[:-1],
+            5e-324 * rng.integers(1, 2**52, 200),  # subnormals
+            rng.uniform(1e15, 1e17, 500),
+            rng.integers(2**50, 2**53, 500) / 4.0,  # exact ties at 17 digits
+            np.arange(1000) / 10.0,
+            rng.uniform(0.0, 5.0, 1000),
+        ]
+    )
+    col = np.concatenate([col, -col])
+    return col[rng.permutation(col.size)].tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernel_writes_format_and_repr(seed):
+    col = _edge_column(seed)
+    assert len(col) >= jsonutil_mod._KERNEL_MIN
+    assert dumps17({"margin": col}) == '{\n  "margin": [' + ", ".join(format(x, ".17g") for x in col) + "]\n}"
+    half = len(col) // 2
+    lines = [f"{a!r},{b!r}" for a, b in zip(col[:half], col[half : 2 * half])]
+    assert csv_text(("a", "b"), (col[:half], col[half : 2 * half])) == "a,b\n" + "".join(x + "\n" for x in lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(finite, min_size=1, max_size=40), st.integers(0, 5))
+def test_kernel_matches_per_item_reference(values, extra):
+    # the drawn values repeated past the cutoff, one column per format
+    col = (values * (jsonutil_mod._KERNEL_MIN // len(values) + 1))[: jsonutil_mod._KERNEL_MIN + extra]
+    assert dumps17(col) == ref_dumps17(col)
+    assert csv_text(("t", "v"), (col, col[::-1])) == ref_csv_text(("t", "v"), (col, col[::-1]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernel_rejects_non_finite_by_name(bad):
+    col = [float(i) for i in range(2000)]
+    col[1500] = bad
+    with pytest.raises(NumericError) as got:
+        dumps17({"report": {"margin": col}})
+    assert str(got.value) == f"{NON_FINITE}: margin holds {bad!r}"
+    with pytest.raises(NumericError, match=f"^{NON_FINITE}$"):
+        dumps17([col])
+    with pytest.raises(NumericError) as got:
+        csv_text(("a", "b", "c"), (col[::-1], col, col))
+    assert str(got.value) == f"{NON_FINITE}: a holds {bad!r}"
+
+
+# the tests above, again with every plain-float column through the kernel
+THROUGH_THE_KERNEL = [
+    test_dumps17_matches_per_item_reference,
+    test_dumps17_rejects_non_finite_anywhere_in_a_float_column,
+    test_dumps17_float_column_forms,
+    test_csv_text_matches_per_item_reference,
+    test_csv_text_forms,
+    test_csv_text_strings_read_back,
+    test_instance_csv_round_trips_ids_that_need_quotes,
+]
+
+
+@pytest.mark.parametrize("kernel_min", [1], indirect=True)
+@pytest.mark.parametrize("test", THROUGH_THE_KERNEL, ids=[t.__name__ for t in THROUGH_THE_KERNEL])
+def test_every_float_column_through_the_kernel(kernel_min, test):
+    test()
+
+
+@pytest.mark.parametrize("kernel_min", [1], indirect=True)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_csv_writers_reject_non_finite_through_the_kernel(kernel_min, bad):
+    for write in WRITERS:
+        with pytest.raises(NumericError, match=NON_FINITE):
+            write(bad)
+
+
+@pytest.mark.parametrize("kernel_min", [1], indirect=True)
+def test_large_reports_match_per_item_reference_through_the_kernel(kernel_min, monkeypatch):
+    test_large_reports_match_per_item_reference(monkeypatch)
