@@ -99,16 +99,17 @@ class ConstantProvider:
         return 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuditReport:
-    """Pointwise audit of one inequality on one instance."""
+    """Pointwise audit of one inequality on one instance.  Its columns are read-only
+    1-D float64 arrays; reports compare by identity, so compare their tolist()."""
 
     inequality_name: str
     params: dict
-    grid: tuple  # t per point; None for scale-free (t-less) audits
-    lhs: tuple
-    rhs: tuple
-    margin: tuple
+    grid: np.ndarray | tuple  # t per point; (None,) for a scale-free (t-less) audit
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
     min_margin: float
     violated: bool
     witness_t: float | None
@@ -118,10 +119,10 @@ class AuditReport:
         return {
             "inequality_name": self.inequality_name,
             "params": self.params,
-            "grid": list(self.grid),
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-            "margin": list(self.margin),
+            "grid": self.grid,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "margin": self.margin,
             "min_margin": self.min_margin,
             "violated": self.violated,
             "witness_t": self.witness_t,
@@ -136,50 +137,50 @@ class AuditReport:
 
 
 def report_csv(doc: dict | None) -> tuple[tuple[str, ...], list]:
-    """The CSV header t,lhs,rhs,margin and columns of a report: the lists of its
+    """The CSV header t,lhs,rhs,margin and columns of a report: the columns of its
     JSON dict or its fields (uncopied), or no rows for None (an empty search)."""
     keys = ("grid", "lhs", "rhs", "margin")
     return ("t", *keys[1:]), [[] if doc is None else doc[k] for k in keys]
 
 
 def _build_report(name: str, params: dict, grid, lhs, rhs) -> AuditReport:
+    """Margins rhs - lhs on the array grid (None: one t-less point), made read-only."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     margin = rhs - lhs
     if np.isnan(margin).any():
         raise NumericError(f"a {name} margin is NaN, so the claim has no verdict")
-    margin = margin.tolist()
-    min_margin = min(margin)
+    i = int(np.argmin(margin))  # the first smallest margin
+    min_margin = float(margin[i])
     violated = min_margin < -_ABS_TOL
-    witness = None
-    if violated:
-        w = grid[margin.index(min_margin)]
-        witness = None if w is None else float(w)
+    for col in (lhs, rhs, margin) if grid is None else (grid, lhs, rhs, margin):
+        col.flags.writeable = False
     return AuditReport(
         inequality_name=name,
         params=params,
-        grid=tuple(grid),
-        lhs=tuple(lhs.tolist()),
-        rhs=tuple(rhs.tolist()),
-        margin=tuple(margin),
+        grid=(None,) if grid is None else grid,
+        lhs=lhs,
+        rhs=rhs,
+        margin=margin,
         min_margin=min_margin,
         violated=violated,
-        witness_t=witness,
+        witness_t=float(grid[i]) if violated and grid is not None else None,
     )
 
 
 def _pointwise_audit(name: str, params: dict, sf: StepFunction, grid, rhs_of) -> AuditReport:
     """f*(t) <= rhs_of(ts) at each t of the grid (None: straddling_grid(sf))."""
-    ts = np.atleast_1d(np.asarray(straddling_grid(sf) if grid is None else grid, dtype=float))
-    if ts.size == 0:
-        raise UsageError("audit grid must be nonempty")
+    # a caller's grid is copied, as the report's grid is made read-only
+    ts = straddling_grid(sf) if grid is None else np.array(grid, dtype=float, ndmin=1)
+    if ts.ndim != 1 or ts.size == 0:
+        raise UsageError("audit grid must be a nonempty 1-D sequence")
     if (ts <= 0).any() or not np.isfinite(ts).all():
         raise DomainError("audit grid entries must be positive finite reals")
     # A right-hand side past the float range is reported by the writers
     # (NumericError), so its overflow is no warning here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rhs = rhs_of(ts)
-    return _build_report(name, params, ts.tolist(), eval_step(sf, ts), rhs)
+    return _build_report(name, params, ts, eval_step(sf, ts), rhs)
 
 
 def audit_jackson(
@@ -230,7 +231,7 @@ def audit_bernstein_right(
     lhs = c_exact(p) * approx_quasinorm(sf, p.s, p.tau)
     mass_pow = _float_pow(sf.support_mass, p.s, f"||f||_0^s overflows at s={p.s!r}")
     rhs = mass_pow * sf.sup_value
-    return _build_report("bernstein_right", {"s": p.s, "tau": p.tau}, [None], [lhs], [rhs])
+    return _build_report("bernstein_right", {"s": p.s, "tau": p.tau}, None, [lhs], [rhs])
 
 
 def _weak_l1_constant(variant: str) -> float:

@@ -260,8 +260,8 @@ def cmd_spectral(args):
     model = spectral_measure(matrix, psi)
     rep = audit_spectral_bound(model, SPECTRAL_G[args.g], args.variant, _grid(args))
     out = rep.to_json_dict()
-    out["eigenvalues"] = model.eigenvalues.tolist()
-    out["weights"] = model.weights.tolist()
+    out["eigenvalues"] = model.eigenvalues
+    out["weights"] = model.weights
     return (out, *report_csv(out))
 
 

@@ -97,14 +97,15 @@ def invgauss_density(t, p: InvGaussParams | None = None):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemoResult:
-    """Tabulated curves plus run metadata for the demo pipeline."""
+    """Tabulated curves plus run metadata for the demo pipeline; the curves are
+    the Jackson report's read-only float64 columns, compared by identity."""
 
-    u_grid: tuple
-    f_star: tuple
-    e_value: tuple
-    jackson_bound: tuple
+    u_grid: np.ndarray
+    f_star: np.ndarray
+    e_value: np.ndarray
+    jackson_bound: np.ndarray
     quasinorm: float
     metadata: dict = field(repr=False)
     rearrangement: StepFunction = field(repr=False)
@@ -112,7 +113,7 @@ class DemoResult:
     def table(self) -> dict:
         """The tabulated columns by name, in CSV column order."""
         columns = (self.u_grid, self.f_star, self.e_value, self.jackson_bound)
-        return dict(zip(("u", "f_star", "e_value", "jackson_bound"), map(list, columns)))
+        return dict(zip(("u", "f_star", "e_value", "jackson_bound"), columns))
 
     def to_csv_text(self) -> str:
         table = self.table()

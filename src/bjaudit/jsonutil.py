@@ -8,11 +8,12 @@ CSV float is written with repr and read back with float(), so a finite float
 survives a CSV round trip bit for bit.  A JSON string, key or value, has its
 quote, backslash and control characters escaped.
 
-A column of plain floats is rendered in one pass: by a % format, or, from
-_KERNEL_MIN values on (a JSON list, or a CSV table of plain-float columns),
-by one vectorized decimal kernel in numpy.  The kernel writes the bytes that
-format(x, ".17g") and repr(x) write, and leaves each value it cannot certify
-to them.
+A column of floats (a list or tuple of plain floats, or a 1-D float64 numpy
+array, such as an audit report's columns) is rendered in one pass: by a %
+format, or, from _KERNEL_MIN values on (a JSON column, or a CSV table of
+float columns), by one vectorized decimal kernel in numpy.  The kernel writes
+the bytes that format(x, ".17g") and repr(x) write, and leaves each value it
+cannot certify to them.  Any other numpy array is refused with ValueError.
 
 Reports carry finite numbers only, in JSON and CSV alike: a NaN or infinity
 raises NumericError, naming the JSON key or CSV column that holds it, which
@@ -34,6 +35,7 @@ import math
 import operator
 import os
 import re
+import sys
 
 from .errors import NumericError, UsageError
 
@@ -64,6 +66,28 @@ def require_finite(values, name: str | None = None) -> None:
             raise NumericError(_NON_FINITE)
         bad = next(v for v in values if not math.isfinite(v))
         raise NumericError(f"{_NON_FINITE}: {name} holds {float(bad)!r}")
+
+
+def _float_array(obj) -> bool:
+    """Whether obj is a numpy array, which must be 1-D float64 (ValueError
+    otherwise).  numpy is looked up, not imported: without it no array exists,
+    and `bjaudit constants` runs without it."""
+    np = sys.modules.get("numpy")
+    if np is None or not isinstance(obj, np.ndarray):
+        return False
+    if type(obj) is not np.ndarray or obj.dtype != np.float64 or obj.ndim != 1:
+        raise ValueError(f"cannot serialize a {obj.ndim}-D {obj.dtype} {type(obj).__name__}")
+    return True
+
+
+def _float_column(col) -> bool:
+    """Whether col is a 1-D float64 array or holds plain floats only."""
+    return _float_array(col) or set(map(type, col)) == {float}
+
+
+def _floats(col):
+    """A float column's values as Python floats: an array's tolist(), else col."""
+    return col.tolist() if _float_array(col) else col
 
 
 # -- the decimal kernel: large float columns, digit for digit as format/repr --
@@ -153,20 +177,27 @@ def _decimal_digits(a, shortest: bool):
     m, b = np.frexp(a)
     above = np.ldexp(ph, b - 54)
     below = np.where(m == 0.5, above / 2, above)
+    # On [2^53, 1e17) a is an integer scaled by 10 or 1, so f, r, the spacing
+    # and each distance are exact, and a candidate at half a spacing is an
+    # exact tie: float() rounds it half to even, to a if a's significand is.
+    exact = (a >= 2.0**53) & (a < 1e17)
+    even = exact & (a.view(np.int64) % 2 == 0)
     rows = np.arange(a.size)
     for p in range(1, 17):  # drop p digits while a neighbour still reads back as a
         q = f // 10**p
         rem = f - q * 10**p
         down = rem + r
         up = (10**p - rem) - r
-        ok_down, ok_up = down < below, up < above
-        unsure = (np.abs(down - below) <= _TIE) | (np.abs(up - above) <= _TIE)
+        ok_down = (down < below) | even & (down == below)
+        ok_up = (up < above) | even & (up == above)
+        unsure = ~exact & ((np.abs(down - below) <= _TIE) | (np.abs(up - above) <= _TIE))
         unsure |= ok_down & ok_up & (np.abs(down - up) <= _TIE)
         ok[rows[unsure]] = False
         more = np.flatnonzero((ok_down | ok_up) & ~unsure)
         if not more.size:
             break
         rows, f, r, above, below = rows[more], f[more], r[more], above[more], below[more]
+        exact, even = exact[more], even[more]
         n[rows] = (q[more] + (ok_up & ~(ok_down & (down <= up)))[more]) * 10**p
     return n, e, ok & (n < _P17)
 
@@ -235,14 +266,15 @@ def _decimal_text(columns, names, shortest: bool, seps: list[bytes]) -> str:
     one."""
     import numpy as np
 
+    columns = [np.asarray(col, dtype=float) for col in columns]
     step = max(_CSV_CHUNK // len(columns), 1)
     text = bytearray()
-    for i in range(0, len(columns[0]), step):
-        block = np.array([col[i : i + step] for col in columns], dtype=float).T
+    for i in range(0, columns[0].size, step):
+        block = np.stack([col[i : i + step] for col in columns], axis=1)
         if not np.isfinite(block).all():
             for col, name in zip(columns, names):
                 require_finite(col, name)
-        text += _decimal_block(np.ascontiguousarray(block), shortest, seps)
+        text += _decimal_block(block, shortest, seps)
     return text.decode("ascii")
 
 
@@ -277,16 +309,17 @@ def _encode(obj, out: list[str], indent: int, key: str | None = None) -> None:
                 _encode(v, out, indent + 1, k)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple)) or _float_array(obj):
         if not len(obj):
             out.append("[]")
             return
-        if set(map(type, obj)) == {float}:
-            # A column of plain floats is rendered in one pass, byte for byte
-            # as the per-item path below would.
+        if _float_column(obj):
+            # A column of floats is rendered in one pass, byte for byte as
+            # the per-item path below would.
             if len(obj) >= _KERNEL_MIN:
                 text = _decimal_text([obj], [key], False, [b", "])
             else:
+                obj = _floats(obj)
                 require_finite(obj, key)
                 text = "%.17g, " * len(obj) % tuple(obj)
             out += ["[", text[:-2], "]"]
@@ -326,21 +359,24 @@ def csv_text(header, columns) -> str:
     """A header line of the names in `header`, then one line per row of the
     equal-length `columns`.  A float is written with repr and must be finite,
     None as an empty field, anything else with str, quoted as csv.writer's
-    QUOTE_MINIMAL would (and also on a CR)."""
+    QUOTE_MINIMAL would (and also on a CR).  A column may be a 1-D float64
+    array."""
     header, columns = tuple(header), list(columns)
     rows = len(columns[0]) if columns else 0
+    floats = list(map(_float_column, columns))
     if (
         rows * len(columns) >= _KERNEL_MIN
         and len(header) == len(columns)
         and all(len(col) == rows for col in columns)
-        and all(set(map(type, col)) == {float} for col in columns)
+        and all(floats)
     ):
         seps = [b","] * (len(columns) - 1) + [b"\n"]
         return ",".join(header) + "\n" + _decimal_text(columns, header, True, seps)
     specs, cells = [], []
-    for name, col in zip(header, columns, strict=True):
-        if set(map(type, col)) == {float}:
-            # A column of plain floats is checked and rendered in one pass.
+    for name, col, plain in zip(header, columns, floats, strict=True):
+        if plain:
+            # A column of floats is checked and rendered in one pass.
+            col = _floats(col)
             require_finite(col, name)
             specs.append("%r")
             cells.append(col)

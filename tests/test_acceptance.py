@@ -208,7 +208,7 @@ def test_criterion_08_demo_pipeline():
     dt = time.perf_counter() - t0
     fs = np.array(res.f_star)
     ok = bool(np.all(np.diff(fs) <= 0))
-    ok = ok and res.e_value == res.f_star
+    ok = ok and res.e_value.tolist() == res.f_star.tolist()
     ok = ok and all(e <= j + 1e-12 for e, j in zip(res.e_value, res.jackson_bound))
     ok = ok and res.metadata["quasinorm_rel_change"] < 1e-3
     ok = ok and res.to_csv_text().startswith("u,f_star,e_value,jackson_bound\n")

@@ -23,6 +23,7 @@ from bjaudit import (
     audit_bernstein_right,
     audit_jackson,
     audit_q2,
+    audit_spectral_bound,
     audit_weak_l1,
     counterexample_search,
     decreasing_rearrangement,
@@ -32,6 +33,7 @@ from bjaudit import (
     params_from_theta_q,
     instance_csv_text,
     random_atoms,
+    spectral_measure,
     straddling_grid,
 )
 from bjaudit import audit
@@ -46,6 +48,22 @@ def unit_indicator(mass=1.0):
         DiscreteMeasureSpace(weights=np.array([mass])),
         SimpleFunction(np.array([1.0])),
     )
+
+
+def _plain(obj):
+    """obj with each array (a report column) as its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    return obj
+
+
+def _doc(result):
+    """The repr of a report's or search result's JSON dict, columns as lists of
+    Python floats: exact, where numpy's repr shows 8 digits and elides arrays
+    past 1,000 items."""
+    return repr(_plain(result.to_json_dict()))
 
 
 def test_provider_kinds_and_normalization():
@@ -97,8 +115,8 @@ def test_jackson_zero_function():
     p = params_from_s_tau(1.0, 1.0)
     rep = audit_jackson(f, sp, p, ConstantProvider("paper-c"), [0.5, 1.0])
     assert not rep.violated
-    assert rep.lhs == (0.0, 0.0)
-    assert rep.rhs == (0.0, 0.0)
+    assert rep.lhs.tolist() == [0.0, 0.0]
+    assert rep.rhs.tolist() == [0.0, 0.0]
 
 
 def test_grid_validation():
@@ -107,6 +125,8 @@ def test_grid_validation():
     prov = ConstantProvider("unit")
     with pytest.raises(UsageError):
         audit_jackson(f, sp, p, prov, [])
+    with pytest.raises(UsageError):  # a report's columns are 1-D
+        audit_jackson(f, sp, p, prov, [[0.5, 1.0]])
     with pytest.raises(DomainError):
         audit_jackson(f, sp, p, prov, [0.0, 1.0])
     with pytest.raises(DomainError):
@@ -193,7 +213,7 @@ def test_q2_is_the_bigc_table_jackson_audit(theta, seed, log_grid):
 def test_q2_reference_instance_frozen():
     rep = audit_q2(REF_F, REF_SPACE, 1.0 / 3.0, [0.5, 1.0, 2.0, 3.0])
     assert rep.params["constant"] == pytest.approx(0.7520609181682899, rel=1e-14)
-    assert rep.lhs == (3.0, 3.0, 1.0, 1.0)
+    assert rep.lhs.tolist() == [3.0, 3.0, 1.0, 1.0]
     assert rep.rhs[0] == pytest.approx(40.16086794541033, rel=1e-12)
     assert rep.rhs[3] == pytest.approx(1.115579665150287, rel=1e-12)
     assert rep.min_margin == pytest.approx(0.11557966515028695, rel=1e-10)
@@ -400,7 +420,7 @@ def _check_budgeted_search(n_max, n_draws, budget):
     want = _reference_search(
         SEARCH_P, SEARCH_PROVIDER, _draw_by_draw_random_atoms(n_max, 41, n_draws), budget
     )
-    assert got.to_json_dict() == want.to_json_dict()
+    assert _doc(got) == _doc(want)
 
 
 def _check_next_after_budget(n_max, n_draws, budget):
@@ -420,7 +440,7 @@ def _check_search_after_pulled(n_max, n_draws, pulled):
     _assert_same_draws(list(itertools.islice(gen, pulled)), want[:pulled])
     got = counterexample_search(SEARCH_P, SEARCH_PROVIDER, gen)
     want = _reference_search(SEARCH_P, SEARCH_PROVIDER, iter(want[pulled:]))
-    assert got.to_json_dict() == want.to_json_dict()
+    assert _doc(got) == _doc(want)
 
 
 def _check_searches_after(n_max, n_draws, count):
@@ -596,7 +616,7 @@ def test_search_deterministic():
     prov = ConstantProvider("paper-with-factor")
     r1 = counterexample_search(p, prov, random_atoms(6, seed=12, n_draws=40))
     r2 = counterexample_search(p, prov, random_atoms(6, seed=12, n_draws=40))
-    assert r1.to_json_dict() == r2.to_json_dict()
+    assert _doc(r1) == _doc(r2)
     assert r1.n_instances == 40
 
 
@@ -630,6 +650,37 @@ def test_report_serialization():
     assert brows[1].startswith(",")
 
 
+def test_report_columns_are_read_only_float64_arrays():
+    p, provider = params_from_s_tau(1.0, 2.0), ConstantProvider("paper-c")
+    model = spectral_measure(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
+    grid = np.array([0.5, 2.0])
+    reports = [
+        audit_jackson(REF_F, REF_SPACE, p, provider),
+        audit_weak_l1(REF_F, REF_SPACE, "paper-2-over-pi", grid),
+        audit_q2(REF_F, REF_SPACE, 1.0 / 3.0),
+        audit_spectral_bound(model, None, "paper-2-over-pi"),
+        counterexample_search(p, provider, random_atoms(6, 3, 50)).report,
+        audit_bernstein_right(REF_F, REF_SPACE, p),
+    ]
+    for rep in reports:
+        columns = (rep.lhs, rep.rhs, rep.margin)
+        if rep.inequality_name != "bernstein_right":
+            columns += (rep.grid,)
+        for col in columns:
+            assert type(col) is np.ndarray and col.dtype == np.float64
+            assert col.shape == rep.margin.shape and col.ndim == 1
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 1.0
+    # a caller's grid is copied, and stays writable
+    assert reports[1].grid is not grid and grid.flags.writeable
+    # the t-less report: one point, t written as null and as an empty field
+    brep = reports[-1]
+    assert brep.grid == (None,) and brep.witness_t is None
+    assert '\n  "grid": [null],\n' in brep.to_json_text()
+    row = ",".join(repr(col.tolist()[0]) for col in (brep.lhs, brep.rhs, brep.margin))
+    assert brep.to_csv_text() == f"t,lhs,rhs,margin\n,{row}\n"
+
+
 # -- the screened counterexample search ---------------------------------------
 
 
@@ -648,7 +699,7 @@ def _reference_search(p, provider, draws, budget=None):
 def _outcome(fn, *args, **kwargs):
     # repr compares nan fields too; an exception is compared by type and text
     try:
-        return repr(fn(*args, **kwargs).to_json_dict())
+        return _doc(fn(*args, **kwargs))
     except (ArithmeticError, BJAuditError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -717,7 +768,7 @@ def test_search_matches_reference_on_random_atoms():
                 provider = ConstantProvider(kind)
                 got = counterexample_search(p, provider, random_atoms(n_max, 41, 250))
                 want = _reference_search(p, provider, random_atoms(n_max, 41, 250))
-                assert got.to_json_dict() == want.to_json_dict()
+                assert _doc(got) == _doc(want)
 
 
 # (s, tau, n_max, seed, n_draws) of random_atoms searches that reach the
@@ -1076,7 +1127,7 @@ def test_screen_certifies_close_breaks():
             for draws in (rows, [CLOSE_BREAKS] * 3, rows[:20] + [CLOSE_BREAKS], big):
                 got = counterexample_search(p, provider, iter(draws))
                 want = _reference_search(p, provider, iter(draws))
-                assert got.to_json_dict() == want.to_json_dict()
+                assert _doc(got) == _doc(want)
 
 
 def test_step_lookup_on_sorted_atoms_is_eval_step():
@@ -1167,7 +1218,7 @@ def test_search_does_not_audit_a_certified_first_draw_above_the_cut(monkeypatch)
     assert instance_csv_text(*block.pair(0)) not in audited
     assert 1 <= len(audited) <= (lo <= hi.min()).sum()
     want = _reference_search(p, provider, random_atoms(8, 41, SEARCH_ROWS_8))
-    assert got.to_json_dict() == want.to_json_dict()
+    assert _doc(got) == _doc(want)
 
 
 def test_search_uncertified_rows_do_not_set_the_cut():
@@ -1252,7 +1303,7 @@ def test_jackson_rhs_in_log_space_matches_mpmath():
     sp, f = _single(0.05, 1.0)
     p = params_from_s_tau(300.0, 2.0)
     rep = audit_jackson(f, sp, p, ConstantProvider("sharp-oracle"))
-    assert rep.lhs == (1.0, 1.0, 0.0, 0.0)
+    assert rep.lhs.tolist() == [1.0, 1.0, 0.0, 0.0]
     with mpmath.workdps(40):
         for t, rhs in zip(rep.grid, rep.rhs):
             want = (mpmath.mpf(0.05) / mpmath.mpf(t)) ** 300

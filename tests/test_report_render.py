@@ -123,6 +123,7 @@ def ref_csv_text(header, columns):
 
 
 def ref_build_report(name, params, grid, lhs, rhs):
+    grid = [None] if grid is None else [float(t) for t in grid]
     lhs = [float(x) for x in lhs]
     rhs = [float(x) for x in rhs]
     margin = [r - l for l, r in zip(lhs, rhs)]
@@ -131,7 +132,7 @@ def ref_build_report(name, params, grid, lhs, rhs):
     witness = None
     if violated:
         w = grid[margin.index(min_margin)]
-        witness = None if w is None else float(w)
+        witness = None if w is None else w
     return AuditReport(
         inequality_name=name,
         params=params,
@@ -389,17 +390,28 @@ def _texts(reports):
     return [(rep.to_json_text(), rep.to_csv_text()) for rep in reports]
 
 
+REPORT_COLUMNS = ("grid", "lhs", "rhs", "margin")
+
+
+def _fields(rep):
+    """The repr of a report's fields, each column as a list of Python floats:
+    exact, where numpy's repr shows 8 digits and elides long arrays."""
+    plain = {k: np.asarray(vars(rep)[k], dtype=float).tolist() for k in REPORT_COLUMNS}
+    return repr(vars(rep) | plain)
+
+
 def test_large_reports_match_per_item_reference(monkeypatch):
     reports = _large_reports()
     texts = _texts(reports)
     assert len(reports[0].grid) > 2000 and any(rep.violated for rep in reports)
     for rep in reports:
-        assert all(type(x) is float for x in rep.grid + rep.lhs + rep.rhs + rep.margin)
+        for col in map(vars(rep).get, REPORT_COLUMNS):
+            assert type(col) is np.ndarray and col.dtype == np.float64 and not col.flags.writeable
     monkeypatch.setattr(audit_mod, "_build_report", ref_build_report)
     monkeypatch.setattr(audit_mod, "straddling_grid", ref_straddling_grid)
     monkeypatch.setattr(audit_mod, "dumps17", ref_dumps17)
     refs = _large_reports()
-    assert reports == refs
+    assert [_fields(rep) for rep in reports] == [_fields(ref) for ref in refs]
     assert texts == _texts(refs)
 
 
@@ -459,6 +471,7 @@ def _edge_column(seed=0):
             5e-324 * rng.integers(1, 2**52, 200),  # subnormals
             rng.uniform(1e15, 1e17, 500),
             rng.integers(2**50, 2**53, 500) / 4.0,  # exact ties at 17 digits
+            rng.uniform(2.0**53, 1e17, 2000),  # integers, some half a spacing from a shorter one
             np.arange(1000) / 10.0,
             rng.uniform(0.0, 5.0, 1000),
         ]
@@ -475,6 +488,12 @@ def test_kernel_writes_format_and_repr(seed):
     half = len(col) // 2
     lines = [f"{a!r},{b!r}" for a, b in zip(col[:half], col[half : 2 * half])]
     assert csv_text(("a", "b"), (col[:half], col[half : 2 * half])) == "a,b\n" + "".join(x + "\n" for x in lines)
+    # on [2^53, 1e17) the scaling is exact and a tie is decided by round-half-even,
+    # so repr's digits are certified there, not left to repr
+    ints = np.abs(np.array(col))
+    ints = ints[(ints >= 2.0**53) & (ints < 1e17)]
+    assert ints.size >= 4000
+    assert jsonutil_mod._decimal_digits(ints, True)[2].all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -498,6 +517,55 @@ def test_kernel_rejects_non_finite_by_name(bad):
     with pytest.raises(NumericError) as got:
         csv_text(("a", "b", "c"), (col[::-1], col, col))
     assert str(got.value) == f"{NON_FINITE}: a holds {bad!r}"
+
+
+# -- float64 arrays: report columns -------------------------------------------------
+
+array_values = finite | st.sampled_from([1e300, -1e300, 1e-300, -1e-300])
+
+
+@pytest.mark.parametrize("kernel_min", [16, jsonutil_mod._KERNEL_MIN], indirect=True)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(array_values, min_size=1, max_size=40), st.data())
+def test_writers_take_float_arrays_as_lists(kernel_min, values, data):
+    # a column of 0, 1, cutoff - 1 or cutoff values, the drawn ones repeated
+    size = data.draw(st.sampled_from([0, 1, kernel_min - 1, kernel_min]))
+    a = np.resize(np.array(values), size)
+    b = a[::-1].copy()
+    for doc in (a, {"margin": a}, {"report": {"grid": a, "lhs": [a, 1]}}):
+        # doc with each array as its list (json round-trips finite floats exactly)
+        as_lists = json.loads(json.dumps(doc, default=np.ndarray.tolist))
+        assert dumps17(doc) == dumps17(as_lists) == ref_dumps17(as_lists)
+    for header, columns in ((("t",), (a,)), (("t", "v"), (a, b)), (("t", "v"), (a, b.tolist()))):
+        lists = [np.asarray(col).tolist() for col in columns]
+        assert csv_text(header, columns) == csv_text(header, lists) == ref_csv_text(header, lists)
+
+
+@pytest.mark.parametrize("kernel_min", [16], indirect=True)
+@pytest.mark.parametrize("size", [5, 40], ids=["below", "above"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writers_reject_non_finite_in_an_array(kernel_min, size, bad):
+    col = np.arange(size, dtype=float)
+    col[size // 2] = bad
+    with pytest.raises(NumericError) as got:
+        dumps17({"report": {"margin": col}})
+    assert str(got.value) == f"{NON_FINITE}: margin holds {bad!r}"
+    with pytest.raises(NumericError) as got:
+        csv_text(("a", "b"), (np.arange(size, dtype=float), col))
+    assert str(got.value) == f"{NON_FINITE}: b holds {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.arange(3), np.ones(3, np.float32), np.ones((2, 2)), np.zeros(0, np.int64), np.array(1.0)],
+    ids=["int64", "float32", "2-D", "empty-int64", "0-D"],
+)
+def test_writers_refuse_other_arrays(array):
+    with pytest.raises(ValueError, match="cannot serialize"):
+        dumps17({"grid": array})
+    if array.ndim:  # a 0-D array has no length, so it is no column
+        with pytest.raises(ValueError, match="cannot serialize"):
+            csv_text(("t",), (array,))
 
 
 # the tests above, again with every plain-float column through the kernel
