@@ -5,8 +5,9 @@ files, and --seed, and all JSON floats carry 17 significant digits.  Exit
 codes: 0 for success (a detected inequality violation is a result, so it
 also exits 0), 2 for usage or domain errors, 3 for numeric failures.
 
-Each cmd_* returns the JSON object and the CSV header and columns, lists
-taken from that object; main reads --format and renders once (jsonutil).
+Each cmd_* returns the JSON object and the CSV header and columns, taken
+from that object (a float column as a float64 array); main reads --format
+and renders once (jsonutil).
 Each cmd_* also imports the modules it uses when it runs, so a subcommand
 loads only its own layers; `constants` needs neither numpy nor the audit
 engine.
@@ -28,7 +29,6 @@ from .params import (
     ApproxParams,
     c_big,
     c_exact,
-    constant_consistency_report,
     n_factor_algebraic,
     n_factor_integral,
     params_from_s_tau,
@@ -149,11 +149,10 @@ def cmd_constants(args):
             out[key] = fn()
         except DomainError:
             out[key] = None
-    try:
-        rep = constant_consistency_report(p.theta, p.q)
-        out["consistency_abs_diff"] = rep["abs_diff"]
-    except DomainError:
-        out["consistency_abs_diff"] = None
+    # constant_consistency_report's abs_diff, which that report refuses at q = inf
+    table, consistency = out["c_big_table"], out["c_big_consistency"]
+    known = p.q < math.inf and None not in (table, consistency)
+    out["consistency_abs_diff"] = abs(table - consistency) if known else None
     return _kv_output(out)
 
 
@@ -164,8 +163,8 @@ def cmd_rearrange(args):
     sp, f = load_instance_csv(args.input)
     sf = decreasing_rearrangement(f, sp)
     out = {
-        "breaks": sf.breaks.tolist(),
-        "values": sf.values.tolist(),
+        "breaks": sf.breaks,
+        "values": sf.values,
         "support_mass": sf.support_mass,
         "sup_value": sf.sup_value,
     }
@@ -289,6 +288,8 @@ def cmd_demo_invgauss(args):
 
 
 def cmd_trig(args):
+    import numpy as np
+
     from .functionals import _trig_errors, load_trig_csv
 
     coeffs = load_trig_csv(args.input)
@@ -299,7 +300,7 @@ def cmd_trig(args):
     else:
         n_max = max((abs(int(k)) for k in coeffs), default=0) + 1
     ns = list(range(1, _within_limit("n_max", n_max) + 1))
-    es = _trig_errors(coeffs, ns)
+    es = np.array(_trig_errors(coeffs, ns))
     return {"n": ns, "e_value": es}, ("n", "e_value"), [ns, es]
 
 

@@ -8,12 +8,15 @@ CSV float is written with repr and read back with float(), so a finite float
 survives a CSV round trip bit for bit.  A JSON string, key or value, has its
 quote, backslash and control characters escaped.
 
-A column of floats (a list or tuple of plain floats, or a 1-D float64 numpy
-array, such as an audit report's columns) is rendered in one pass: by a %
-format, or, from _KERNEL_MIN values on (a JSON column, or a CSV table of
-float columns), by one vectorized decimal kernel in numpy.  The kernel writes
-the bytes that format(x, ".17g") and repr(x) write, and leaves each value it
-cannot certify to them.  Any other numpy array is refused with ValueError.
+A float column is a 1-D float64 numpy array, such as an audit report's
+columns.  It is checked and rendered in one pass by _decimal_text: by one %
+format pass, or, from _KERNEL_MIN values on (a JSON column, a CSV table of
+float columns, or one float column of any other table), by one vectorized
+decimal kernel in numpy.  The kernel writes the bytes that format(x, ".17g")
+and repr(x) write, and leaves each value it cannot certify to them.  A list
+or tuple of floats is no float column: it is written item by item, to the
+same bytes as the array of its values.  Any other numpy array is refused with
+ValueError.
 
 Reports carry finite numbers only, in JSON and CSV alike: a NaN or infinity
 raises NumericError, naming the JSON key or CSV column that holds it, which
@@ -55,7 +58,7 @@ _PARAM_KEYS = frozenset(("theta", "q", "s", "tau"))
 
 def infinite_param(key: str, value) -> bool:
     """True for an echoed parameter that is +inf, the one allowed non-finite."""
-    return key in _PARAM_KEYS and value == math.inf
+    return key in _PARAM_KEYS and isinstance(value, float) and value == math.inf
 
 
 def require_finite(values, name: str | None = None) -> None:
@@ -80,16 +83,6 @@ def _float_array(obj) -> bool:
     return True
 
 
-def _float_column(col) -> bool:
-    """Whether col is a 1-D float64 array or holds plain floats only."""
-    return _float_array(col) or set(map(type, col)) == {float}
-
-
-def _floats(col):
-    """A float column's values as Python floats: an array's tolist(), else col."""
-    return col.tolist() if _float_array(col) else col
-
-
 # -- the decimal kernel: large float columns, digit for digit as format/repr --
 #
 # x·10^(16-e), with e = floor(log10 |x|), is formed as a double-double (Dekker
@@ -102,7 +95,13 @@ def _floats(col):
 # character position per row, left at NUL where a value has no character there,
 # and the NULs are deleted at the end.
 
-_KERNEL_MIN = 1024  # values in a float column or table from which the kernel pays
+# _decimal_text uses the kernel from _KERNEL_MIN values on.  Warm (best of 50,
+# 2-vCPU Xeon VM), the kernel overtakes the % pass between 300 and 512 values
+# of a JSON column (0.37 vs 0.54 ms at 1,023) and at about 200 rows of a
+# 4-column CSV.  Its first call in a process builds _kernel_tables() (2.7-4 ms),
+# so a one-shot CLI run gains only from about 2e4 values (3.5 vs 0.6 ms at
+# 1,024); 1,024 keeps that build off such a run's small outputs.
+_KERNEL_MIN = 1024
 _TIE = 2.0**-20
 _KMIN, _KMAX = -265, 297  # the powers 10^k that |x| in [1e-280, 1e280] needs
 _SPLITTER = 134217729.0  # 2^27 + 1
@@ -259,15 +258,22 @@ def _decimal_block(x, shortest: bool, seps: list[bytes]) -> bytes:
     return text.T.tobytes().translate(None, b"\0")
 
 
-def _decimal_text(columns, names, shortest: bool, seps: list[bytes]) -> str:
-    """The equal-length float columns written row by row, each value followed
-    by its column's separator, about _CSV_CHUNK values at a time.  A
-    non-finite value raises NumericError naming the first column that holds
-    one."""
+def _decimal_text(columns, names, shortest: bool, seps: list[str]) -> str:
+    """The equal-length float64 array columns written row by row, each value
+    followed by its column's separator, as %.17g (or repr, if shortest) would
+    write it: by one % pass below _KERNEL_MIN values, else by the decimal
+    kernel, about _CSV_CHUNK values at a time.  A non-finite value raises
+    NumericError naming the first column that holds one."""
+    if len(columns) * len(columns[0]) < _KERNEL_MIN:
+        cells = [col.tolist() for col in columns]
+        for col, name in zip(cells, names):
+            require_finite(col, name)
+        line = "".join(("%r" if shortest else "%.17g") + sep for sep in seps)
+        return line * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells)))
     import numpy as np
 
-    columns = [np.asarray(col, dtype=float) for col in columns]
     step = max(_CSV_CHUNK // len(columns), 1)
+    seps = [sep.encode() for sep in seps]
     text = bytearray()
     for i in range(0, columns[0].size, step):
         block = np.stack([col[i : i + step] for col in columns], axis=1)
@@ -309,20 +315,13 @@ def _encode(obj, out: list[str], indent: int, key: str | None = None) -> None:
                 _encode(v, out, indent + 1, k)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)) or _float_array(obj):
-        if not len(obj):
+    elif _float_array(obj):
+        # A float column is rendered in one pass, byte for byte as the
+        # per-item path below would write its tolist().
+        out += ["[", _decimal_text([obj], [key], False, [", "])[:-2], "]"]
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
             out.append("[]")
-            return
-        if _float_column(obj):
-            # A column of floats is rendered in one pass, byte for byte as
-            # the per-item path below would.
-            if len(obj) >= _KERNEL_MIN:
-                text = _decimal_text([obj], [key], False, [b", "])
-            else:
-                obj = _floats(obj)
-                require_finite(obj, key)
-                text = "%.17g, " * len(obj) % tuple(obj)
-            out += ["[", text[:-2], "]"]
             return
         out.append("[")
         for i, v in enumerate(obj):
@@ -360,31 +359,26 @@ def csv_text(header, columns) -> str:
     equal-length `columns`.  A float is written with repr and must be finite,
     None as an empty field, anything else with str, quoted as csv.writer's
     QUOTE_MINIMAL would (and also on a CR).  A column may be a 1-D float64
-    array."""
+    array: _decimal_text renders a table of such columns alone row by row, and
+    otherwise each one on its own."""
     header, columns = tuple(header), list(columns)
-    rows = len(columns[0]) if columns else 0
-    floats = list(map(_float_column, columns))
+    arrays = list(map(_float_array, columns))
     if (
-        rows * len(columns) >= _KERNEL_MIN
+        columns
+        and all(arrays)
         and len(header) == len(columns)
-        and all(len(col) == rows for col in columns)
-        and all(floats)
+        and all(len(col) == len(columns[0]) for col in columns)
     ):
-        seps = [b","] * (len(columns) - 1) + [b"\n"]
+        seps = [","] * (len(columns) - 1) + ["\n"]
         return ",".join(header) + "\n" + _decimal_text(columns, header, True, seps)
-    specs, cells = [], []
-    for name, col, plain in zip(header, columns, floats, strict=True):
-        if plain:
-            # A column of floats is checked and rendered in one pass.
-            col = _floats(col)
-            require_finite(col, name)
-            specs.append("%r")
-            cells.append(col)
-        else:
-            specs.append("%s")
-            cells.append(_csv_quoted([_csv_cell(v, name) for v in col]))
+    cells = [
+        _decimal_text([col], [name], True, ["\n"]).splitlines()
+        if array
+        else _csv_quoted([_csv_cell(v, name) for v in col])
+        for name, col, array in zip(header, columns, arrays, strict=True)
+    ]
     rows = zip(*cells, strict=True)
-    line = ",".join(specs) + "\n"
+    line = ",".join(["%s"] * len(cells)) + "\n"
     out = [",".join(header) + "\n"]
     # One format pass per _CSV_CHUNK rows keeps each argument tuple small.
     while chunk := tuple(itertools.chain.from_iterable(itertools.islice(rows, _CSV_CHUNK))):

@@ -186,5 +186,4 @@ def load_instance_csv(path_or_text: str) -> tuple[DiscreteMeasureSpace, SimpleFu
 
 def instance_csv_text(sp: DiscreteMeasureSpace, f: SimpleFunction) -> str:
     _check_aligned(f, sp)
-    columns = (sp.atom_ids, sp.weights.tolist(), f.magnitudes.tolist())
-    return csv_text(_INSTANCE_CSV, columns)
+    return csv_text(_INSTANCE_CSV, (sp.atom_ids, sp.weights, f.magnitudes))

@@ -191,13 +191,13 @@ def approx_quasinorm(sf: StepFunction, s: float, tau: float) -> float:
     return math.exp(log_q)
 
 
-def step_csv(breaks: list, values: list) -> tuple[tuple[str, str], list]:
-    """The CSV header t_break,value and columns of a step function's breaks and
-    values: each value holds on [t_break, next break), and a final row (the
-    last break, 0.0) marks where the function falls to zero; the zero
-    function's one row is 0.0,0.0."""
-    return ("t_break", "value"), [breaks, values + [0.0]]
+def step_csv(breaks: np.ndarray, values: np.ndarray) -> tuple[tuple[str, str], list]:
+    """The CSV header t_break,value and float64 array columns of a step
+    function's breaks and values: each value holds on [t_break, next break),
+    and a final row (the last break, 0.0) marks where the function falls to
+    zero; the zero function's one row is 0.0,0.0."""
+    return ("t_break", "value"), [breaks, np.append(values, 0.0)]
 
 
 def step_csv_text(sf: StepFunction) -> str:
-    return csv_text(*step_csv(sf.breaks.tolist(), sf.values.tolist()))
+    return csv_text(*step_csv(sf.breaks, sf.values))

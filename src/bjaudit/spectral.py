@@ -224,11 +224,12 @@ def matrix_csv_text(matrix) -> str:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix must be square, got shape {a.shape}")
-    rows, cols = np.divmod(np.arange(a.size), a.shape[0])
-    columns = (rows.tolist(), cols.tolist(), a.real.ravel().tolist(), a.imag.ravel().tolist())
+    n = a.shape[0]
+    rows = [i for i in range(n) for _ in range(n)]
+    columns = (rows, [*range(n)] * n, a.real.ravel(), a.imag.ravel())
     return csv_text(_MATRIX_CSV, columns)
 
 
 def state_csv_text(psi) -> str:
     v = np.asarray(psi, dtype=complex).ravel()
-    return csv_text(_STATE_CSV, (range(v.size), v.real.tolist(), v.imag.tolist()))
+    return csv_text(_STATE_CSV, (range(v.size), v.real, v.imag))

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 import bjaudit
+import bjaudit.cli as cli_mod
+import bjaudit.params as params_mod
 from bjaudit import DomainError, NumericError, QuadratureError, UsageError
 from bjaudit.cli import main, parse_grid
+from bjaudit.params import c_big, constant_consistency_report
 
 UNIT_INDICATOR = "atom_id,weight,magnitude\na0,1.0,1.0\n"
 REF_INSTANCE = (
@@ -88,6 +91,28 @@ def test_constants_csv_infinite_tau(capsys):
     as_map = dict(line.split(",", 1) for line in lines[1:])
     assert as_map["c_exact"] == "1.0"
     assert as_map["n_algebraic"] == ""  # undefined at q = inf
+
+
+def test_constants_computes_each_constant_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return c_big(*args)
+
+    monkeypatch.setattr(cli_mod, "c_big", counted)
+    monkeypatch.setattr(params_mod, "c_big", counted)
+    code, out, err = run(capsys, ["constants", "--theta", "0.3", "--q", "3"])
+    assert (code, err) == (0, "") and len(calls) == 2  # table and consistency
+    monkeypatch.undo()
+    # the report's abs_diff, bit for bit, from the two values the run reports
+    assert json.loads(out)["consistency_abs_diff"] == constant_consistency_report(0.3, 3.0)["abs_diff"]
+    # q = inf: the report raises DomainError there, so there is no difference
+    code, out, err = run(capsys, ["constants", "--theta", "0.5", "--q", "inf"])
+    assert code == 0 and '"consistency_abs_diff": null' in out
+    assert json.loads(out)["c_big_table"] is not None
+    code, out, err = run(capsys, ["constants", "--theta", "0.5", "--q", "inf", "--format", "csv"])
+    assert code == 0 and "\nconsistency_abs_diff,\n" in out
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """Bulk report rendering against per-item reference implementations.
 
-dumps17 and csv_text render a column of plain floats in one format pass,
-audit reports are built from arrays, and straddling_grid is vectorized.  Each
-must produce the same bytes as the per-item code kept here as the reference.
+dumps17 and csv_text render a float64 array column in one pass, audit reports
+are built from arrays, and straddling_grid is vectorized.  Each must produce
+the same bytes as the per-item code kept here as the reference, which writes
+an array as its tolist().
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -17,7 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bjaudit.audit as audit_mod
+import bjaudit.cli as cli_mod
 import bjaudit.jsonutil as jsonutil_mod
+import bjaudit.measures as measures_mod
+import bjaudit.rearrange as rearrange_mod
+import bjaudit.spectral as spectral_mod
 from bjaudit import (
     ConstantProvider,
     DiscreteMeasureSpace,
@@ -29,9 +35,10 @@ from bjaudit import (
     straddling_grid,
 )
 from bjaudit.audit import AuditReport
+from bjaudit.functionals import e_functional_trig, load_trig_csv
 from bjaudit.jsonutil import csv_text, dumps17, infinite_param
 from bjaudit.measures import instance_csv_text, load_instance_csv
-from bjaudit.rearrange import EMPTY_STEP, StepFunction
+from bjaudit.rearrange import EMPTY_STEP, StepFunction, decreasing_rearrangement, step_csv_text
 from bjaudit.spectral import matrix_csv_text, state_csv_text
 
 NON_FINITE = "reports must not contain NaN or infinity"
@@ -86,6 +93,8 @@ def _ref_encode(obj, out, indent, key=None):
                 _ref_encode(v, out, indent + 1, k)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
+    elif isinstance(obj, np.ndarray):
+        _ref_encode(obj.tolist(), out, indent, key)
     elif isinstance(obj, (list, tuple)):
         if not len(obj):
             out.append("[]")
@@ -189,8 +198,9 @@ params = st.dictionaries(
     st.sampled_from(["theta", "q", "s", "tau", "constant", "provider"]),
     finite | st.just(math.inf) | st.text(max_size=4),
 )
+float_arrays = st.lists(finite, max_size=40).map(lambda xs: np.array(xs, dtype=float))
 documents = st.recursive(
-    st.lists(finite, max_size=40) | st.lists(scalars, max_size=12) | scalars | params,
+    st.lists(finite, max_size=40) | float_arrays | st.lists(scalars, max_size=12) | scalars | params,
     lambda inner: st.lists(inner, max_size=4)
     | st.tuples(inner, inner)
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
@@ -218,21 +228,25 @@ def test_dumps17_matches_per_item_reference(doc):
     st.data(),
 )
 def test_dumps17_rejects_non_finite_anywhere_in_a_float_column(col, bad, data):
+    # finite, the column is written as the reference writes it
+    assert dumps17(np.array(col)) == ref_dumps17(col)
     col.insert(data.draw(st.integers(0, len(col))), bad)
-    for doc in (col, tuple(col), {"margin": col}, {"tau": col}, [col]):
+    a = np.array(col)
+    for doc in (col, tuple(col), a, {"margin": col}, {"tau": col}, {"tau": a}, [col], [a]):
         with pytest.raises(NumericError, match=NON_FINITE):
             dumps17(doc)
     # under a key, the message names the key and the value
-    with pytest.raises(NumericError) as got:
-        dumps17({"report": {"margin": col}})
-    assert str(got.value) == f"{NON_FINITE}: margin holds {bad!r}"
+    for column in (col, a):
+        with pytest.raises(NumericError) as got:
+            dumps17({"report": {"margin": column}})
+        assert str(got.value) == f"{NON_FINITE}: margin holds {bad!r}"
 
 
 def test_dumps17_float_column_forms():
-    assert dumps17([1.0]) == "[1]"
-    assert dumps17((0.1, -0.0, 5e-324)) == (
-        "[0.10000000000000001, -0, 4.9406564584124654e-324]"
-    )
+    assert dumps17([1.0]) == dumps17(np.array([1.0])) == "[1]"
+    for col in ((0.1, -0.0, 5e-324), np.array([0.1, -0.0, 5e-324])):
+        assert dumps17(col) == "[0.10000000000000001, -0, 4.9406564584124654e-324]"
+    assert dumps17(np.array([1.7976931348623157e308])) == "[1.7976931348623157e+308]"
     assert dumps17([1.7976931348623157e308]) == "[1.7976931348623157e+308]"
     # an infinite echoed parameter stays the one allowed non-finite
     assert dumps17({"tau": math.inf, "s": 1.0}) == '{\n  "tau": "inf",\n  "s": 1\n}'
@@ -271,26 +285,37 @@ csv_cells = st.one_of(
     st.data(),
 )
 def test_csv_text_matches_per_item_reference(n_rows, plain, chunk, data):
-    # a column is all plain floats (the one-pass path) or of mixed cells, and
-    # the rows are formatted `chunk` at a time
+    # a column is all plain floats, as a list or as a float64 array (the
+    # one-pass path), or of mixed cells, and the rows are formatted `chunk`
+    # at a time
     columns = [
         data.draw(st.lists(finite if p else csv_cells, min_size=n_rows, max_size=n_rows))
         for p in plain
     ]
+    given = [
+        np.array(col, dtype=float) if p and data.draw(st.booleans()) else col
+        for col, p in zip(columns, plain)
+    ]
     header = [f"c{i}" for i in range(len(columns))]
     with mock.patch.object(jsonutil_mod, "_CSV_CHUNK", chunk):
-        assert csv_text(header, columns) == ref_csv_text(header, columns)
+        assert csv_text(header, given) == ref_csv_text(header, columns)
 
 
 def test_csv_text_forms():
-    assert csv_text(("t", "v"), ([], [])) == "t,v\n"
+    assert csv_text(("t", "v"), ([], [])) == csv_text(("t", "v"), (np.zeros(0), np.zeros(0))) == "t,v\n"
     assert csv_text(("t", "v"), ([None, 0.1], ["inf", 5e-324])) == "t,v\n,inf\n0.1,5e-324\n"
-    with pytest.raises(ValueError):
-        csv_text(("a", "b"), ([1.0], [1.0, 2.0]))
-    for b_col in ([3.0, math.inf], [None, math.inf]):
-        with pytest.raises(NumericError) as got:
-            csv_text(("a", "b"), ([1.0, 2.0], b_col))
-        assert str(got.value) == f"{NON_FINITE}: b holds inf"
+    assert csv_text(("t", "v"), (np.array([-0.0, 0.1]), np.array([5e-324, 1e16]))) == (
+        "t,v\n-0.0,5e-324\n0.1,1e+16\n"
+    )
+    assert csv_text(("t", "v"), (["x", None], np.array([0.1, 5e-324]))) == "t,v\nx,0.1\n,5e-324\n"
+    for a_col, b_col in (([1.0], [1.0, 2.0]), (np.ones(1), np.ones(2)), (["x"], np.ones(2))):
+        with pytest.raises(ValueError):
+            csv_text(("a", "b"), (a_col, b_col))
+    for b_col in ([3.0, math.inf], [None, math.inf], np.array([3.0, math.inf])):
+        for a_col in ([1.0, 2.0], np.array([1.0, 2.0]), ["x", "y"]):
+            with pytest.raises(NumericError) as got:
+                csv_text(("a", "b"), (a_col, b_col))
+            assert str(got.value) == f"{NON_FINITE}: b holds inf"
 
 
 def _stdlib_csv_text(header, columns):
@@ -316,12 +341,12 @@ def test_csv_text_quotes_strings_as_csv_writer(rows):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=8))
 def test_csv_text_strings_read_back(ids):
-    mags = [float(i) for i in range(len(ids))]
+    mags = np.arange(len(ids), dtype=float) / 3
     text = csv_text(("atom_id", "magnitude"), (ids, mags))
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["atom_id", "magnitude"]
     assert [row[0] for row in rows[1:]] == ids
-    assert [float(row[1]) for row in rows[1:]] == mags
+    assert [float(row[1]) for row in rows[1:]] == mags.tolist()
 
 
 def test_instance_csv_round_trips_ids_that_need_quotes():
@@ -451,9 +476,18 @@ def test_straddling_grid_edge_cases():
 
 # -- the decimal kernel ------------------------------------------------------------
 #
-# Float columns (and all-float CSV tables) of jsonutil._KERNEL_MIN values or
-# more are rendered by one vectorized kernel, which must write what
+# Float64 array columns (and all-float CSV tables) of jsonutil._KERNEL_MIN
+# values or more are rendered by one vectorized kernel, which must write what
 # format(x, ".17g") and repr(x) write.
+
+
+@contextlib.contextmanager
+def through_the_kernel():
+    """Fails unless the decimal kernel, jsonutil._decimal_block, ran inside."""
+    block = jsonutil_mod._decimal_block
+    with mock.patch.object(jsonutil_mod, "_decimal_block", wraps=block) as spy:
+        yield
+    assert spy.called, "no float column reached the decimal kernel"
 
 
 def _edge_column(seed=0):
@@ -483,11 +517,14 @@ def _edge_column(seed=0):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_kernel_writes_format_and_repr(seed):
     col = _edge_column(seed)
+    a = np.array(col)
     assert len(col) >= jsonutil_mod._KERNEL_MIN
-    assert dumps17({"margin": col}) == '{\n  "margin": [' + ", ".join(format(x, ".17g") for x in col) + "]\n}"
     half = len(col) // 2
-    lines = [f"{a!r},{b!r}" for a, b in zip(col[:half], col[half : 2 * half])]
-    assert csv_text(("a", "b"), (col[:half], col[half : 2 * half])) == "a,b\n" + "".join(x + "\n" for x in lines)
+    lines = [f"{x!r},{y!r}" for x, y in zip(col[:half], col[half : 2 * half])]
+    with through_the_kernel():
+        assert dumps17({"margin": a}) == '{\n  "margin": [' + ", ".join(format(x, ".17g") for x in col) + "]\n}"
+    with through_the_kernel():
+        assert csv_text(("a", "b"), (a[:half], a[half : 2 * half])) == "a,b\n" + "".join(x + "\n" for x in lines)
     # on [2^53, 1e17) the scaling is exact and a tie is decided by round-half-even,
     # so repr's digits are certified there, not left to repr
     ints = np.abs(np.array(col))
@@ -501,20 +538,25 @@ def test_kernel_writes_format_and_repr(seed):
 def test_kernel_matches_per_item_reference(values, extra):
     # the drawn values repeated past the cutoff, one column per format
     col = (values * (jsonutil_mod._KERNEL_MIN // len(values) + 1))[: jsonutil_mod._KERNEL_MIN + extra]
-    assert dumps17(col) == ref_dumps17(col)
-    assert csv_text(("t", "v"), (col, col[::-1])) == ref_csv_text(("t", "v"), (col, col[::-1]))
+    a = np.array(col)
+    with through_the_kernel():
+        assert dumps17(a) == ref_dumps17(col)
+    with through_the_kernel():
+        assert csv_text(("t", "v"), (a, a[::-1])) == ref_csv_text(("t", "v"), (col, col[::-1]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_kernel_rejects_non_finite_by_name(bad):
-    col = [float(i) for i in range(2000)]
-    col[1500] = bad
-    with pytest.raises(NumericError) as got:
+    # past the first _CSV_CHUNK values, so the kernel writes a block before
+    # it meets the bad value
+    col = np.arange(6000, dtype=float)
+    col[4500] = bad
+    with through_the_kernel(), pytest.raises(NumericError) as got:
         dumps17({"report": {"margin": col}})
     assert str(got.value) == f"{NON_FINITE}: margin holds {bad!r}"
-    with pytest.raises(NumericError, match=f"^{NON_FINITE}$"):
+    with through_the_kernel(), pytest.raises(NumericError, match=f"^{NON_FINITE}$"):
         dumps17([col])
-    with pytest.raises(NumericError) as got:
+    with through_the_kernel(), pytest.raises(NumericError) as got:
         csv_text(("a", "b", "c"), (col[::-1], col, col))
     assert str(got.value) == f"{NON_FINITE}: a holds {bad!r}"
 
@@ -568,7 +610,7 @@ def test_writers_refuse_other_arrays(array):
             csv_text(("t",), (array,))
 
 
-# the tests above, again with every plain-float column through the kernel
+# the tests above, again with every float64 array column through the kernel
 THROUGH_THE_KERNEL = [
     test_dumps17_matches_per_item_reference,
     test_dumps17_rejects_non_finite_anywhere_in_a_float_column,
@@ -583,7 +625,8 @@ THROUGH_THE_KERNEL = [
 @pytest.mark.parametrize("kernel_min", [1], indirect=True)
 @pytest.mark.parametrize("test", THROUGH_THE_KERNEL, ids=[t.__name__ for t in THROUGH_THE_KERNEL])
 def test_every_float_column_through_the_kernel(kernel_min, test):
-    test()
+    with through_the_kernel():
+        test()
 
 
 @pytest.mark.parametrize("kernel_min", [1], indirect=True)
@@ -597,3 +640,82 @@ def test_csv_writers_reject_non_finite_through_the_kernel(kernel_min, bad):
 @pytest.mark.parametrize("kernel_min", [1], indirect=True)
 def test_large_reports_match_per_item_reference_through_the_kernel(kernel_min, monkeypatch):
     test_large_reports_match_per_item_reference(monkeypatch)
+
+
+# -- the writers' callers hand float columns over as arrays -------------------------
+
+
+def _holds_float_list(obj) -> bool:
+    """Whether obj holds a list or tuple of two or more plain floats."""
+    if isinstance(obj, dict):
+        return any(map(_holds_float_list, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        floats = len(obj) >= 2 and all(type(v) is float for v in obj)
+        return floats or any(map(_holds_float_list, obj))
+    return False
+
+
+@pytest.fixture
+def arrays_only(monkeypatch):
+    """dumps17 and csv_text, in every module that writes with them, fail on a
+    list or tuple of plain floats: a float column must come as an array."""
+
+    def guarded(write):
+        def check(*args):
+            assert not _holds_float_list(args), f"a list of floats reached {write.__name__}"
+            return write(*args)
+
+        return check
+
+    for mod in (cli_mod, rearrange_mod, measures_mod, spectral_mod):
+        for name in ("dumps17", "csv_text"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, guarded(getattr(jsonutil_mod, name)))
+
+
+def test_arrays_only_catches_a_float_list(arrays_only):
+    with pytest.raises(AssertionError, match="a list of floats reached csv_text"):
+        rearrange_mod.csv_text(("t", "v"), ([0.0, 1.0], np.ones(2)))
+    with pytest.raises(AssertionError, match="a list of floats reached dumps17"):
+        cli_mod.dumps17({"report": {"grid": (0.5, 1.0)}})
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2000])
+def test_rearrange_writers_hand_over_arrays(arrays_only, n_steps, tmp_path, capsys):
+    # the zero function (its one row 0.0,0.0), one step, and 2,000 steps,
+    # which the kernel writes; bytes as the reference writes the lists
+    mags = np.arange(n_steps, 0, -1, dtype=float) / 7 if n_steps else np.zeros(3)
+    sp = DiscreteMeasureSpace(weights=np.linspace(0.5, 2.0, mags.size))
+    f = SimpleFunction(mags)
+    path = tmp_path / "inst.csv"
+    path.write_text(instance_csv_text(sp, f))
+    sf = decreasing_rearrangement(f, sp)
+    breaks, values = sf.breaks.tolist(), sf.values.tolist()
+    assert len(values) == n_steps
+    ref_steps = ref_csv_text(("t_break", "value"), (breaks, values + [0.0]))
+    assert n_steps or ref_steps == "t_break,value\n0.0,0.0\n"
+    doc = {"breaks": breaks, "values": values, "support_mass": sf.support_mass, "sup_value": sf.sup_value}
+    for fmt, ref in (("csv", ref_steps), ("json", ref_dumps17(doc) + "\n")):
+        assert cli_mod.main(["rearrange", "--input", str(path), "--format", fmt]) == 0
+        assert capsys.readouterr().out == ref
+    assert step_csv_text(sf) == ref_steps
+    ref_instance = (sp.atom_ids, sp.weights.tolist(), mags.tolist())
+    assert path.read_text() == ref_csv_text(("atom_id", "weight", "magnitude"), ref_instance)
+
+
+def test_trig_and_spectral_writers_hand_over_arrays(arrays_only, tmp_path, capsys):
+    path = tmp_path / "coef.csv"
+    path.write_text("k,re,im\n-2,0.5,0.25\n0,1.0,0.0\n1,0.1,-0.3\n3,1e-3,2e-3\n")
+    coeffs = load_trig_csv(str(path))
+    ns = [1, 2, 3, 4]
+    es = [e_functional_trig(coeffs, n) for n in ns]
+    refs = (("csv", ref_csv_text(("n", "e_value"), (ns, es))), ("json", ref_dumps17({"n": ns, "e_value": es}) + "\n"))
+    for fmt, ref in refs:
+        assert cli_mod.main(["trig", "--input", str(path), "--format", fmt]) == 0
+        assert capsys.readouterr().out == ref
+    a = np.array([[1.0, 0.5 - 2j], [0.5 + 2j, -0.1]])
+    ref_matrix = ([0, 0, 1, 1], [0, 1, 0, 1], a.real.ravel().tolist(), a.imag.ravel().tolist())
+    assert matrix_csv_text(a) == ref_csv_text(("row", "col", "re", "im"), ref_matrix)
+    psi = np.array([0.6, 0.8j, -0.0])
+    ref_state = ([0, 1, 2], psi.real.tolist(), psi.imag.tolist())
+    assert state_csv_text(psi) == ref_csv_text(("index", "re", "im"), ref_state)
